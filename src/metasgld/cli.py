@@ -60,8 +60,8 @@ _ENV_KEYS = {"dim": True, "mean": True, "cov_scale": True, "trunc_lo": True,
              "trunc_hi": True, "task_cov_scale": True}
 _EXPERIMENT_KEYS = {"mode": True, "name": False}
 _OUTPUT_KEYS = {"csv": True, "plot": False, "eval_cadence": False}
-_SCHEDULE_KEYS = {"eta": False, "beta": False, "gamma_outer": False,
-                  "gamma_inner": False, "decay_rule": False, "decay_c": False,
+# beta and the gammas belong to alternate mode only; joint mode rejects them
+_SCHEDULE_KEYS = {"eta": False, "decay_rule": False, "decay_c": False,
                   "decay_rate": False, "decay_period": False}
 _ALT_RUN_KEYS = {**_SCHEDULE_KEYS,
                  "n": True, "m": True, "m_tr": True, "m_va": True,
@@ -467,9 +467,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_run = sub.add_parser("run", help="run one experiment config")
     p_run.add_argument("config", help="config file path or shipped preset name")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=1,
-                       help="worker hint (accepted for compatibility; "
-                            "execution is single-threaded)")
     p_run.add_argument("--eval-cadence", type=int, default=None)
 
     p_plot = sub.add_parser("plot", help="render CSV columns to SVG")

@@ -28,6 +28,18 @@ def as_vector(v, dim: Optional[int] = None) -> np.ndarray:
     return arr
 
 
+def ordered_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Sum over ``axis`` bit for bit as ``total = 0.0; for v in x: total += v``
+    (np.sum adds pairwise; ``+ 0.0`` makes cumsum's all -0.0 sum +0.0)."""
+    return np.take(np.cumsum(x, axis=axis), -1, axis=axis) + 0.0
+
+
+def sq_norm(v: np.ndarray) -> np.ndarray:
+    """``v @ v`` over the last axis by the dot product that ``float(v @ v)``
+    and ``np.linalg.norm`` use; v*v summed can round differently."""
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 # ---------------------------------------------------------------- schedules
 
 DECAY_CONSTANT = "constant"

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RunConfig
-from .model import LossModel, batch_grad, batch_risk
+from .core import RunConfig, as_vector, ordered_sum
+from .model import LossModel, stacked_grad, stacked_risk
 from .task_env import EnvironmentSpec, sample_dataset, sample_task
 
 
@@ -29,6 +29,8 @@ def adapt_eval(u: np.ndarray, model: LossModel, env: EnvironmentSpec,
                eval_source: str = "va") -> float:
     """Average risk after noiseless tr-split fine-tuning on fresh tasks.
 
+    Tasks are drawn in turn (a mean, then its dataset); all adapt at once.
+
     ``eval_source`` selects the split the adapted parameter is scored on:
     "va" (held-out) for test loss, "tr" (the data actually fitted) for the
     train-loss side of the observed gap.
@@ -39,18 +41,19 @@ def adapt_eval(u: np.ndarray, model: LossModel, env: EnvironmentSpec,
         raise ValueError(f"eval_source must be va/tr/union, got {eval_source!r}")
     if eval_source == "va" and cfg.m_va < 1:
         raise ValueError("va evaluation needs m_va >= 1")
-    beta = cfg.schedules.beta0
-    total = 0.0
-    for _ in range(n_tasks):
-        task = sample_task(env, rng)
-        ds = sample_dataset(task, env, cfg.m, cfg.m_tr, rng)
-        w = np.asarray(u, dtype=float).copy()
-        tr = ds.tr
-        for _ in range(cfg.test_adapt_steps):
-            w = w - beta * batch_grad(model, w, tr)
-        batch = {"va": ds.va, "tr": ds.tr, "union": ds.samples}[eval_source]
-        total += batch_risk(model, w, batch)
-    return total / n_tasks
+    split = "samples" if eval_source == "union" else eval_source
+    size = {"va": cfg.m_va, "tr": cfg.m_tr, "samples": cfg.m}[split]
+    tr = np.empty((n_tasks, cfg.m_tr, model.dim))
+    batch = np.empty((n_tasks, size, model.dim))
+    for i in range(n_tasks):
+        ds = sample_dataset(sample_task(env, rng), env, cfg.m, cfg.m_tr, rng)
+        tr[i], batch[i] = ds.tr, getattr(ds, split)
+    w = as_vector(u, model.dim)
+    for _ in range(cfg.test_adapt_steps):
+        w = w - cfg.schedules.beta0 * stacked_grad(w, tr)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("vector contains NaN/Inf")
+    return float(ordered_sum(stacked_risk(w, batch))) / n_tasks
 
 
 def meta_test_loss(u: np.ndarray, env: EnvironmentSpec, cfg: RunConfig,

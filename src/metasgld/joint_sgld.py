@@ -209,7 +209,7 @@ def run_joint_sgld(cfg: JointConfig, env: EnvironmentSpec,
         term = mi_step_term(eta, sigma, l_hat, phi.stacked_dim)
         tracker.per_step_terms.append(term)
         phi = joint_sgld_step(phi, grad, eta, sigma, noise_rng)
-        if not np.all(np.isfinite(phi.u)):
+        if not np.all(np.isfinite(phi.stack())):
             raise FloatingPointError(f"joint parameter became non-finite at step {t}")
 
         bound = joint_bound(tracker.mi_sum, sigma_sg, cfg.n, cfg.m)

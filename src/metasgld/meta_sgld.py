@@ -1,25 +1,27 @@
 """Alternate-training meta learner: nested Langevin loops with first-order
 meta-gradients and online Monte-Carlo tracking of gradient-incoherence and
-gradient-norm statistics."""
+gradient-norm statistics.
+
+All inner paths of an epoch (live and MC replicas, every task) advance as one
+array.  Each path keeps its stream address and every sum runs in the order of
+the former per-path loops, whose results it reproduces bit for bit.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (ConfigurationError, P_BATCH, P_DATA, P_MC, P_NOISE_U,
                    P_NOISE_W, P_TASK, P_TEST, P_TRAIN_PROBE, RunConfig,
-                   derive_stream, noise_std)
-from .model import LossModel, batch_grad, batch_risk
+                   as_vector, derive_stream, noise_std, ordered_sum, sq_norm)
+from .model import LossModel, stacked_grad, stacked_risk
 from .task_env import (EnvironmentSpec, TaskDataset, sample_dataset,
                        sample_minibatch, sample_task)
 from . import bounds as bounds_mod
 from . import evaluate as evaluate_mod
 from .records import RunRecord
-
-LEVEL_META_U = "meta_u"
-LEVEL_TASK_W = "task_w"
 
 
 @dataclass(frozen=True)
@@ -27,20 +29,10 @@ class InnerPath:
     """One task-adaptation trajectory W^0 = U through W^K."""
 
     w_steps: List[np.ndarray]          # K+1 vectors
-    batches_used: List[np.ndarray]     # K index sets (into ds.samples)
-    noise_used: List[np.ndarray]       # K noise vectors
 
     @property
     def w_final(self) -> np.ndarray:
         return self.w_steps[-1]
-
-
-@dataclass(frozen=True)
-class IncoherenceSample:
-    eps: np.ndarray
-    sq_norm: float
-    level: str                          # meta_u / task_w
-    coords: Tuple[int, int, int, int]   # (t, i, k, replica)
 
 
 @dataclass
@@ -65,110 +57,114 @@ class BoundAccumulators:
         self.eps_u_sum += eps_term
         self.gnorm_u_sum += gnorm_term
 
-    def see_gradient(self, grad: np.ndarray) -> None:
-        self.lipschitz_max = max(self.lipschitz_max, float(np.linalg.norm(grad)))
+    def see_gradients(self, grads: np.ndarray) -> None:
+        """Raise lipschitz_max to the largest norm among grads (..., dim);
+        like a running max() from 0.0, it never takes a NaN norm."""
+        self.lipschitz_max = float(np.fmax.reduce(
+            np.sqrt(sq_norm(grads)), axis=None, initial=self.lipschitz_max))
 
 
-def _union_batch_size(cfg: RunConfig) -> int:
-    # full-batch inner updates pair with full-union incoherence probes
-    return cfg.inner_batch
+def _stack(datasets: Sequence[TaskDataset], split: str) -> np.ndarray:
+    """One split ("tr", "va" or "samples") of every task, (tasks, count, dim)."""
+    return np.stack([getattr(ds, split) for ds in datasets])
+
+
+def _minibatches(datasets: Sequence[TaskDataset], union: np.ndarray,
+                 cfg: RunConfig, t: int, slots: Sequence[int],
+                 replicas: Sequence[int], probe: bool
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """inner_batch > 0: per step, the tr batch of every path and the union
+    probes of the first replica, drawn from each path's (P_BATCH, t, slot, r)
+    stream in the loop's order (a step's tr batch, then its probes)."""
+    b, K, R = cfg.inner_batch, cfg.K, cfg.mc_replicas
+    tr_idx = np.zeros((K, len(replicas), len(slots), b), dtype=int)
+    un_idx = np.zeros((K, len(slots), R, b), dtype=int)
+    for p, r in enumerate(replicas):
+        for i, (slot, ds) in enumerate(zip(slots, datasets)):
+            rng = derive_stream(cfg.seed, (P_BATCH, t, slot, r))
+            for k in range(K):
+                tr_idx[k, p, i] = sample_minibatch(ds, "tr", b, rng)
+                for j in range(R if probe and p == 0 else 0):
+                    un_idx[k, i, j] = sample_minibatch(ds, "union", b, rng)
+    task = np.arange(len(slots))
+    return union[task[:, None], tr_idx], union[task[:, None, None], un_idx]
+
+
+def _advance(u: np.ndarray, model: LossModel, datasets: Sequence[TaskDataset],
+             cfg: RunConfig, t: int, slots: Sequence[int],
+             replicas: Sequence[int],
+             collect: Optional[BoundAccumulators] = None) -> np.ndarray:
+    """K Langevin steps from U on tr-source batches for every (replica, task)
+    path at once; returns W^0..W^K as a (K+1, replicas, tasks, dim) array.
+
+    The noise of path (r, i) comes from (P_NOISE_W, t, slot) for r = 0, else
+    (P_MC, t, slot, r).  With ``collect``, the first replica also probes the
+    union source with ``mc_replicas`` batches per step and adds, task by task
+    and step by step, beta*gamma*mean(||grad_union - grad_tr||^2)/2 to
+    eps_w_sum (gradient-norm and Lipschitz analogues alike)."""
+    w0 = as_vector(u, model.dim)
+    if cfg.m_tr >= 1 and any(ds.tr_indices.size == 0 for ds in datasets):
+        raise RuntimeError("dataset has an empty tr split despite m_tr >= 1")
+    s, K, R = cfg.schedules, cfg.K, cfg.mc_replicas
+    tr, union = _stack(datasets, "tr"), _stack(datasets, "samples")
+    if cfg.inner_batch == 0:
+        tr_b = np.broadcast_to(tr, (K, 1) + tr.shape)
+        un_b = np.broadcast_to(union[:, None], (K, len(slots), R) + union.shape[1:])
+    else:
+        tr_b, un_b = _minibatches(datasets, union, cfg, t, slots, replicas,
+                                  collect is not None)
+    noise = np.array([[derive_stream(cfg.seed, (P_NOISE_W, t, slot) if r == 0
+                                     else (P_MC, t, slot, r)
+                                     ).standard_normal((K, model.dim))
+                       for slot in slots] for r in replicas])
+    betas = [s.inner_lr(t, k) for k in range(1, K + 1)]
+    path = np.empty((K + 1,) + noise.shape[:2] + (model.dim,))
+    path[0] = w0
+    for k, beta in enumerate(betas):
+        std = noise_std(beta, s.gamma_inner) if cfg.noise else 0.0
+        path[k + 1] = (path[k] - beta * stacked_grad(path[k], tr_b[k])
+                       + std * noise[:, :, k])
+    # a non-finite coordinate stays non-finite in later steps, so this one
+    # check raises wherever the per-step gradient check did
+    if not np.all(np.isfinite(path[-1])):
+        raise ValueError("vector contains NaN/Inf")
+
+    if collect is not None:
+        live = path[:-1, 0]                                   # (K, tasks, dim)
+        g_tr = stacked_grad(live, tr_b[:, 0])
+        g_un = stacked_grad(live[:, :, None], un_b)           # (K, tasks, R, dim)
+        weight = np.array([b * s.gamma_inner / 2.0 for b in betas])[:, None]
+        eps = weight * ordered_sum(sq_norm(g_un - g_tr[:, :, None])) / R
+        gn = weight * ordered_sum(sq_norm(g_un)) / R
+        for e, g in zip(eps.T.ravel().tolist(), gn.T.ravel().tolist()):
+            collect.add_w(e, g)
+        collect.see_gradients(g_un)
+    return path
 
 
 def inner_adapt(u: np.ndarray, model: LossModel, ds: TaskDataset, cfg: RunConfig,
                 t: int, task_slot: int, replica: int = 0,
                 collect: Optional[BoundAccumulators] = None) -> InnerPath:
-    """K Langevin steps from U on tr-source batches.
+    """K Langevin steps from U on tr-source batches for one task and replica;
+    ``collect`` gathers the task-level probe terms as in ``_advance``."""
+    path = _advance(u, model, [ds], cfg, t, [task_slot], [replica], collect)
+    return InnerPath(w_steps=list(path[:, 0, 0]))
 
-    When ``collect`` is given, each step also probes the union source with
-    ``mc_replicas`` batches, forms eps^w = grad_union - grad_tr at the current
-    W, and adds beta*gamma*mean(||eps^w||^2)/2 to eps_w_sum (gradient-norm and
-    Lipschitz analogues updated with identical weighting).
-    """
-    if cfg.m_tr >= 1 and ds.tr_indices.size == 0:
-        raise RuntimeError("dataset has an empty tr split despite m_tr >= 1")
+
+def _eps_u_terms(w: np.ndarray, task_batch: Sequence[TaskDataset],
+                 cfg: RunConfig, t: int, acc: Optional[BoundAccumulators]
+                 ) -> Tuple[float, float]:
+    """eta*gamma*mean(||g_full - g_tr||^2)/2 and its g_full-norm analogue from
+    the replicas' adapted w, (replicas, tasks, dim)."""
+    bt = len(task_batch)
+    g_full = ordered_sum(stacked_grad(w, _stack(task_batch, "samples")), -2) / bt
+    g_tr = ordered_sum(stacked_grad(w, _stack(task_batch, "tr")), -2) / bt
+    if acc is not None:
+        acc.see_gradients(g_full)
     s = cfg.schedules
-    noise_path = (P_NOISE_W, t, task_slot) if replica == 0 else (P_MC, t, task_slot, replica)
-    noise_rng = derive_stream(cfg.seed, noise_path)
-    batch_rng = derive_stream(cfg.seed, (P_BATCH, t, task_slot, replica))
-
-    w = np.asarray(u, dtype=float).copy()
-    w_steps = [w.copy()]
-    batches_used: List[np.ndarray] = []
-    noise_used: List[np.ndarray] = []
-    b_union = _union_batch_size(cfg)
-
-    for k in range(1, cfg.K + 1):
-        beta = s.inner_lr(t, k)
-        tr_idx = sample_minibatch(ds, "tr", cfg.inner_batch, batch_rng)
-        g_tr = batch_grad(model, w, ds.samples[tr_idx])
-
-        if collect is not None:
-            eps_sq = 0.0
-            gn_sq = 0.0
-            for _ in range(cfg.mc_replicas):
-                un_idx = sample_minibatch(ds, "union", b_union, batch_rng)
-                g_un = batch_grad(model, w, ds.samples[un_idx])
-                e = g_un - g_tr
-                eps_sq += float(e @ e)
-                gn_sq += float(g_un @ g_un)
-                collect.see_gradient(g_un)
-            weight = beta * s.gamma_inner / 2.0
-            collect.add_w(weight * eps_sq / cfg.mc_replicas,
-                          weight * gn_sq / cfg.mc_replicas)
-
-        std = noise_std(beta, s.gamma_inner) if cfg.noise else 0.0
-        zeta = std * noise_rng.standard_normal(model.dim)
-        w = w - beta * g_tr + zeta
-        w_steps.append(w.copy())
-        batches_used.append(tr_idx)
-        noise_used.append(zeta)
-
-    return InnerPath(w_steps=w_steps, batches_used=batches_used, noise_used=noise_used)
-
-
-def meta_gradient_first_order(model: LossModel, paths: Sequence[InnerPath],
-                              datasets: Sequence[TaskDataset],
-                              eval_source: str) -> np.ndarray:
-    """(1/|I_t|) sum_i grad of the eval-source risk taken at the adapted W^K_i."""
-    if len(paths) != len(datasets) or len(paths) == 0:
-        raise ValueError("need one non-empty path per dataset")
-    g = np.zeros(model.dim)
-    for path, ds in zip(paths, datasets):
-        if eval_source == "va":
-            batch = ds.va
-        elif eval_source == "tr":
-            batch = ds.tr
-        elif eval_source == "union":
-            batch = ds.samples
-        else:
-            raise ValueError(f"eval_source must be va/tr/union, got {eval_source!r}")
-        if batch.shape[0] == 0:
-            raise ValueError(f"eval source {eval_source!r} is empty for a task")
-        g += batch_grad(model, path.w_final, batch)
-    return g / len(paths)
-
-
-def eps_u_samples(u: np.ndarray, model: LossModel,
-                  task_batch: Sequence[TaskDataset], cfg: RunConfig,
-                  t: int) -> List[IncoherenceSample]:
-    """Per-replica meta-level incoherence samples.
-
-    Each replica reruns every task's inner path on a fresh stream, then
-    evaluates the first-order meta-gradient on the union source (g_full) and on
-    the tr source (g_tr) at the same adapted parameters; eps^u = g_full - g_tr.
-    """
-    if len(task_batch) == 0:
-        raise ValueError("task_batch must be non-empty")
-    out: List[IncoherenceSample] = []
-    for r in range(1, cfg.mc_replicas + 1):
-        paths = [inner_adapt(u, model, ds, cfg, t, i, replica=r)
-                 for i, ds in enumerate(task_batch)]
-        g_full = meta_gradient_first_order(model, paths, task_batch, "union")
-        g_tr = meta_gradient_first_order(model, paths, task_batch, "tr")
-        eps = g_full - g_tr
-        out.append(IncoherenceSample(eps=eps, sq_norm=float(eps @ eps),
-                                     level=LEVEL_META_U, coords=(t, -1, -1, r)))
-    return out
+    weight = s.outer_lr(t) * s.gamma_outer / 2.0
+    return (float(weight * ordered_sum(sq_norm(g_full - g_tr), 0) / cfg.mc_replicas),
+            float(weight * ordered_sum(sq_norm(g_full), 0) / cfg.mc_replicas))
 
 
 def estimate_eps_u(u: np.ndarray, model: LossModel,
@@ -178,22 +174,9 @@ def estimate_eps_u(u: np.ndarray, model: LossModel,
     """Monte-Carlo terms eta*gamma*mean(||eps^u||^2)/2 and the g_full-norm analogue."""
     if len(task_batch) == 0:
         raise ValueError("task_batch must be non-empty")
-    s = cfg.schedules
-    eta = s.outer_lr(t)
-    eps_sq = 0.0
-    gn_sq = 0.0
-    for r in range(1, cfg.mc_replicas + 1):
-        paths = [inner_adapt(u, model, ds, cfg, t, i, replica=r)
-                 for i, ds in enumerate(task_batch)]
-        g_full = meta_gradient_first_order(model, paths, task_batch, "union")
-        g_tr = meta_gradient_first_order(model, paths, task_batch, "tr")
-        e = g_full - g_tr
-        eps_sq += float(e @ e)
-        gn_sq += float(g_full @ g_full)
-        if acc is not None:
-            acc.see_gradient(g_full)
-    weight = eta * s.gamma_outer / 2.0
-    return (weight * eps_sq / cfg.mc_replicas, weight * gn_sq / cfg.mc_replicas)
+    replicas = range(1, cfg.mc_replicas + 1)
+    path = _advance(u, model, task_batch, cfg, t, range(len(task_batch)), replicas)
+    return _eps_u_terms(path[-1], task_batch, cfg, t, acc)
 
 
 def outer_step(u: np.ndarray, model: LossModel,
@@ -208,29 +191,23 @@ def outer_step(u: np.ndarray, model: LossModel,
     if len(task_batch) != cfg.task_batch:
         raise ValueError(f"expected {cfg.task_batch} tasks, got {len(task_batch)}")
     s = cfg.schedules
-
-    # live paths with task-level collection, averaged over the task batch
-    task_acc = BoundAccumulators()
-    paths = [inner_adapt(u, model, ds, cfg, t, i, replica=0, collect=task_acc)
-             for i, ds in enumerate(task_batch)]
     bt = len(task_batch)
+    task_acc = BoundAccumulators()
+    w = _advance(u, model, task_batch, cfg, t, range(bt),
+                 range(cfg.mc_replicas + 1), collect=task_acc)[-1]
     acc.add_w(task_acc.eps_w_sum / bt, task_acc.gnorm_w_sum / bt)
     acc.lipschitz_max = max(acc.lipschitz_max, task_acc.lipschitz_max)
 
-    eps_u_term, gnorm_u_term = estimate_eps_u(u, model, task_batch, cfg, t, acc=acc)
-    acc.add_u(eps_u_term, gnorm_u_term)
+    acc.add_u(*_eps_u_terms(w[1:], task_batch, cfg, t, acc))
 
     if cfg.m_va < 1:
         raise ConfigurationError("outer update needs m_va >= 1 (va split empty)")
-    meta_grad = meta_gradient_first_order(model, paths, task_batch, "va")
+    va = _stack(task_batch, "va")
+    meta_grad = ordered_sum(stacked_grad(w[0], va), -2) / bt
     eta = s.outer_lr(t)
     std = noise_std(eta, s.gamma_outer) if cfg.noise else 0.0
     xi = std * derive_stream(cfg.seed, (P_NOISE_U, t)).standard_normal(model.dim)
-    u_next = u - eta * meta_grad + xi
-
-    train_risk = float(np.mean([batch_risk(model, p.w_final, ds.va)
-                                for p, ds in zip(paths, task_batch)]))
-    return u_next, train_risk
+    return u - eta * meta_grad + xi, float(np.mean(stacked_risk(w[0], va)))
 
 
 def draw_task_batch(env: EnvironmentSpec, cfg: RunConfig, t: int) -> List[TaskDataset]:

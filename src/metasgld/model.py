@@ -32,17 +32,23 @@ def loss(model: LossModel, w, z) -> float:
 
 def batch_risk(model: LossModel, w, batch) -> float:
     """Empirical risk: mean of per-sample losses over the batch."""
-    w = as_vector(w, model.dim)
-    batch = _as_batch(batch, model.dim)
-    d = w[None, :] - batch
-    return float(np.mean(np.sum(d * d, axis=1)))
+    return float(stacked_risk(as_vector(w, model.dim), _as_batch(batch, model.dim)))
 
 
 def batch_grad(model: LossModel, w, batch) -> np.ndarray:
     """Gradient of batch_risk at w; equals 2 (w - mean(batch)) for the quadratic model."""
-    w = as_vector(w, model.dim)
-    batch = _as_batch(batch, model.dim)
-    return 2.0 * (w - batch.mean(axis=0))
+    return stacked_grad(as_vector(w, model.dim), _as_batch(batch, model.dim))
+
+
+def stacked_risk(w: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """Unvalidated batch_risk, bitwise, of w (..., dim) on batch (..., n, dim)."""
+    d = w[..., None, :] - batch
+    return np.mean(np.sum(d * d, axis=-1), axis=-1)
+
+
+def stacked_grad(w: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """Unvalidated batch_grad, bitwise, of w (..., dim) on batch (..., n, dim)."""
+    return 2.0 * (w - batch.mean(axis=-2))
 
 
 def finite_diff_grad(model: LossModel, w, batch, h: float = 1e-6) -> np.ndarray:

@@ -69,9 +69,14 @@ def sample_task(env: EnvironmentSpec, rng: np.random.Generator) -> TaskSpec:
     std = np.sqrt(env.env_cov_scale)
     total = 0
     while total < _MAX_REJECT_DRAWS:
-        draws = env.env_mean + std * rng.standard_normal((_REJECT_CHUNK, env.dim))
-        ok = np.all((draws >= env.trunc_lo) & (draws <= env.trunc_hi), axis=1)
+        z = rng.standard_normal((_REJECT_CHUNK, env.dim))
         total += _REJECT_CHUNK
+        # the whole chunk is drawn, but row 0 usually hits: test it alone first
+        first = env.env_mean + std * z[0]
+        if ((first >= env.trunc_lo) & (first <= env.trunc_hi)).all():
+            return TaskSpec(mu=first)
+        draws = env.env_mean + std * z
+        ok = np.all((draws >= env.trunc_lo) & (draws <= env.trunc_hi), axis=1)
         hits = np.flatnonzero(ok)
         if hits.size:
             return TaskSpec(mu=draws[hits[0]].copy())

@@ -95,6 +95,15 @@ class TestParseConfig:
             parse_config(text)
         assert "run.T" in str(exc.value)
 
+    @pytest.mark.parametrize("key", ["beta", "gamma_outer", "gamma_inner"])
+    def test_joint_rejects_alternate_only_keys(self, key):
+        # joint mode has no inner loop and no temperatures to set
+        text = load_text(preset_path("joint_demo")).replace(
+            "seed = 1", f"seed = 1\n{key} = 0.5")
+        with pytest.raises(ConfigParseError) as exc:
+            parse_config(text)
+        assert f"run.{key}" in str(exc.value)
+
     def test_bad_mode_rejected(self, tmp_path):
         text = tiny_config(tmp_path).replace("mode = alternate", "mode = hybrid")
         with pytest.raises(ConfigParseError):
@@ -258,10 +267,13 @@ class TestMain:
                    str(tmp_path / "pm.svg")])
         assert rc == 0 and (tmp_path / "pm.svg").exists()
 
-    def test_threads_flag_accepted(self, tmp_path):
+    def test_threads_flag_rejected(self, tmp_path):
         cfg_file = tmp_path / "tiny.ini"
         cfg_file.write_text(tiny_config(tmp_path, T=1, name="th.csv"))
-        assert main(["run", str(cfg_file), "--threads", "4"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(cfg_file), "--threads", "4"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "th.csv").exists()
 
 
 class TestFormatValue:

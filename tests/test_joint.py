@@ -1,5 +1,7 @@
 """Joint-training chain: stacked gradients, Langevin steps, MI bound terms."""
 import math
+import re
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -190,3 +192,19 @@ class TestRunJointSgld:
             self.cfg(sigma_rule="fixed", sigma0=0.0)
         with pytest.raises(ValueError):
             self.cfg(coupling=-1.0)
+
+    def test_w_overflow_names_the_step(self):
+        # with no tether U moves only by the small fixed noise and stays
+        # finite, while eta = 1e3 makes every W step multiply W by -1999;
+        # a fixed L keeps the bound terms finite meanwhile
+        cfg = self.cfg(n=1, coupling=0.0, T=200, sigma_rule="fixed", sigma0=1e-3,
+                       fixed_l=5.0,
+                       schedules=Schedules(eta0=1e3, beta0=1.0, gamma_outer=1e4,
+                                           gamma_inner=1e4))
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as exc:
+            run_joint_sgld(cfg, small_env(), sigma_sg=1.0)
+        step = int(re.search(r"at step (\d+)", str(exc.value)).group(1))
+        assert 1 < step < 200
+        with np.errstate(all="ignore"):
+            records = run_joint_sgld(replace(cfg, T=step - 1), small_env(), sigma_sg=1.0)
+        assert len(records) == step - 1

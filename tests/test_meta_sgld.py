@@ -8,8 +8,7 @@ import pytest
 
 from metasgld.core import RunConfig, Schedules, derive_stream
 from metasgld.meta_sgld import (BoundAccumulators, draw_task_batch,
-                                eps_u_samples, estimate_eps_u, inner_adapt,
-                                meta_gradient_first_order, outer_step,
+                                estimate_eps_u, inner_adapt, outer_step,
                                 run_meta_sgld)
 from metasgld.model import LossModel, batch_grad, batch_risk, finite_diff_grad
 from metasgld.task_env import EnvironmentSpec, TaskDataset, TaskSpec, sample_dataset
@@ -57,8 +56,7 @@ class TestInnerAdapt:
                             derive_stream(0, [3]))
         path = inner_adapt(np.zeros(2), MODEL, ds, cfg, t=2, task_slot=1)
         assert len(path.w_steps) == cfg.K + 1
-        assert len(path.batches_used) == cfg.K
-        assert len(path.noise_used) == cfg.K
+        assert all(w.shape == (2,) for w in path.w_steps)
 
     def test_union_equal_tr_gives_zero_eps_w(self):
         # m_va = 0 forces the union source to coincide with the tr source
@@ -82,45 +80,40 @@ class TestInnerAdapt:
 
 
 class TestMetaGradient:
-    def make(self):
-        cfg = small_cfg(K=1, noise=False)
-        ds = sample_dataset(TaskSpec(mu=np.zeros(2)), paper_env(), 16, 8,
-                            derive_stream(0, [3]))
-        path = inner_adapt(np.array([0.5, 0.5]), MODEL, ds, cfg, 1, 0)
-        return cfg, ds, path
+    """The first-order meta-gradient, read off a noiseless meta step:
+    U' = U - eta * g with eta = 0.2."""
 
     def test_stationary_tasks_give_zero(self):
         ds = make_dataset([[1.0, 1.0], [1.0, 1.0]], m_tr=1)
         cfg = small_cfg(m=2, m_tr=1, m_va=1, K=0, noise=False, task_batch=1)
-        path = inner_adapt(np.array([1.0, 1.0]), MODEL, ds, cfg, 1, 0)
-        g = meta_gradient_first_order(MODEL, [path], [ds], "va")
-        assert np.array_equal(g, np.zeros(2))
+        u_next, _ = outer_step(np.array([1.0, 1.0]), MODEL, [ds], cfg, 1,
+                               BoundAccumulators())
+        assert np.array_equal(u_next, np.array([1.0, 1.0]))
 
     def test_singleton_query(self):
         ds = make_dataset([[0.0, 0.0], [3.0, -1.0]], m_tr=1)
         cfg = small_cfg(m=2, m_tr=1, m_va=1, K=0, noise=False, task_batch=1)
-        path = inner_adapt(np.array([1.0, 1.0]), MODEL, ds, cfg, 1, 0)
-        g = meta_gradient_first_order(MODEL, [path], [ds], "va")
-        assert np.allclose(g, 2 * (path.w_final - np.array([3.0, -1.0])))
+        u = np.array([1.0, 1.0])
+        u_next, _ = outer_step(u, MODEL, [ds], cfg, 1, BoundAccumulators())
+        assert np.array_equal(u_next, u - 0.2 * (2 * (u - np.array([3.0, -1.0]))))
 
     def test_matches_finite_differences_at_adapted_point(self):
-        cfg, ds, path = self.make()
-        g = meta_gradient_first_order(MODEL, [path], [ds], "va")
+        cfg = small_cfg(K=1, noise=False, task_batch=1)
+        ds = sample_dataset(TaskSpec(mu=np.zeros(2)), paper_env(), 16, 8,
+                            derive_stream(0, [3]))
+        u = np.array([0.5, 0.5])
+        path = inner_adapt(u, MODEL, ds, cfg, 1, 0)
+        u_next, _ = outer_step(u, MODEL, [ds], cfg, 1, BoundAccumulators())
+        g = (u - u_next) / 0.2
         fd = finite_diff_grad(MODEL, path.w_final, ds.va)
         assert np.linalg.norm(g - fd) / np.linalg.norm(g) < 1e-6
 
     def test_empty_source_rejected(self):
-        cfg = small_cfg(m_tr=16, m_va=0)
+        cfg = small_cfg(m_tr=16, m_va=0, task_batch=1)
         ds = sample_dataset(TaskSpec(mu=np.zeros(2)), paper_env(), 16, 16,
                             derive_stream(0, [3]))
-        path = inner_adapt(np.zeros(2), MODEL, ds, cfg, 1, 0)
         with pytest.raises(ValueError):
-            meta_gradient_first_order(MODEL, [path], [ds], "va")
-
-    def test_mismatched_lengths_rejected(self):
-        cfg, ds, path = self.make()
-        with pytest.raises(ValueError):
-            meta_gradient_first_order(MODEL, [path, path], [ds], "va")
+            outer_step(np.zeros(2), MODEL, [ds], cfg, 1, BoundAccumulators())
 
 
 class TestEstimateEpsU:
@@ -140,14 +133,21 @@ class TestEstimateEpsU:
         assert eps_term == 0.0
 
     def test_replica_order_invariance(self):
+        # the estimate is the replica average of ||eps^u||^2, each replica
+        # rebuilt from its own inner paths, whichever order they are summed in
         cfg = small_cfg(mc_replicas=6)
         batch = draw_task_batch(paper_env(), cfg, 1)
-        samples = eps_u_samples(np.zeros(2), MODEL, batch, cfg, 1)
-        forward = sum(s.sq_norm for s in samples)
-        backward = sum(s.sq_norm for s in reversed(samples))
-        assert abs(forward - backward) < 1e-10
-        assert len(samples) == 6
-        assert all(s.level == "meta_u" for s in samples)
+        sq = []
+        for r in range(1, 7):
+            ws = [inner_adapt(np.zeros(2), MODEL, ds, cfg, 1, i, replica=r).w_final
+                  for i, ds in enumerate(batch)]
+            eps = np.mean([batch_grad(MODEL, w, ds.samples) - batch_grad(MODEL, w, ds.tr)
+                           for w, ds in zip(ws, batch)], axis=0)
+            sq.append(float(eps @ eps))
+        weight = 0.2 * 1e4 / 2.0 / 6
+        eps_term, _ = estimate_eps_u(np.zeros(2), MODEL, batch, cfg, 1)
+        assert eps_term == pytest.approx(weight * sum(sq), rel=1e-10)
+        assert eps_term == pytest.approx(weight * sum(reversed(sq)), rel=1e-10)
 
 
 class TestOuterStep:
