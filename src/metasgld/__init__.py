@@ -19,7 +19,7 @@ from .bounds import (SubgaussianSpec, assemble_alt_bound, gauss_kl_same_cov,
 from .records import RunRecord
 from .evaluate import GapReport, meta_test_loss, observed_gap
 from .meta_sgld import BoundAccumulators, run_meta_sgld
-from .joint_sgld import JointConfig, JointParams, run_joint_sgld
+from .joint_sgld import JointConfig, run_joint_sgld
 
 __all__ = [
     "ConfigurationError", "UndefinedBoundError", "RunConfig", "Schedules",
@@ -29,5 +29,5 @@ __all__ = [
     "gauss_kl_same_cov", "assemble_alt_bound",
     "RunRecord", "GapReport", "meta_test_loss", "observed_gap",
     "BoundAccumulators", "run_meta_sgld",
-    "JointConfig", "JointParams", "run_joint_sgld",
+    "JointConfig", "run_joint_sgld",
 ]

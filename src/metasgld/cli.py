@@ -18,9 +18,8 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import joint_sgld as joint_mod
 from . import meta_sgld as meta_mod
-from .core import (DECAY_CONSTANT, DECAY_EXPONENTIAL, DECAY_INVERSE_T,
-                   ConfigurationError, RunConfig, Schedules)
-from .records import FIELD_NAMES, RunRecord, format_value, write_csv
+from .core import DECAY_CONSTANT, ConfigurationError, RunConfig, Schedules
+from .records import RunRecord, format_value, write_csv
 from .task_env import EnvironmentSpec
 
 OUTPUT_DIR_ENV_VAR = "METASGLD_OUTPUT_DIR"
@@ -262,27 +261,17 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     if cfg.mode == MODE_ALTERNATE:
         records, _ = meta_mod.run_meta_sgld(cfg.run, cfg.env,
                                             eval_cadence=cfg.outputs.eval_cadence)
-        write_csv(records, csv_path, comment_lines=comments)
+        record_type = RunRecord
         default_series = ["bound_total", "gnorm_bound_total"]
     else:
         sg = bounds_mod.subgaussian_mean_estimation(cfg.env, 0.4)
         records = joint_mod.run_joint_sgld(cfg.joint, cfg.env, sigma_sg=sg.sigma)
-        _write_joint_csv(records, csv_path, comments)
+        record_type = joint_mod.JointRecord
         default_series = ["joint_bound", "closed_form"]
+    write_csv(records, csv_path, comments, record_type)
     if plot_path:
         render_plot(csv_path, default_series, plot_path)
     return 0
-
-
-def _write_joint_csv(records, path, comments) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        w = csv.writer(fh)
-        w.writerow(joint_mod.JOINT_FIELD_NAMES)
-        for r in records:
-            w.writerow([format_value(getattr(r, name))
-                        for name in joint_mod.JOINT_FIELD_NAMES])
 
 
 # --------------------------------------------------------------- plotting

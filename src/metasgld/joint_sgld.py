@@ -1,53 +1,26 @@
 """Joint-training mode: Langevin dynamics over the stacked parameter
 (U, W_1..W_n) with online tracking of the mutual-information bound and its
-closed form under the eta_t = c/t, sigma_t = sqrt(eta_t) schedule."""
+closed form under the eta_t = c/t, sigma_t = sqrt(eta_t) schedule.
+
+The chain is one (n+1, d) array: row 0 is U and rows 1..n are W_1..W_n.
+Each step matches the per-task loop of tests/test_engine_reference.py bit
+for bit.
+"""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from .core import (DECAY_INVERSE_T, P_DATA, P_NOISE_U, P_TASK, Schedules,
-                   UndefinedBoundError, derive_stream)
-from .model import LossModel, batch_grad, batch_risk
+                   UndefinedBoundError, derive_stream, ordered_sum)
+from .model import stacked_grad, stacked_risk
 from .task_env import EnvironmentSpec, sample_dataset, sample_task
 
 SIGMA_SQRT_ETA = "sqrt_eta"
 SIGMA_FIXED = "fixed"
-
-
-@dataclass(frozen=True)
-class JointParams:
-    """Stacked parameter Phi = (u, w_1..w_n)."""
-
-    u: np.ndarray
-    ws: List[np.ndarray]
-
-    @property
-    def n(self) -> int:
-        return len(self.ws)
-
-    @property
-    def stacked_dim(self) -> int:
-        return self.u.shape[0] + sum(w.shape[0] for w in self.ws)
-
-    def stack(self) -> np.ndarray:
-        return np.concatenate([self.u] + list(self.ws))
-
-    def unstack(self, vec: np.ndarray) -> "JointParams":
-        """Rebuild a JointParams with this object's shapes from a flat vector."""
-        if vec.shape != (self.stacked_dim,):
-            raise ValueError(f"expected flat vector of length {self.stacked_dim}")
-        k = self.u.shape[0]
-        u = vec[:k].copy()
-        ws, off = [], k
-        for w in self.ws:
-            d = w.shape[0]
-            ws.append(vec[off:off + d].copy())
-            off += d
-        return JointParams(u=u, ws=ws)
 
 
 @dataclass
@@ -70,37 +43,37 @@ class GradBoundTracker:
         return float(sum(self.per_step_terms))
 
 
-def joint_loss_grad(phi: JointParams, model: LossModel,
-                    batches: Sequence[np.ndarray],
+def joint_loss_grad(phi: np.ndarray, data: np.ndarray,
                     coupling: float) -> np.ndarray:
-    """Stacked gradient of (1/n) sum_i R_{B_i}(w_i) + (coupling/n) sum_i ||w_i - u||^2."""
-    n = phi.n
-    if len(batches) != n:
-        raise ValueError(f"need one batch per task ({n}), got {len(batches)}")
+    """Gradient of (1/n) sum_i R_{D_i}(w_i) + (coupling/n) sum_i ||w_i - u||^2
+    at phi (n+1, d), row 0 u and rows 1..n the w_i, on the datasets data (n, m, d)."""
+    n = phi.shape[0] - 1
+    if data.shape[0] != n:
+        raise ValueError(f"need one dataset per task ({n}), got {data.shape[0]}")
     if coupling < 0:
         raise ValueError("coupling must be non-negative")
-    gu = np.zeros_like(phi.u)
-    gws = []
-    for w, batch in zip(phi.ws, batches):
-        gw = batch_grad(model, w, batch) / n
-        if coupling > 0:
-            diff = w - phi.u
-            gw = gw + (2.0 * coupling / n) * diff
-            gu -= (2.0 * coupling / n) * diff
-        gws.append(gw)
-    return np.concatenate([gu] + gws)
+    grad = np.zeros_like(phi)
+    grad[1:] = stacked_grad(phi[1:], data) / n
+    if coupling > 0:
+        x = (2.0 * coupling / n) * (phi[1:] - phi[0])
+        grad[1:] += x
+        # left to right from zero: the rounding and sign of zero of
+        # subtracting each x_i from U's block in task order
+        grad[0] = ordered_sum(-x, 0)
+    return grad
 
 
-def joint_sgld_step(phi: JointParams, grad: np.ndarray, eta_t: float,
-                    sigma_t: float, rng: np.random.Generator) -> JointParams:
-    """Phi <- Phi - eta_t * grad + N(0, sigma_t^2 I); sigma_t = 0 is plain GD."""
-    flat = phi.stack()
-    if grad.shape != flat.shape:
+def joint_sgld_step(phi: np.ndarray, grad: np.ndarray, eta_t: float,
+                    sigma_t: float, rng: np.random.Generator) -> np.ndarray:
+    """Phi <- Phi - eta_t * grad + N(0, sigma_t^2 I); sigma_t = 0 is plain GD.
+    The noise is one draw of the flat (n+1)*d vector, in row order."""
+    if grad.shape != phi.shape:
         raise ValueError("gradient shape does not match stacked parameter")
     if sigma_t < 0:
         raise ValueError("sigma_t must be non-negative")
-    noise = sigma_t * rng.standard_normal(flat.shape[0]) if sigma_t > 0 else 0.0
-    return phi.unstack(flat - eta_t * grad + noise)
+    noise = (sigma_t * rng.standard_normal(phi.size).reshape(phi.shape)
+             if sigma_t > 0 else 0.0)
+    return phi - eta_t * grad + noise
 
 
 def mi_step_term(eta_t: float, sigma_t: float, l_hat: float,
@@ -178,23 +151,16 @@ class JointRecord:
     train_risk: float
 
 
-JOINT_FIELD_NAMES = ["t", "l_hat", "mi_step_term", "mi_sum", "joint_bound",
-                     "closed_form", "train_risk"]
-
-
 def run_joint_sgld(cfg: JointConfig, env: EnvironmentSpec,
                    sigma_sg: float) -> List[JointRecord]:
     """Full joint-training run on n fixed datasets sampled once up front."""
-    model = LossModel(dim=env.dim)
-    datasets = []
+    data = np.empty((cfg.n, cfg.m, env.dim))
     for i in range(cfg.n):
         task = sample_task(env, derive_stream(cfg.seed, (P_TASK, 0, i)))
-        ds = sample_dataset(task, env, cfg.m, cfg.m,
-                            derive_stream(cfg.seed, (P_DATA, 0, i)))
-        datasets.append(ds.samples)
+        data[i] = sample_dataset(task, env, cfg.m, cfg.m,
+                                 derive_stream(cfg.seed, (P_DATA, 0, i))).samples
 
-    phi = JointParams(u=np.zeros(env.dim),
-                      ws=[np.zeros(env.dim) for _ in range(cfg.n)])
+    phi = np.zeros((cfg.n + 1, env.dim))
     tracker = GradBoundTracker(fixed_l=cfg.fixed_l)
     noise_rng = derive_stream(cfg.seed, (P_NOISE_U, 0))
     s = cfg.schedules
@@ -204,19 +170,22 @@ def run_joint_sgld(cfg: JointConfig, env: EnvironmentSpec,
     for t in range(1, cfg.T + 1):
         eta = s.outer_lr(t)
         sigma = sigma_value(cfg, eta)
-        grad = joint_loss_grad(phi, model, datasets, cfg.coupling)
+        grad = joint_loss_grad(phi, data, cfg.coupling)
         l_hat = tracker.observe(np.linalg.norm(grad))
-        term = mi_step_term(eta, sigma, l_hat, phi.stacked_dim)
+        try:
+            term = mi_step_term(eta, sigma, l_hat, phi.size)
+        except OverflowError:
+            raise FloatingPointError(
+                f"information step term overflowed at step {t}") from None
         tracker.per_step_terms.append(term)
         phi = joint_sgld_step(phi, grad, eta, sigma, noise_rng)
-        if not np.all(np.isfinite(phi.stack())):
+        if not np.all(np.isfinite(phi)):
             raise FloatingPointError(f"joint parameter became non-finite at step {t}")
 
         bound = joint_bound(tracker.mi_sum, sigma_sg, cfg.n, cfg.m)
         cf = (joint_closed_form(sigma_sg, l_hat, cfg.n, cfg.m, s.decay_c, t)
               if closed_form_available else float("nan"))
-        train = float(np.mean([batch_risk(model, w, b)
-                               for w, b in zip(phi.ws, datasets)]))
+        train = float(np.mean(stacked_risk(phi[1:], data)))
         records.append(JointRecord(t=t, l_hat=l_hat, mi_step_term=term,
                                    mi_sum=tracker.mi_sum, joint_bound=bound,
                                    closed_form=cf, train_risk=train))

@@ -44,16 +44,18 @@ def format_value(x) -> str:
                                       fractional=False, trim="-")
 
 
-def write_csv(records: Sequence[RunRecord], path,
-              comment_lines: Iterable[str] = ()) -> None:
-    """Write records with a `#`-comment provenance header and a column header row."""
+def write_csv(records: Sequence, path, comment_lines: Iterable[str] = (),
+              record_type: type = RunRecord) -> None:
+    """Write records with a `#`-comment provenance header and a column header
+    row, one column per field of the record dataclass ``record_type``."""
+    names = [f.name for f in fields(record_type)]
     with open(path, "w", newline="") as fh:
         for line in comment_lines:
             fh.write(f"# {line}\n")
         w = csv.writer(fh)
-        w.writerow(FIELD_NAMES)
+        w.writerow(names)
         for r in records:
-            w.writerow([format_value(getattr(r, name)) for name in FIELD_NAMES])
+            w.writerow([format_value(getattr(r, name)) for name in names])
 
 
 def read_csv(path) -> List[RunRecord]:
@@ -72,8 +74,3 @@ def read_csv(path) -> List[RunRecord]:
         out.append(RunRecord(**kwargs))
     return out
 
-
-def read_columns(path) -> dict:
-    """Column name -> list of floats (None for empty cells); includes epoch."""
-    records = read_csv(path)
-    return {name: [getattr(r, name) for r in records] for name in FIELD_NAMES}

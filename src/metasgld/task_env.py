@@ -1,9 +1,8 @@
 """Task environment: truncated-Gaussian task means, per-task datasets, splits, minibatches."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import List
 
 import numpy as np
 
@@ -141,31 +140,3 @@ def sample_minibatch(ds: TaskDataset, source: str, b: int,
         raise ValueError(f"batch size {b} exceeds source size {pool.size}")
     return np.sort(rng.choice(pool, size=b, replace=False))
 
-
-# ------------------------------------------------------------ CSV dump/load
-
-def dump_datasets(datasets: Iterable[TaskDataset], path) -> None:
-    """Debug dump: one row per sample (task_id, split_tag, coordinates)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for task_id, ds in enumerate(datasets):
-            tr = set(ds.tr_indices.tolist())
-            for j, z in enumerate(ds.samples):
-                tag = "tr" if j in tr else "va"
-                w.writerow([task_id, tag] + [repr(float(c)) for c in z])
-
-
-def load_datasets(path) -> List[TaskDataset]:
-    rows: dict[int, list] = {}
-    with open(path, newline="") as fh:
-        for task_id, tag, *coords in csv.reader(fh):
-            rows.setdefault(int(task_id), []).append((tag, [float(c) for c in coords]))
-    out = []
-    for task_id in sorted(rows):
-        tags, coords = zip(*rows[task_id])
-        samples = np.array(coords, dtype=float)
-        idx = np.arange(len(tags))
-        tr = idx[[t == "tr" for t in tags]]
-        va = idx[[t == "va" for t in tags]]
-        out.append(TaskDataset(samples=samples, tr_indices=tr, va_indices=va))
-    return out

@@ -1,5 +1,6 @@
 """Config parsing, experiment runner, CSV round-trip, plotting, comparison."""
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -266,6 +267,29 @@ class TestMain:
                    "bound_total,gnorm_bound_total", "--out",
                    str(tmp_path / "pm.svg")])
         assert rc == 0 and (tmp_path / "pm.svg").exists()
+
+    def test_diverging_joint_run_reports_the_step(self, tmp_path, capsys):
+        # eta = 1000 makes every W step multiply W by -1999; the tracked L
+        # grows with it until the information step term overflows
+        text = load_text(preset_path("joint_demo"))
+        for old, repl in (("n = 50", "n = 1"), ("coupling = 1.0", "coupling = 0"),
+                          ("T = 500", "T = 500\neta = 1000"),
+                          ("decay_rule = inverse_t", "decay_rule = constant"),
+                          ("sigma_rule = sqrt_eta", "sigma_rule = fixed\nsigma0 = 0.001"),
+                          ("csv = joint_demo.csv", f"csv = {tmp_path / 'd.csv'}")):
+            text = text.replace(old, repl)
+        cfg_file = tmp_path / "diverge.ini"
+        cfg_file.write_text(text)
+        with np.errstate(all="ignore"):
+            assert main(["run", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        step = int(re.search(r"at step (\d+)", err).group(1))
+        assert 1 < step < 500
+        # the step named is the first one that fails
+        cfg_file.write_text(text.replace("T = 500", f"T = {step - 1}"))
+        with np.errstate(all="ignore"):
+            assert main(["run", str(cfg_file)]) == 0
 
     def test_threads_flag_rejected(self, tmp_path):
         cfg_file = tmp_path / "tiny.ini"

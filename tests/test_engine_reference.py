@@ -1,21 +1,25 @@
-"""The array engine against the per-path loops it replaced.
+"""The array engines against the per-path and per-task loops they replaced.
 
-The ``ref_*`` functions below are the trainer's and the evaluator's loop
-implementations from before the engine: one task, one replica, one step and
-one probe at a time, through the per-vector gradient and risk.  The engine
+The ``ref_*`` functions below are the trainers' and the evaluator's loop
+implementations from before the engines: one task, one replica, one step and
+one probe at a time, through the per-vector gradient and risk.  The engines
 must reproduce every number they compute bit for bit, so every comparison
 here is exact.
 """
 import itertools
-from dataclasses import replace
+import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from metasgld.core import (P_BATCH, P_MC, P_NOISE_U, P_NOISE_W,
-                           DECAY_INVERSE_T, RunConfig, Schedules,
+from metasgld.core import (P_BATCH, P_DATA, P_MC, P_NOISE_U, P_NOISE_W,
+                           P_TASK, DECAY_INVERSE_T, RunConfig, Schedules,
                            derive_stream, noise_std)
 from metasgld.evaluate import adapt_eval
+from metasgld.joint_sgld import (GradBoundTracker, JointConfig, JointRecord,
+                                 joint_bound, joint_closed_form,
+                                 joint_loss_grad, mi_step_term, run_joint_sgld)
 from metasgld.meta_sgld import (BoundAccumulators, draw_task_batch,
                                 estimate_eps_u, inner_adapt, outer_step)
 from metasgld.model import LossModel
@@ -237,3 +241,86 @@ def test_non_finite_paths_raise_the_gradient_check_error():
     with pytest.raises(ValueError, match="NaN/Inf"):
         adapt_eval(np.array([np.inf, 0.0]), MODEL, ENV, make_cfg(), 3,
                    derive_stream(3, [9]))
+
+
+# ------------------------------------------------------------ joint mode
+
+def ref_joint_grad(u, ws, datasets, coupling):
+    n = len(ws)
+    gu = np.zeros(2)
+    gws = []
+    for w, batch in zip(ws, datasets):
+        gw = ref_grad(w, batch) / n
+        if coupling > 0:
+            diff = w - u
+            gw = gw + (2.0 * coupling / n) * diff
+            gu -= (2.0 * coupling / n) * diff
+        gws.append(gw)
+    return np.concatenate([gu] + gws)
+
+
+def ref_run_joint(cfg, sigma_sg):
+    """The joint trainer's loop: u and a list of w_i, one task at a time."""
+    datasets = []
+    for i in range(cfg.n):
+        task = sample_task(ENV, derive_stream(cfg.seed, (P_TASK, 0, i)))
+        datasets.append(sample_dataset(task, ENV, cfg.m, cfg.m,
+                                       derive_stream(cfg.seed, (P_DATA, 0, i))).samples)
+    u, ws = np.zeros(2), [np.zeros(2) for _ in range(cfg.n)]
+    tracker = GradBoundTracker(fixed_l=cfg.fixed_l)
+    noise_rng = derive_stream(cfg.seed, (P_NOISE_U, 0))
+    s = cfg.schedules
+    records = []
+    for t in range(1, cfg.T + 1):
+        eta = s.outer_lr(t)
+        sigma = math.sqrt(eta) if cfg.sigma_rule == "sqrt_eta" else cfg.sigma0
+        grad = ref_joint_grad(u, ws, datasets, cfg.coupling)
+        l_hat = tracker.observe(np.linalg.norm(grad))
+        term = mi_step_term(eta, sigma, l_hat, grad.size)
+        tracker.per_step_terms.append(term)
+        flat = np.concatenate([u] + ws) - eta * grad
+        if sigma > 0:
+            flat = flat + sigma * noise_rng.standard_normal(flat.size)
+        u, ws = flat[:2].copy(), [flat[2 * i:2 * i + 2].copy()
+                                  for i in range(1, cfg.n + 1)]
+        cf = (joint_closed_form(sigma_sg, l_hat, cfg.n, cfg.m, s.decay_c, t)
+              if cfg.sigma_rule == "sqrt_eta" else float("nan"))
+        train = float(np.mean([ref_risk(w, b) for w, b in zip(ws, datasets)]))
+        records.append(JointRecord(
+            t=t, l_hat=l_hat, mi_step_term=term, mi_sum=tracker.mi_sum,
+            joint_bound=joint_bound(tracker.mi_sum, sigma_sg, cfg.n, cfg.m),
+            closed_form=cf, train_risk=train))
+    return records
+
+
+JOINT_GRID = list(itertools.product((0.0, 0.7), ("sqrt_eta", "fixed"),
+                                    (None, 5.0), (1, 3, 12)))
+
+
+@pytest.mark.parametrize("coupling,sigma_rule,fixed_l,n", JOINT_GRID)
+def test_run_joint_matches_loop(coupling, sigma_rule, fixed_l, n):
+    cfg = JointConfig(n=n, m=5, T=25,
+                      schedules=Schedules(eta0=1.0, beta0=1.0, gamma_outer=1.0,
+                                          gamma_inner=1.0,
+                                          decay_rule=DECAY_INVERSE_T,
+                                          decay_c=0.3),
+                      seed=4, coupling=coupling, sigma_rule=sigma_rule,
+                      sigma0=0.05, fixed_l=fixed_l)
+    got = run_joint_sgld(cfg, ENV, sigma_sg=1.2)
+    want = ref_run_joint(cfg, sigma_sg=1.2)
+    assert len(got) == len(want) == cfg.T
+    # compare the bits, so NaN closed forms and the sign of zero count too
+    for a, b in zip(got, want):
+        assert np.array(astuple(a)).tobytes() == np.array(astuple(b)).tobytes()
+
+
+@pytest.mark.parametrize("coupling,n,start", itertools.product(
+    (0.0, 0.7), (1, 3, 12), ("zero", "random")))
+def test_joint_loss_grad_matches_loop(coupling, n, start):
+    # at Phi = 0 every tether term is zero: the loop's U block is +0.0
+    rng = np.random.default_rng(n)
+    phi = np.zeros((n + 1, 2)) if start == "zero" else rng.normal(size=(n + 1, 2))
+    data = rng.normal(size=(n, 5, 2))
+    got = joint_loss_grad(phi, data, coupling).ravel()
+    want = ref_joint_grad(phi[0], list(phi[1:]), list(data), coupling)
+    assert got.tobytes() == want.tobytes()

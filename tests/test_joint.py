@@ -10,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metasgld.core import Schedules, UndefinedBoundError, derive_stream
-from metasgld.joint_sgld import (GradBoundTracker, JointConfig, JointParams,
-                                 joint_bound, joint_closed_form,
-                                 joint_loss_grad, joint_sgld_step,
-                                 mi_step_term, run_joint_sgld)
+from metasgld.joint_sgld import (GradBoundTracker, JointConfig, joint_bound,
+                                 joint_closed_form, joint_loss_grad,
+                                 joint_sgld_step, mi_step_term, run_joint_sgld)
 from metasgld.model import LossModel, batch_risk
 from metasgld.task_env import EnvironmentSpec
 
@@ -28,21 +27,21 @@ def small_env():
 
 
 def phi_of(u, ws):
-    return JointParams(u=np.asarray(u, float),
-                       ws=[np.asarray(w, float) for w in ws])
+    """The stacked chain: row 0 is u, rows 1..n are the w_i."""
+    return np.array([u, *ws], dtype=float)
 
 
 class TestJointLossGrad:
     def test_zero_coupling_u_block_zero(self):
         phi = phi_of([1.0, 2.0], [[0.5, 0.5], [3.0, -1.0]])
-        batches = [np.array([[1.0, 1.0]]), np.array([[0.0, 0.0], [2.0, 2.0]])]
-        g = joint_loss_grad(phi, MODEL, batches, coupling=0.0)
-        assert np.array_equal(g[:2], np.zeros(2))
+        data = np.array([[[1.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [2.0, 2.0]]])
+        g = joint_loss_grad(phi, data, coupling=0.0)
+        assert np.array_equal(g[0], np.zeros(2))
 
     def test_single_task_stationary(self):
         batch = np.array([[1.0, 3.0], [3.0, 1.0]])
         phi = phi_of([0.0, 0.0], [batch.mean(axis=0)])
-        g = joint_loss_grad(phi, MODEL, [batch], coupling=0.0)
+        g = joint_loss_grad(phi, batch[None], coupling=0.0)
         assert np.allclose(g, 0.0, atol=1e-15)
 
     def test_matches_stacked_finite_differences(self):
@@ -50,16 +49,16 @@ class TestJointLossGrad:
         n = 3
         lam = 0.7
         phi = phi_of(rng.normal(size=2), rng.normal(size=(n, 2)))
-        batches = [rng.normal(size=(4, 2)) for _ in range(n)]
+        data = rng.normal(size=(n, 4, 2))
 
         def objective(flat):
-            p = phi.unstack(flat)
-            risk = sum(batch_risk(MODEL, w, b) for w, b in zip(p.ws, batches)) / n
-            tether = sum(float((w - p.u) @ (w - p.u)) for w in p.ws) * lam / n
+            p = flat.reshape(phi.shape)
+            risk = sum(batch_risk(MODEL, w, b) for w, b in zip(p[1:], data)) / n
+            tether = sum(float((w - p[0]) @ (w - p[0])) for w in p[1:]) * lam / n
             return risk + tether
 
-        g = joint_loss_grad(phi, MODEL, batches, coupling=lam)
-        flat = phi.stack()
+        g = joint_loss_grad(phi, data, coupling=lam).ravel()
+        flat = phi.ravel()
         h = 1e-6
         fd = np.empty_like(flat)
         for i in range(flat.size):
@@ -70,26 +69,26 @@ class TestJointLossGrad:
 
     def test_batch_count_mismatch_rejected(self):
         phi = phi_of([0.0, 0.0], [[0.0, 0.0]])
-        with pytest.raises(ValueError):
-            joint_loss_grad(phi, MODEL, [], coupling=0.0)
+        with pytest.raises(ValueError, match="one dataset per task"):
+            joint_loss_grad(phi, np.zeros((0, 1, 2)), coupling=0.0)
 
 
 class TestJointSgldStep:
     def test_fixed_point(self):
         phi = phi_of([1.0, 1.0], [[2.0, 2.0]])
-        out = joint_sgld_step(phi, np.zeros(4), 0.5, 0.0, derive_stream(0, [1]))
-        assert np.array_equal(out.stack(), phi.stack())
+        out = joint_sgld_step(phi, np.zeros_like(phi), 0.5, 0.0, derive_stream(0, [1]))
+        assert np.array_equal(out, phi)
 
     def test_full_step_to_origin(self):
         phi = phi_of([1.0, -2.0], [[3.0, 4.0]])
-        out = joint_sgld_step(phi, phi.stack(), 1.0, 0.0, derive_stream(0, [1]))
-        assert np.allclose(out.stack(), 0.0, atol=1e-15)
+        out = joint_sgld_step(phi, phi, 1.0, 0.0, derive_stream(0, [1]))
+        assert np.allclose(out, 0.0, atol=1e-15)
 
     def test_noise_variance_matches_sigma(self):
         phi = phi_of([0.0, 0.0], [[0.0, 0.0]])
         sigma = 0.3
         rng = derive_stream(17, [2])
-        draws = np.array([joint_sgld_step(phi, np.zeros(4), 0.1, sigma, rng).stack()
+        draws = np.array([joint_sgld_step(phi, np.zeros_like(phi), 0.1, sigma, rng).ravel()
                           for _ in range(10_000)])
         var = draws.var(axis=0)
         assert np.all(np.abs(var - sigma ** 2) < 0.05 * sigma ** 2)

@@ -7,8 +7,8 @@ from scipy import integrate
 
 from metasgld.core import ConfigurationError, derive_stream
 from metasgld.task_env import (EnvironmentSpec, TaskDataset, TaskSpec,
-                               dump_datasets, load_datasets, sample_dataset,
-                               sample_minibatch, sample_task, sample_tasks)
+                               sample_dataset, sample_minibatch, sample_task,
+                               sample_tasks)
 
 
 def paper_env():
@@ -165,17 +165,3 @@ class TestSampleMinibatch:
         sigma = np.sqrt(draws * p * (1 - p))
         assert np.all(np.abs(counts - draws * p) < 3.5 * sigma)
 
-
-class TestDumpLoad:
-    def test_roundtrip(self, tmp_path):
-        env = paper_env()
-        rng = derive_stream(0, [7])
-        datasets = [sample_dataset(TaskSpec(mu=np.zeros(2)), env, 6, 3, rng)
-                    for _ in range(3)]
-        path = tmp_path / "ds.csv"
-        dump_datasets(datasets, path)
-        back = load_datasets(path)
-        assert len(back) == 3
-        for a, b in zip(datasets, back):
-            assert np.array_equal(a.samples, b.samples)
-            assert np.array_equal(np.sort(a.tr_indices), np.sort(b.tr_indices))
