@@ -9,15 +9,10 @@ import numpy as np
 from .core import UndefinedBoundError, as_vector
 from .task_env import EnvironmentSpec
 
-SG_MEAN_ESTIMATION = "mean_estimation_derived"
-SG_BOUNDED = "bounded_loss"
-SG_USER = "user_supplied"
-
 
 @dataclass(frozen=True)
 class SubgaussianSpec:
     sigma_sq: float
-    provenance: str = SG_USER
 
     def __post_init__(self):
         if self.sigma_sq <= 0:
@@ -46,14 +41,7 @@ def subgaussian_mean_estimation(env: EnvironmentSpec, inner_lr: float) -> Subgau
     mu_sq_max = float(np.sum(np.maximum(env.trunc_lo ** 2, env.trunc_hi ** 2)))
     k = (1.0 - two_beta) ** 2 * mu_sq_max
     sigma_sq = 2.0 * (2.0 * k + env.dim) * sigma_l_sq ** 2
-    return SubgaussianSpec(sigma_sq=sigma_sq, provenance=SG_MEAN_ESTIMATION)
-
-
-def subgaussian_bounded(a: float, b: float) -> SubgaussianSpec:
-    """A loss bounded in [a, b] is (b-a)/2 sub-gaussian."""
-    if b <= a:
-        raise ValueError(f"need b > a, got [{a}, {b}]")
-    return SubgaussianSpec(sigma_sq=((b - a) / 2.0) ** 2, provenance=SG_BOUNDED)
+    return SubgaussianSpec(sigma_sq=sigma_sq)
 
 
 def gauss_kl_same_cov(mu1, mu2, var: float) -> float:

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
-import io
 import math
 import os
 import sys
@@ -19,7 +17,7 @@ from . import bounds as bounds_mod
 from . import joint_sgld as joint_mod
 from . import meta_sgld as meta_mod
 from .core import DECAY_CONSTANT, ConfigurationError, RunConfig, Schedules
-from .records import RunRecord, format_value, write_csv
+from .records import RunRecord, format_value, read_csv, write_csv
 from .task_env import EnvironmentSpec
 
 OUTPUT_DIR_ENV_VAR = "METASGLD_OUTPUT_DIR"
@@ -254,7 +252,7 @@ def _provenance(cfg: ExperimentConfig) -> List[str]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
-    """Execute the configured trainer and stream per-epoch rows to CSV."""
+    """Execute the configured trainer, then write its per-epoch rows to CSV."""
     csv_path = _resolve_out(cfg.outputs.csv_path)
     plot_path = _resolve_out(cfg.outputs.plot_path)
     comments = _provenance(cfg)
@@ -276,19 +274,6 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
 # --------------------------------------------------------------- plotting
 
-def _read_table(csv_path: str) -> Tuple[List[str], Dict[str, List[Optional[float]]]]:
-    with open(csv_path, newline="") as fh:
-        body = [line for line in fh if not line.startswith("#")]
-    rows = list(csv.reader(io.StringIO("".join(body))))
-    if not rows:
-        raise ValueError(f"{csv_path} has no header row")
-    names = rows[0]
-    cols: Dict[str, List[Optional[float]]] = {n: [] for n in names}
-    for row in rows[1:]:
-        for n, v in zip(names, row):
-            cols[n].append(None if v == "" else float(v))
-    return names, cols
-
 _SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
@@ -297,9 +282,10 @@ def render_plot(csv_path: str, series: Sequence[str], out_path: str) -> int:
     .dat text file per series next to the SVG."""
     if not series:
         raise ValueError("series list must be non-empty")
-    names, cols = _read_table(csv_path)
+    cols = read_csv(csv_path)
+    names = list(cols)
     x_name = names[0]
-    unknown = [s for s in series if s not in names]
+    unknown = [s for s in series if s not in cols]
     if unknown:
         raise ValueError(f"unknown columns {unknown}; available: {names}")
 
@@ -430,7 +416,7 @@ def _print_comparison(rows: List[dict], out=sys.stdout) -> None:
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     from dataclasses import replace
-    if getattr(args, "eval_cadence", None):
+    if getattr(args, "eval_cadence", None) is not None:
         cfg = replace(cfg, outputs=replace(cfg.outputs, eval_cadence=args.eval_cadence))
     if getattr(args, "seed", None) is not None:
         if cfg.mode == MODE_ALTERNATE:

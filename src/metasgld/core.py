@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -81,29 +81,24 @@ class Schedules:
             raise ValueError("exponential decay needs rate > 0 and period > 0")
 
     def outer_lr(self, t: int) -> float:
-        return schedule_value(self, "outer_lr", t)
+        if t < 1:
+            raise ValueError(f"iteration index t must be >= 1, got {t}")
+        if self.decay_rule == DECAY_CONSTANT:
+            return self.eta0
+        if self.decay_rule == DECAY_INVERSE_T:
+            return self.decay_c / t
+        return self.eta0 * self.decay_rate ** (t / self.decay_period)
 
     def inner_lr(self, t: int, k: int) -> float:
-        return schedule_value(self, "inner_lr", t, k)
-
-
-def schedule_value(s: Schedules, which: str, t: int, k: int = 1) -> float:
-    """Evaluate the outer (eta_t) or inner (beta_{t,k}) learning rate."""
-    if t < 1:
-        raise ValueError(f"iteration index t must be >= 1, got {t}")
-    if which == "outer_lr":
-        base = s.eta0
-    elif which == "inner_lr":
+        if t < 1:
+            raise ValueError(f"iteration index t must be >= 1, got {t}")
         if k < 1:
             raise ValueError(f"inner index k must be >= 1, got {k}")
-        base = s.beta0
-    else:
-        raise ValueError(f"which must be 'outer_lr' or 'inner_lr', got {which!r}")
-    if s.decay_rule == DECAY_CONSTANT:
-        return base
-    if s.decay_rule == DECAY_INVERSE_T:
-        return s.decay_c / (t * k if which == "inner_lr" else t)
-    return base * s.decay_rate ** (t / s.decay_period)
+        if self.decay_rule == DECAY_CONSTANT:
+            return self.beta0
+        if self.decay_rule == DECAY_INVERSE_T:
+            return self.decay_c / (t * k)
+        return self.beta0 * self.decay_rate ** (t / self.decay_period)
 
 
 def noise_std(lr: float, gamma: float) -> float:

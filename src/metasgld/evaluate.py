@@ -13,11 +13,9 @@ from .task_env import EnvironmentSpec, sample_dataset, sample_task
 
 @dataclass(frozen=True)
 class GapReport:
-    epoch: int
     train_loss: float
     test_loss: float
     gap: float                  # test_loss - train_loss, exactly
-    n_test_tasks: int
 
     def __post_init__(self):
         if self.gap != self.test_loss - self.train_loss:
@@ -37,17 +35,16 @@ def adapt_eval(u: np.ndarray, model: LossModel, env: EnvironmentSpec,
     """
     if n_tasks < 1:
         raise ValueError("need at least one task")
-    if eval_source not in ("va", "tr", "union"):
-        raise ValueError(f"eval_source must be va/tr/union, got {eval_source!r}")
+    if eval_source not in ("va", "tr"):
+        raise ValueError(f"eval_source must be va or tr, got {eval_source!r}")
     if eval_source == "va" and cfg.m_va < 1:
         raise ValueError("va evaluation needs m_va >= 1")
-    split = "samples" if eval_source == "union" else eval_source
-    size = {"va": cfg.m_va, "tr": cfg.m_tr, "samples": cfg.m}[split]
+    size = cfg.m_va if eval_source == "va" else cfg.m_tr
     tr = np.empty((n_tasks, cfg.m_tr, model.dim))
     batch = np.empty((n_tasks, size, model.dim))
     for i in range(n_tasks):
         ds = sample_dataset(sample_task(env, rng), env, cfg.m, cfg.m_tr, rng)
-        tr[i], batch[i] = ds.tr, getattr(ds, split)
+        tr[i], batch[i] = ds.tr, getattr(ds, eval_source)
     w = as_vector(u, model.dim)
     for _ in range(cfg.test_adapt_steps):
         w = w - cfg.schedules.beta0 * stacked_grad(w, tr)
@@ -56,30 +53,20 @@ def adapt_eval(u: np.ndarray, model: LossModel, env: EnvironmentSpec,
     return float(ordered_sum(stacked_risk(w, batch))) / n_tasks
 
 
-def meta_test_loss(u: np.ndarray, env: EnvironmentSpec, cfg: RunConfig,
-                   n_test: int, rng: np.random.Generator) -> float:
-    """Monte-Carlo estimate of the population meta risk at U (held-out scoring)."""
-    model = LossModel(dim=env.dim)
-    return adapt_eval(u, model, env, cfg, n_test, rng, eval_source="va")
-
-
 def observed_gap(u: np.ndarray, env: EnvironmentSpec, cfg: RunConfig,
                  n_train_probe: int, n_test: int,
                  test_stream: np.random.Generator,
-                 train_stream: np.random.Generator,
-                 epoch: int = 0,
-                 train_eval_source: str = "tr") -> GapReport:
+                 train_stream: np.random.Generator) -> GapReport:
     """Test-minus-train meta loss on fresh tasks from the same environment.
 
-    The test side scores adapted parameters on held-out (va) data.  The train
-    side defaults to scoring on the support (tr) data the parameters were
-    fitted to, so the gap measures how much held-out performance trails fitted
-    performance; pass train_eval_source="va" for a symmetric probe instead.
+    The test side scores adapted parameters on held-out (va) data, the train
+    side on the support (tr) data they were fitted to, so the gap measures
+    how much held-out performance trails fitted performance.
     """
     model = LossModel(dim=env.dim)
     test_loss = adapt_eval(u, model, env, cfg, n_test, test_stream,
                            eval_source="va")
     train_loss = adapt_eval(u, model, env, cfg, n_train_probe, train_stream,
-                            eval_source=train_eval_source)
-    return GapReport(epoch=epoch, train_loss=train_loss, test_loss=test_loss,
-                     gap=test_loss - train_loss, n_test_tasks=n_test)
+                            eval_source="tr")
+    return GapReport(train_loss=train_loss, test_loss=test_loss,
+                     gap=test_loss - train_loss)

@@ -87,7 +87,14 @@ def mi_step_term(eta_t: float, sigma_t: float, l_hat: float,
         raise UndefinedBoundError(
             "mutual-information step term diverges as sigma_t -> 0; "
             "got sigma_t = 0 (noise-free steps carry unbounded information)")
-    x = (eta_t * l_hat) ** 2 / (stacked_dim * sigma_t ** 2)
+    scale = stacked_dim * sigma_t ** 2
+    if scale == 0:
+        raise UndefinedBoundError(
+            f"mutual-information step term is undefined: sigma_t = {sigma_t} "
+            "squares to 0 in floating point")
+    x = (eta_t * l_hat) ** 2 / scale
+    if math.isinf(x):
+        raise OverflowError("mutual-information step term overflowed")
     return 0.5 * stacked_dim * math.log1p(x)
 
 
@@ -132,8 +139,13 @@ class JointConfig:
             raise ValueError("coupling must be non-negative")
         if self.sigma_rule not in (SIGMA_SQRT_ETA, SIGMA_FIXED):
             raise ValueError(f"unknown sigma rule {self.sigma_rule!r}")
+        if not math.isfinite(self.sigma0):
+            raise ValueError(f"sigma0 must be finite, got {self.sigma0}")
         if self.sigma_rule == SIGMA_FIXED and self.sigma0 <= 0:
             raise ValueError("fixed sigma rule needs sigma0 > 0")
+        if self.fixed_l is not None and not (math.isfinite(self.fixed_l)
+                                             and self.fixed_l >= 0):
+            raise ValueError(f"fixed_l must be finite and >= 0, got {self.fixed_l}")
 
 
 def sigma_value(cfg: JointConfig, eta_t: float) -> float:

@@ -24,17 +24,6 @@ from . import evaluate as evaluate_mod
 from .records import RunRecord
 
 
-@dataclass(frozen=True)
-class InnerPath:
-    """One task-adaptation trajectory W^0 = U through W^K."""
-
-    w_steps: List[np.ndarray]          # K+1 vectors
-
-    @property
-    def w_final(self) -> np.ndarray:
-        return self.w_steps[-1]
-
-
 @dataclass
 class BoundAccumulators:
     """Running sums feeding the incoherence bound and its gradient-norm analogue."""
@@ -82,10 +71,11 @@ def _minibatches(datasets: Sequence[TaskDataset], union: np.ndarray,
     for p, r in enumerate(replicas):
         for i, (slot, ds) in enumerate(zip(slots, datasets)):
             rng = derive_stream(cfg.seed, (P_BATCH, t, slot, r))
+            pool = np.arange(ds.m)
             for k in range(K):
-                tr_idx[k, p, i] = sample_minibatch(ds, "tr", b, rng)
+                tr_idx[k, p, i] = sample_minibatch(ds.tr_indices, b, rng)
                 for j in range(R if probe and p == 0 else 0):
-                    un_idx[k, i, j] = sample_minibatch(ds, "union", b, rng)
+                    un_idx[k, i, j] = sample_minibatch(pool, b, rng)
     task = np.arange(len(slots))
     return union[task[:, None], tr_idx], union[task[:, None, None], un_idx]
 
@@ -144,11 +134,11 @@ def _advance(u: np.ndarray, model: LossModel, datasets: Sequence[TaskDataset],
 
 def inner_adapt(u: np.ndarray, model: LossModel, ds: TaskDataset, cfg: RunConfig,
                 t: int, task_slot: int, replica: int = 0,
-                collect: Optional[BoundAccumulators] = None) -> InnerPath:
-    """K Langevin steps from U on tr-source batches for one task and replica;
-    ``collect`` gathers the task-level probe terms as in ``_advance``."""
-    path = _advance(u, model, [ds], cfg, t, [task_slot], [replica], collect)
-    return InnerPath(w_steps=list(path[:, 0, 0]))
+                collect: Optional[BoundAccumulators] = None) -> np.ndarray:
+    """K Langevin steps from U on tr-source batches for one task and replica,
+    W^0..W^K as a (K+1, dim) array; ``collect`` gathers the task-level probe
+    terms as in ``_advance``."""
+    return _advance(u, model, [ds], cfg, t, [task_slot], [replica], collect)[:, 0, 0]
 
 
 def _eps_u_terms(w: np.ndarray, task_batch: Sequence[TaskDataset],
@@ -256,8 +246,7 @@ def run_meta_sgld(cfg: RunConfig, env: EnvironmentSpec,
             rep = evaluate_mod.observed_gap(
                 u, env, cfg, n_train_probe, n_test,
                 test_stream=derive_stream(cfg.seed, (P_TEST, t)),
-                train_stream=derive_stream(cfg.seed, (P_TRAIN_PROBE, t)),
-                epoch=t)
+                train_stream=derive_stream(cfg.seed, (P_TRAIN_PROBE, t)))
             train_loss, test_loss, gap = rep.train_loss, rep.test_loss, rep.gap
 
         records.append(RunRecord(

@@ -1,4 +1,4 @@
-"""Loss models with analytic gradients; mean-estimation square loss is the primary model."""
+"""The mean-estimation square loss with analytic gradients."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -7,27 +7,16 @@ import numpy as np
 
 from .core import as_vector
 
-MEAN_ESTIMATION_SQ = "mean_estimation_sq"
-
 
 @dataclass(frozen=True)
 class LossModel:
+    """The square loss ||w - z||^2 on dim-dimensional parameters and samples."""
+
     dim: int
-    kind: str = MEAN_ESTIMATION_SQ
 
     def __post_init__(self):
-        if self.kind != MEAN_ESTIMATION_SQ:
-            raise ValueError(f"unsupported loss model {self.kind!r}")
         if self.dim < 1:
             raise ValueError("dim must be positive")
-
-
-def loss(model: LossModel, w, z) -> float:
-    """Per-sample loss ||w - z||^2."""
-    w = as_vector(w, model.dim)
-    z = as_vector(z, model.dim)
-    d = w - z
-    return float(d @ d)
 
 
 def batch_risk(model: LossModel, w, batch) -> float:

@@ -2,9 +2,8 @@
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, fields
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -58,19 +57,15 @@ def write_csv(records: Sequence, path, comment_lines: Iterable[str] = (),
             w.writerow([format_value(getattr(r, name)) for name in names])
 
 
-def read_csv(path) -> List[RunRecord]:
+def read_csv(path) -> Dict[str, List[Optional[float]]]:
+    """The columns of a CSV of either record type, in header order:
+    {name: [value, or None for an empty cell]}."""
     with open(path, newline="") as fh:
-        body = [line for line in fh if not line.startswith("#")]
-    rows = list(csv.reader(io.StringIO("".join(body))))
-    if not rows or rows[0] != FIELD_NAMES:
-        raise ValueError(f"unexpected CSV header in {path}: {rows[:1]}")
-    out = []
+        rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+    if not rows or not rows[0]:
+        raise ValueError(f"{path} has no header row")
+    cols: Dict[str, List[Optional[float]]] = {name: [] for name in rows[0]}
     for row in rows[1:]:
-        vals = dict(zip(FIELD_NAMES, row))
-        kwargs = {"epoch": int(vals["epoch"])}
-        for name in FIELD_NAMES[1:]:
-            v = vals[name]
-            kwargs[name] = None if v == "" else float(v)
-        out.append(RunRecord(**kwargs))
-    return out
-
+        for name, v in zip(rows[0], row):
+            cols[name].append(None if v == "" else float(v))
+    return cols

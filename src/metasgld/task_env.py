@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -84,31 +83,6 @@ def sample_task(env: EnvironmentSpec, rng: np.random.Generator) -> TaskSpec:
         f"({total} draws without a hit); truncation box carries too little mass")
 
 
-def sample_tasks(env: EnvironmentSpec, rng: np.random.Generator,
-                 count: int) -> np.ndarray:
-    """Vectorized rejection sampling of `count` task means, shape (count, dim)."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    std = np.sqrt(env.env_cov_scale)
-    accepted: List[np.ndarray] = []
-    have = 0
-    total = 0
-    chunk = max(_REJECT_CHUNK, count)
-    while have < count:
-        if total >= _MAX_REJECT_DRAWS * max(1, count):
-            raise ConfigurationError(
-                f"rejection sampling acceptance rate below {MIN_ACCEPT_RATE}; "
-                "truncation box carries too little mass")
-        draws = env.env_mean + std * rng.standard_normal((chunk, env.dim))
-        ok = np.all((draws >= env.trunc_lo) & (draws <= env.trunc_hi), axis=1)
-        total += chunk
-        hits = draws[ok]
-        if hits.size:
-            accepted.append(hits)
-            have += hits.shape[0]
-    return np.concatenate(accepted)[:count]
-
-
 def sample_dataset(task: TaskSpec, env: EnvironmentSpec, m: int, m_tr: int,
                    rng: np.random.Generator) -> TaskDataset:
     """m i.i.d. draws from N(mu, task_cov_scale * I) with a uniform random split."""
@@ -123,20 +97,9 @@ def sample_dataset(task: TaskSpec, env: EnvironmentSpec, m: int, m_tr: int,
                        va_indices=np.sort(perm[m_tr:]))
 
 
-def sample_minibatch(ds: TaskDataset, source: str, b: int,
+def sample_minibatch(pool: np.ndarray, b: int,
                      rng: np.random.Generator) -> np.ndarray:
-    """Uniform index subset of the tr / va / union source; b = 0 means full batch."""
-    if source == "tr":
-        pool = ds.tr_indices
-    elif source == "va":
-        pool = ds.va_indices
-    elif source == "union":
-        pool = np.arange(ds.m)
-    else:
-        raise ValueError(f"source must be tr/va/union, got {source!r}")
-    if b == 0:
-        return pool.copy()
-    if b < 0 or b > pool.size:
-        raise ValueError(f"batch size {b} exceeds source size {pool.size}")
+    """Sorted uniform subset of b indices from pool, drawn without replacement."""
+    if not 1 <= b <= pool.size:
+        raise ValueError(f"batch size {b} not in [1, {pool.size}]")
     return np.sort(rng.choice(pool, size=b, replace=False))
-

@@ -9,7 +9,7 @@ from scipy import integrate
 
 from metasgld.bounds import (AltBound, SubgaussianSpec, assemble_alt_bound,
                              gauss_kl_same_cov, step_term_consistency,
-                             subgaussian_bounded, subgaussian_mean_estimation)
+                             subgaussian_mean_estimation)
 from metasgld.core import UndefinedBoundError
 from metasgld.meta_sgld import BoundAccumulators
 from metasgld.task_env import EnvironmentSpec
@@ -47,21 +47,7 @@ class TestSubgaussianMeanEstimation:
             subgaussian_mean_estimation(box_env([-1, -1], [1, 1]), 0.0)
 
 
-class TestSubgaussianBounded:
-    def test_zero_two(self):
-        assert subgaussian_bounded(0, 2).sigma_sq == 1.0
-
-    def test_shrinking_range(self):
-        eps = 1e-3
-        assert subgaussian_bounded(0, 2 * eps).sigma_sq == pytest.approx(eps ** 2)
-
-    def test_symmetric_unit(self):
-        assert subgaussian_bounded(-1, 1).sigma_sq == 1.0
-
-    def test_empty_range_rejected(self):
-        with pytest.raises(ValueError):
-            subgaussian_bounded(1, 1)
-
+class TestSubgaussianSpec:
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(ValueError):
             SubgaussianSpec(sigma_sq=0.0)

@@ -10,6 +10,8 @@ from metasgld import records as records_mod
 from metasgld.cli import (ConfigParseError, ExperimentConfig, compare_splits,
                           load_config_file, main, parse_config, preset_path,
                           render_plot, run_experiment)
+from metasgld.joint_sgld import JointRecord
+from metasgld.records import RunRecord
 
 SMALL_ALT = """
 [experiment]
@@ -49,6 +51,20 @@ eval_cadence = 2
 def tiny_config(tmp_path, T=3, name="out.csv", extra=""):
     text = SMALL_ALT.format(T=T, csv=tmp_path / name) + extra
     return text
+
+
+def joint_config(tmp_path, T=20, name="j.csv"):
+    return load_text(preset_path("joint_demo")).replace(
+        "T = 500", f"T = {T}").replace("csv = joint_demo.csv",
+                                       f"csv = {tmp_path / name}")
+
+
+def rewrite(path, out, record_type):
+    """Read a CSV through records.read_csv and write it again."""
+    cols = records_mod.read_csv(path)
+    recs = [record_type(**dict(zip(cols, row))) for row in zip(*cols.values())]
+    comments = [line[2:].rstrip("\n") for line in open(path) if line.startswith("# ")]
+    records_mod.write_csv(recs, out, comments, record_type)
 
 
 class TestParseConfig:
@@ -115,13 +131,12 @@ class TestRunExperiment:
     def test_t1_produces_one_data_row(self, tmp_path):
         cfg = parse_config(tiny_config(tmp_path, T=1, name="one.csv"))
         assert run_experiment(cfg) == 0
-        recs = records_mod.read_csv(tmp_path / "one.csv")
-        assert len(recs) == 1
+        assert records_mod.read_csv(tmp_path / "one.csv")["epoch"] == [1.0]
 
     def test_row_count_matches_t(self, tmp_path):
         cfg = parse_config(tiny_config(tmp_path, T=4, name="four.csv"))
         run_experiment(cfg)
-        assert len(records_mod.read_csv(tmp_path / "four.csv")) == 4
+        assert len(records_mod.read_csv(tmp_path / "four.csv")["epoch"]) == 4
 
     def test_same_seed_gives_byte_identical_csv(self, tmp_path):
         for name in ("a.csv", "b.csv"):
@@ -140,10 +155,13 @@ class TestRunExperiment:
     def test_csv_round_trip_preserves_values(self, tmp_path):
         cfg = parse_config(tiny_config(tmp_path, T=3, name="rt.csv"))
         run_experiment(cfg)
-        recs = records_mod.read_csv(tmp_path / "rt.csv")
-        out2 = tmp_path / "rt2.csv"
-        records_mod.write_csv(recs, out2)
-        assert records_mod.read_csv(out2) == recs
+        rewrite(tmp_path / "rt.csv", tmp_path / "rt2.csv", RunRecord)
+        assert (tmp_path / "rt2.csv").read_bytes() == (tmp_path / "rt.csv").read_bytes()
+
+    def test_joint_csv_round_trip_is_byte_identical(self, tmp_path):
+        run_experiment(parse_config(joint_config(tmp_path)))
+        rewrite(tmp_path / "j.csv", tmp_path / "j2.csv", JointRecord)
+        assert (tmp_path / "j2.csv").read_bytes() == (tmp_path / "j.csv").read_bytes()
 
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         outdir = tmp_path / "redirected"
@@ -153,10 +171,7 @@ class TestRunExperiment:
         assert (outdir / "rel.csv").exists()
 
     def test_joint_preset_runs(self, tmp_path):
-        text = load_text(preset_path("joint_demo")).replace(
-            "T = 500", "T = 20").replace("csv = joint_demo.csv",
-                                         f"csv = {tmp_path / 'j.csv'}")
-        assert run_experiment(parse_config(text)) == 0
+        assert run_experiment(parse_config(joint_config(tmp_path))) == 0
         body = (tmp_path / "j.csv").read_text().splitlines()
         header = [l for l in body if not l.startswith("#")][0]
         assert header.split(",")[0] == "t"
@@ -208,6 +223,21 @@ class TestRenderPlot:
         render_plot(csv_path, ["bound_total"], out)
         svg = out.read_text()
         assert "<circle" in svg and "<polyline" not in svg
+
+    def test_joint_csv(self, tmp_path):
+        run_experiment(parse_config(joint_config(tmp_path)))
+        out = tmp_path / "j.svg"
+        assert render_plot(tmp_path / "j.csv", ["joint_bound", "closed_form"], out) == 0
+        svg = out.read_text()
+        assert svg.count("<polyline") == 2 and ">t</text>" in svg
+        assert len((tmp_path / "j_closed_form.dat").read_text().splitlines()) == 20
+
+    @pytest.mark.parametrize("text", ["# mode = alternate\n", "\nepoch,gap\n1,2\n"])
+    def test_headerless_csv_rejected(self, tmp_path, text):
+        csv_path = tmp_path / "empty.csv"
+        csv_path.write_text(text)
+        with pytest.raises(ValueError, match="no header row"):
+            render_plot(csv_path, ["gap"], tmp_path / "x.svg")
 
     def test_pure_function_of_csv_bytes(self, tmp_path):
         csv_path = self.make_csv(tmp_path)
@@ -290,6 +320,41 @@ class TestMain:
         cfg_file.write_text(text.replace("T = 500", f"T = {step - 1}"))
         with np.errstate(all="ignore"):
             assert main(["run", str(cfg_file)]) == 0
+
+    @pytest.mark.parametrize("setting,message", [
+        pytest.param("sigma_rule = fixed\nsigma0 = 1e-200",
+                     "sigma_t = 1e-200 squares to 0", id="sigma0_1e-200"),
+        pytest.param("sigma_rule = fixed\nsigma0 = 1e-160",
+                     "overflowed at step 1", id="sigma0_1e-160"),
+        pytest.param("sigma_rule = fixed\nsigma0 = nan",
+                     "invalid [run] section: sigma0", id="sigma0_nan"),
+        pytest.param("sigma_rule = fixed\nsigma0 = inf",
+                     "invalid [run] section: sigma0", id="sigma0_inf"),
+        pytest.param("fixed_l = inf", "invalid [run] section: fixed_l", id="fixed_l_inf"),
+        pytest.param("fixed_l = nan", "invalid [run] section: fixed_l", id="fixed_l_nan"),
+        pytest.param("fixed_l = -1", "invalid [run] section: fixed_l", id="fixed_l_-1"),
+    ])
+    def test_bad_joint_noise_or_l_is_an_error(self, tmp_path, capsys, setting,
+                                              message):
+        text = joint_config(tmp_path, T=3, name="bad.csv")
+        for old, repl in (("n = 50", "n = 1"), ("m = 16", "m = 4"),
+                          ("coupling = 1.0", "coupling = 0"),
+                          ("decay_rule = inverse_t", "decay_rule = constant\neta = 0.1"),
+                          ("sigma_rule = sqrt_eta", setting)):
+            text = text.replace(old, repl)
+        cfg_file = tmp_path / "bad.ini"
+        cfg_file.write_text(text)
+        assert main(["run", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert message in err
+
+    def test_zero_eval_cadence_rejected(self, tmp_path, capsys):
+        cfg_file = tmp_path / "tiny.ini"
+        cfg_file.write_text(tiny_config(tmp_path, T=1, name="ec.csv"))
+        assert main(["run", str(cfg_file), "--eval-cadence", "0"]) == 1
+        assert capsys.readouterr().err == "error: outputs.eval_cadence must be >= 1\n"
+        assert not (tmp_path / "ec.csv").exists()
 
     def test_threads_flag_rejected(self, tmp_path):
         cfg_file = tmp_path / "tiny.ini"

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metasgld.core import (DECAY_CONSTANT, DECAY_EXPONENTIAL, DECAY_INVERSE_T,
-                           RunConfig, Schedules, derive_stream, noise_std,
-                           schedule_value)
+                           RunConfig, Schedules, derive_stream, noise_std)
 
 
 def sched(**kw):
@@ -20,44 +19,42 @@ def sched(**kw):
 
 class TestScheduleValue:
     def test_constant_outer(self):
-        assert schedule_value(sched(), "outer_lr", 57) == 0.2
+        assert sched().outer_lr(57) == 0.2
 
     def test_inverse_t_at_one(self):
         s = sched(decay_rule=DECAY_INVERSE_T, decay_c=1.0)
-        assert schedule_value(s, "outer_lr", 1) == 1.0
+        assert s.outer_lr(1) == 1.0
 
     def test_inverse_t_c3_t6(self):
         s = sched(decay_rule=DECAY_INVERSE_T, decay_c=3.0)
-        assert schedule_value(s, "outer_lr", 6) == 0.5
+        assert s.outer_lr(6) == 0.5
 
     def test_inner_inverse_uses_both_indices(self):
         s = sched(decay_rule=DECAY_INVERSE_T, decay_c=6.0)
-        assert schedule_value(s, "inner_lr", 2, 3) == 1.0
+        assert s.inner_lr(2, 3) == 1.0
 
     def test_exponential(self):
         s = sched(decay_rule=DECAY_EXPONENTIAL, decay_rate=0.5, decay_period=2.0)
-        assert schedule_value(s, "outer_lr", 2) == pytest.approx(0.1)
+        assert s.outer_lr(2) == pytest.approx(0.1)
 
     def test_zero_t_rejected(self):
         with pytest.raises(ValueError):
-            schedule_value(sched(), "outer_lr", 0)
+            sched().outer_lr(0)
+        with pytest.raises(ValueError):
+            sched().inner_lr(0, 1)
 
     def test_zero_k_rejected(self):
         with pytest.raises(ValueError):
-            schedule_value(sched(), "inner_lr", 1, 0)
-
-    def test_unknown_which_rejected(self):
-        with pytest.raises(ValueError):
-            schedule_value(sched(), "nope", 1)
+            sched().inner_lr(1, 0)
 
     @given(t=st.integers(1, 200), k=st.integers(1, 4),
            rule=st.sampled_from([DECAY_CONSTANT, DECAY_INVERSE_T, DECAY_EXPONENTIAL]))
     @settings(max_examples=60, deadline=None)
     def test_positivity(self, t, k, rule):
         s = sched(decay_rule=rule, decay_c=0.7, decay_rate=0.96, decay_period=3.0)
-        assert schedule_value(s, "outer_lr", t) > 0
-        assert schedule_value(s, "inner_lr", t, k) > 0
-        assert noise_std(schedule_value(s, "outer_lr", t), s.gamma_outer) > 0
+        assert s.outer_lr(t) > 0
+        assert s.inner_lr(t, k) > 0
+        assert noise_std(s.outer_lr(t), s.gamma_outer) > 0
 
 
 class TestNoiseStd:

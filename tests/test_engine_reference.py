@@ -62,6 +62,11 @@ class RefAccumulators:
         self.lipschitz_max = max(self.lipschitz_max, float(np.linalg.norm(grad)))
 
 
+def ref_batch(pool, b, rng):
+    """The loops' minibatch: b = 0 is the whole pool, drawing nothing."""
+    return pool.copy() if b == 0 else sample_minibatch(pool, b, rng)
+
+
 def ref_inner_adapt(u, ds, cfg, t, task_slot, replica=0, collect=None):
     s = cfg.schedules
     noise_path = (P_NOISE_W, t, task_slot) if replica == 0 else (P_MC, t, task_slot, replica)
@@ -71,13 +76,13 @@ def ref_inner_adapt(u, ds, cfg, t, task_slot, replica=0, collect=None):
     w_steps = [w.copy()]
     for k in range(1, cfg.K + 1):
         beta = s.inner_lr(t, k)
-        tr_idx = sample_minibatch(ds, "tr", cfg.inner_batch, batch_rng)
+        tr_idx = ref_batch(ds.tr_indices, cfg.inner_batch, batch_rng)
         g_tr = ref_grad(w, ds.samples[tr_idx])
         if collect is not None:
             eps_sq = 0.0
             gn_sq = 0.0
             for _ in range(cfg.mc_replicas):
-                un_idx = sample_minibatch(ds, "union", cfg.inner_batch, batch_rng)
+                un_idx = ref_batch(np.arange(ds.m), cfg.inner_batch, batch_rng)
                 g_un = ref_grad(w, ds.samples[un_idx])
                 e = g_un - g_tr
                 eps_sq += float(e @ e)
@@ -143,8 +148,7 @@ def ref_adapt_eval(u, cfg, n_tasks, rng, eval_source):
         w = np.asarray(u, dtype=float).copy()
         for _ in range(cfg.test_adapt_steps):
             w = w - cfg.schedules.beta0 * ref_grad(w, ds.tr)
-        batch = {"va": ds.va, "tr": ds.tr, "union": ds.samples}[eval_source]
-        total += ref_risk(w, batch)
+        total += ref_risk(w, getattr(ds, eval_source))
     return total / n_tasks
 
 
@@ -202,8 +206,8 @@ def test_inner_adapt_matches_loop(inner_batch, K, mc_replicas, replica):
     acc.eps_w_sum = ref_acc.eps_w_sum = 0.3       # collect adds to what is there
     path = inner_adapt(u, MODEL, ds, cfg, 2, 3, replica=replica, collect=acc)
     ref_steps = ref_inner_adapt(u, ds, cfg, 2, 3, replica=replica, collect=ref_acc)
-    assert len(path.w_steps) == len(ref_steps) == K + 1
-    assert all(np.array_equal(a, b) for a, b in zip(path.w_steps, ref_steps))
+    assert path.shape == (K + 1, 2)
+    assert np.array_equal(path, np.array(ref_steps))
     assert same_acc(acc, ref_acc)
 
 
@@ -219,7 +223,7 @@ def test_estimate_eps_u_matches_loop(inner_batch, K, mc_replicas, split):
 
 
 @pytest.mark.parametrize("eval_source,split,steps",
-                         itertools.product(("va", "tr", "union"), SPLITS, (0, 10)))
+                         itertools.product(("va", "tr"), SPLITS, (0, 10)))
 def test_adapt_eval_matches_loop(eval_source, split, steps):
     cfg = make_cfg(split, test_adapt_steps=steps)
     u = np.array([-2.5, -4.5])

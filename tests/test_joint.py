@@ -106,6 +106,15 @@ class TestMiStepTerm:
         with pytest.raises(UndefinedBoundError):
             mi_step_term(0.1, 0.0, 1.0, 4)
 
+    def test_sigma_squaring_to_zero_undefined(self):
+        with pytest.raises(UndefinedBoundError):
+            mi_step_term(0.1, 1e-200, 1.0, 4)
+
+    def test_infinite_ratio_overflows(self):
+        # sigma_t**2 is subnormal, so the ratio is inf rather than an error
+        with pytest.raises(OverflowError):
+            mi_step_term(0.1, 1e-160, 10.0, 4)
+
     @given(eta=st.floats(1e-3, 5), sigma=st.floats(1e-3, 5),
            l=st.floats(0, 50), dim=st.integers(1, 500))
     @settings(max_examples=100, deadline=None)

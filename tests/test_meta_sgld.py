@@ -47,16 +47,15 @@ class TestInnerAdapt:
         u = np.array([1.0, -2.0])
         path = inner_adapt(u, MODEL, ds, cfg, t=1, task_slot=0)
         expected = u - 0.4 * (2.0 * (u - ds.tr.mean(axis=0)))
-        assert np.array_equal(path.w_final, expected)
-        assert np.array_equal(path.w_steps[0], u)
+        assert np.array_equal(path[-1], expected)
+        assert np.array_equal(path[0], u)
 
     def test_path_shapes(self):
         cfg = small_cfg()
         ds = sample_dataset(TaskSpec(mu=np.zeros(2)), paper_env(), 16, 8,
                             derive_stream(0, [3]))
         path = inner_adapt(np.zeros(2), MODEL, ds, cfg, t=2, task_slot=1)
-        assert len(path.w_steps) == cfg.K + 1
-        assert all(w.shape == (2,) for w in path.w_steps)
+        assert path.shape == (cfg.K + 1, 2)
 
     def test_union_equal_tr_gives_zero_eps_w(self):
         # m_va = 0 forces the union source to coincide with the tr source
@@ -105,7 +104,7 @@ class TestMetaGradient:
         path = inner_adapt(u, MODEL, ds, cfg, 1, 0)
         u_next, _ = outer_step(u, MODEL, [ds], cfg, 1, BoundAccumulators())
         g = (u - u_next) / 0.2
-        fd = finite_diff_grad(MODEL, path.w_final, ds.va)
+        fd = finite_diff_grad(MODEL, path[-1], ds.va)
         assert np.linalg.norm(g - fd) / np.linalg.norm(g) < 1e-6
 
     def test_empty_source_rejected(self):
@@ -139,7 +138,7 @@ class TestEstimateEpsU:
         batch = draw_task_batch(paper_env(), cfg, 1)
         sq = []
         for r in range(1, 7):
-            ws = [inner_adapt(np.zeros(2), MODEL, ds, cfg, 1, i, replica=r).w_final
+            ws = [inner_adapt(np.zeros(2), MODEL, ds, cfg, 1, i, replica=r)[-1]
                   for i, ds in enumerate(batch)]
             eps = np.mean([batch_grad(MODEL, w, ds.samples) - batch_grad(MODEL, w, ds.tr)
                            for w, ds in zip(ws, batch)], axis=0)

@@ -4,35 +4,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metasgld.model import (LossModel, batch_grad, batch_risk,
-                            finite_diff_grad, loss)
+from metasgld.model import LossModel, batch_grad, batch_risk, finite_diff_grad
 
 MODEL = LossModel(dim=2)
 
 
 class TestLoss:
+    """The per-sample loss ||w - z||^2 is the risk of a one-sample batch."""
+
     def test_identity(self):
-        assert loss(MODEL, [0, 0], [0, 0]) == 0.0
+        assert batch_risk(MODEL, [0, 0], [[0, 0]]) == 0.0
 
     def test_one_four(self):
-        assert loss(MODEL, [1, 2], [0, 0]) == 5.0
+        assert batch_risk(MODEL, [1, 2], [[0, 0]]) == 5.0
 
     def test_unit_offsets(self):
-        assert loss(MODEL, [-4, -4], [-3, -5]) == 2.0
+        assert batch_risk(MODEL, [-4, -4], [[-3, -5]]) == 2.0
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            loss(MODEL, [1, 2, 3], [0, 0])
-
-    def test_unsupported_kind(self):
-        with pytest.raises(ValueError):
-            LossModel(dim=2, kind="huber")
+            batch_risk(MODEL, [1, 2, 3], [[0, 0]])
 
 
 class TestBatchRisk:
     def test_singleton_is_loss(self):
         w, z = np.array([0.3, -0.7]), np.array([1.0, 2.0])
-        assert batch_risk(MODEL, w, [z]) == loss(MODEL, w, z)
+        assert batch_risk(MODEL, w, [z]) == float((w - z) @ (w - z))
 
     def test_symmetric_pair(self):
         assert batch_risk(MODEL, [0, 0], [[1, 0], [-1, 0]]) == 1.0
