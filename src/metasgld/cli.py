@@ -7,16 +7,16 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from . import joint_sgld as joint_mod
 from . import meta_sgld as meta_mod
-from .core import DECAY_CONSTANT, ConfigurationError, RunConfig, Schedules
+from .core import ConfigurationError, RunConfig, Schedules
 from .records import RunRecord, format_value, read_csv, write_csv
 from .task_env import EnvironmentSpec
 
@@ -29,8 +29,8 @@ MODE_JOINT = "joint"
 @dataclass(frozen=True)
 class Outputs:
     csv_path: str
-    plot_path: Optional[str]
-    eval_cadence: int
+    plot_path: Optional[str] = None
+    eval_cadence: int = 20
 
     def __post_init__(self):
         if self.eval_cadence < 1:
@@ -53,52 +53,6 @@ class ConfigParseError(ValueError):
 
 # --------------------------------------------------------------- schema
 
-_ENV_KEYS = {"dim": True, "mean": True, "cov_scale": True, "trunc_lo": True,
-             "trunc_hi": True, "task_cov_scale": True}
-_EXPERIMENT_KEYS = {"mode": True, "name": False}
-_OUTPUT_KEYS = {"csv": True, "plot": False, "eval_cadence": False}
-# beta and the gammas belong to alternate mode only; joint mode rejects them
-_SCHEDULE_KEYS = {"eta": False, "decay_rule": False, "decay_c": False,
-                  "decay_rate": False, "decay_period": False}
-_ALT_RUN_KEYS = {**_SCHEDULE_KEYS,
-                 "n": True, "m": True, "m_tr": True, "m_va": True,
-                 "task_batch": True, "T": True, "K": True, "seed": True,
-                 "eta": True, "beta": True, "gamma_outer": True,
-                 "gamma_inner": True,
-                 "mc_replicas": False, "test_adapt_steps": False,
-                 "inner_batch": False, "noise": False, "init_u": False}
-_JOINT_RUN_KEYS = {**_SCHEDULE_KEYS,
-                   "n": True, "m": True, "T": True, "seed": True,
-                   "coupling": False, "sigma_rule": False, "sigma0": False,
-                   "fixed_l": False}
-
-
-def _check_section(cp: configparser.ConfigParser, section: str,
-                   schema: Dict[str, bool]) -> None:
-    if not cp.has_section(section):
-        required = ", ".join(f"{section}.{k}" for k, req in schema.items() if req)
-        raise ConfigParseError(f"missing section [{section}] (required keys: {required})")
-    present = set(cp.options(section))
-    unknown = sorted(present - set(schema))
-    if unknown:
-        raise ConfigParseError(
-            f"unknown keys in [{section}]: " + ", ".join(f"{section}.{k}" for k in unknown))
-    missing = sorted(k for k, req in schema.items() if req and k not in present)
-    if missing:
-        raise ConfigParseError(
-            "missing required keys: " + ", ".join(f"{section}.{k}" for k in missing))
-
-
-def _get(cp, section, key, conv, default=None):
-    if not cp.has_option(section, key):
-        return default
-    raw = cp.get(section, key)
-    try:
-        return conv(raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigParseError(f"bad value for {section}.{key}: {raw!r} ({exc})") from exc
-
-
 def _vector(raw: str) -> Tuple[float, ...]:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
@@ -107,7 +61,7 @@ def _vector(raw: str) -> Tuple[float, ...]:
 
 
 def _bool(raw: str) -> bool:
-    low = raw.strip().lower()
+    low = raw.lower()
     if low in ("true", "yes", "1", "on"):
         return True
     if low in ("false", "no", "0", "off"):
@@ -115,99 +69,115 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _gamma(raw: str) -> float:
-    return math.inf if raw.strip().lower() in ("inf", "infinity") else float(raw)
+# One table per section: INI key -> (dataclass field, parser). A key is
+# required exactly when its field has no default; an absent key takes the
+# field's default. Key order is the order a missing section lists its
+# required keys in.
+_EXPERIMENT_KEYS = {"mode": ("mode", str.lower), "name": ("name", str)}
+_ENV_KEYS = {"dim": ("dim", int), "mean": ("env_mean", _vector),
+             "cov_scale": ("env_cov_scale", float),
+             "trunc_lo": ("trunc_lo", _vector), "trunc_hi": ("trunc_hi", _vector),
+             "task_cov_scale": ("task_cov_scale", float)}
+_OUTPUT_KEYS = {"csv": ("csv_path", str), "plot": ("plot_path", str),
+                "eval_cadence": ("eval_cadence", int)}
+_SCHEDULE_KEYS = {"eta": ("eta0", float), "decay_rule": ("decay_rule", str),
+                  "decay_c": ("decay_c", float), "decay_rate": ("decay_rate", float),
+                  "decay_period": ("decay_period", float)}
+_ALT_RUN_KEYS = {**_SCHEDULE_KEYS,
+                 **{k: (k, int) for k in ("n", "m", "m_tr", "m_va", "task_batch",
+                                          "T", "K", "seed")},
+                 "beta": ("beta0", float), "gamma_outer": ("gamma_outer", float),
+                 "gamma_inner": ("gamma_inner", float),
+                 "mc_replicas": ("mc_replicas", int),
+                 "test_adapt_steps": ("test_adapt_steps", int),
+                 "inner_batch": ("inner_batch", int), "noise": ("noise", _bool),
+                 "init_u": ("init_u", _vector)}
+_JOINT_RUN_KEYS = {**_SCHEDULE_KEYS,
+                   **{k: (k, int) for k in ("n", "m", "T", "seed")},
+                   "coupling": ("coupling", float), "sigma_rule": ("sigma_rule", str),
+                   "sigma0": ("sigma0", float), "fixed_l": ("fixed_l", float)}
+# beta and the gammas belong to alternate mode only, so joint mode rejects
+# their keys and fills the Schedules fields with these; eta may override eta0
+_JOINT_SCHEDULES = {"eta0": 1.0, "beta0": 1.0,
+                    "gamma_outer": math.inf, "gamma_inner": math.inf}
+# mode -> ([run] table, trainer config, Schedules values the table cannot set)
+_RUN_SCHEMA = {MODE_ALTERNATE: (_ALT_RUN_KEYS, RunConfig, {}),
+               MODE_JOINT: (_JOINT_RUN_KEYS, joint_mod.JointConfig, _JOINT_SCHEDULES)}
+
+
+def _section(cp: configparser.ConfigParser, section: str,
+             keys: Dict[str, Tuple[str, Callable[[str], Any]]],
+             *classes: type, **given: Any) -> Dict[str, Any]:
+    """Check [section] against keys and return given updated with each key
+    present, parsed, by field name. A key is required when its field has no
+    default in classes and no value in given."""
+    defaults = {f.name: f.default for cls in classes for f in fields(cls)}
+    required = [k for k, (field, _) in keys.items()
+                if field not in given and defaults[field] is MISSING]
+    if not cp.has_section(section):
+        raise ConfigParseError(f"missing section [{section}] (required keys: "
+                               + ", ".join(f"{section}.{k}" for k in required) + ")")
+    present = cp.options(section)
+    unknown = sorted(set(present) - set(keys))
+    if unknown:
+        raise ConfigParseError(
+            f"unknown keys in [{section}]: " + ", ".join(f"{section}.{k}" for k in unknown))
+    missing = sorted(set(required) - set(present))
+    if missing:
+        raise ConfigParseError(
+            "missing required keys: " + ", ".join(f"{section}.{k}" for k in missing))
+    values = dict(given)
+    for key in present:
+        field, conv = keys[key]
+        raw = cp.get(section, key)
+        try:
+            if "\n" in raw:      # a newline would end a CSV header comment line
+                raise ValueError("multi-line values are not supported")
+            values[field] = conv(raw)
+        except (ValueError, TypeError) as exc:
+            raise ConfigParseError(f"bad value for {section}.{key}: {raw!r} ({exc})") from exc
+    return values
+
+
+def _build(cls: type, where: str, values: Dict[str, Any], **extra: Any):
+    """cls from the entries of values that are its fields, plus extra."""
+    names = {f.name for f in fields(cls)}
+    try:
+        return cls(**{k: v for k, v in values.items() if k in names}, **extra)
+    except ValueError as exc:
+        raise ConfigParseError(f"invalid {where}: {exc}") from exc
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no interpolation: a % in a value is literal
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     cp.optionxform = str          # keep key case (T vs t)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigParseError(f"malformed config: {exc}") from exc
 
-    _check_section(cp, "experiment", _EXPERIMENT_KEYS)
-    mode = cp.get("experiment", "mode").strip().lower()
-    if mode not in (MODE_ALTERNATE, MODE_JOINT):
+    experiment = _section(cp, "experiment", _EXPERIMENT_KEYS, ExperimentConfig)
+    mode = experiment["mode"]
+    if mode not in _RUN_SCHEMA:
         raise ConfigParseError(
             f"experiment.mode must be {MODE_ALTERNATE!r} or {MODE_JOINT!r}, got {mode!r}")
-    name = _get(cp, "experiment", "name", str, "experiment")
+    env = _build(EnvironmentSpec, "[env] section",
+                 _section(cp, "env", _ENV_KEYS, EnvironmentSpec))
+    outputs = _build(Outputs, "[outputs] section",
+                     _section(cp, "outputs", _OUTPUT_KEYS, Outputs))
 
-    _check_section(cp, "env", _ENV_KEYS)
-    dim = _get(cp, "env", "dim", int)
-    try:
-        env = EnvironmentSpec(
-            env_mean=np.array(_get(cp, "env", "mean", _vector)),
-            env_cov_scale=_get(cp, "env", "cov_scale", float),
-            trunc_lo=np.array(_get(cp, "env", "trunc_lo", _vector)),
-            trunc_hi=np.array(_get(cp, "env", "trunc_hi", _vector)),
-            task_cov_scale=_get(cp, "env", "task_cov_scale", float),
-            dim=dim)
-    except ValueError as exc:
-        raise ConfigParseError(f"invalid [env] section: {exc}") from exc
-
-    _check_section(cp, "outputs", _OUTPUT_KEYS)
-    try:
-        outputs = Outputs(csv_path=cp.get("outputs", "csv").strip(),
-                          plot_path=_get(cp, "outputs", "plot", str),
-                          eval_cadence=_get(cp, "outputs", "eval_cadence", int, 20))
-    except ValueError as exc:
-        raise ConfigParseError(f"invalid [outputs] section: {exc}") from exc
-
-    schema = _ALT_RUN_KEYS if mode == MODE_ALTERNATE else _JOINT_RUN_KEYS
-    _check_section(cp, "run", schema)
-    try:
-        schedules = Schedules(
-            eta0=_get(cp, "run", "eta", float, 1.0),
-            beta0=_get(cp, "run", "beta", float, 1.0),
-            gamma_outer=_get(cp, "run", "gamma_outer", _gamma, math.inf),
-            gamma_inner=_get(cp, "run", "gamma_inner", _gamma, math.inf),
-            decay_rule=_get(cp, "run", "decay_rule", str, DECAY_CONSTANT).strip(),
-            decay_c=_get(cp, "run", "decay_c", float, 1.0),
-            decay_rate=_get(cp, "run", "decay_rate", float, 0.96),
-            decay_period=_get(cp, "run", "decay_period", float, 1.0))
-    except ValueError as exc:
-        raise ConfigParseError(f"invalid schedule in [run]: {exc}") from exc
-
-    run_cfg = joint_cfg = None
-    if mode == MODE_ALTERNATE:
-        m = _get(cp, "run", "m", int)
-        m_tr = _get(cp, "run", "m_tr", int)
-        m_va = _get(cp, "run", "m_va", int)
-        if m_tr + m_va != m:
-            raise ConfigParseError(
-                f"run.m_tr + run.m_va must equal run.m ({m_tr} + {m_va} != {m})")
-        init_u = _get(cp, "run", "init_u", _vector)
-        try:
-            run_cfg = RunConfig(
-                n=_get(cp, "run", "n", int), m=m, m_tr=m_tr, m_va=m_va,
-                task_batch=_get(cp, "run", "task_batch", int),
-                T=_get(cp, "run", "T", int), K=_get(cp, "run", "K", int),
-                schedules=schedules, seed=_get(cp, "run", "seed", int),
-                mc_replicas=_get(cp, "run", "mc_replicas", int, 10),
-                test_adapt_steps=_get(cp, "run", "test_adapt_steps", int, 10),
-                inner_batch=_get(cp, "run", "inner_batch", int, 0),
-                noise=_get(cp, "run", "noise", _bool, True),
-                init_u=init_u)
-        except ValueError as exc:
-            raise ConfigParseError(f"invalid [run] section: {exc}") from exc
-    else:
-        try:
-            joint_cfg = joint_mod.JointConfig(
-                n=_get(cp, "run", "n", int), m=_get(cp, "run", "m", int),
-                T=_get(cp, "run", "T", int), schedules=schedules,
-                seed=_get(cp, "run", "seed", int),
-                coupling=_get(cp, "run", "coupling", float, 1.0),
-                sigma_rule=_get(cp, "run", "sigma_rule", str,
-                                joint_mod.SIGMA_SQRT_ETA).strip(),
-                sigma0=_get(cp, "run", "sigma0", float, 0.0),
-                fixed_l=_get(cp, "run", "fixed_l", float))
-        except ValueError as exc:
-            raise ConfigParseError(f"invalid [run] section: {exc}") from exc
-
-    return ExperimentConfig(mode=mode, env=env, run=run_cfg, joint=joint_cfg,
-                            outputs=outputs, name=name)
+    keys, trainer_cls, placeholders = _RUN_SCHEMA[mode]
+    values = _section(cp, "run", keys, Schedules, trainer_cls, **placeholders)
+    schedules = _build(Schedules, "schedule in [run]", values)
+    if mode == MODE_ALTERNATE and values["m_tr"] + values["m_va"] != values["m"]:
+        raise ConfigParseError(
+            "run.m_tr + run.m_va must equal run.m "
+            f"({values['m_tr']} + {values['m_va']} != {values['m']})")
+    trainer = _build(trainer_cls, "[run] section", values, schedules=schedules)
+    return ExperimentConfig(env=env, outputs=outputs,
+                            run=trainer if mode == MODE_ALTERNATE else None,
+                            joint=trainer if mode == MODE_JOINT else None, **experiment)
 
 
 def load_config_file(path: str) -> ExperimentConfig:

@@ -66,6 +66,9 @@ class Schedules:
     decay_period: float = 1.0
 
     def __post_init__(self):
+        for name in ("eta0", "beta0", "decay_c", "decay_rate", "decay_period"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("eta0", "beta0"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -119,10 +122,8 @@ def noise_std(lr: float, gamma: float) -> float:
 
 # Stream purpose tags: the first path component. Keeping them distinct makes
 # every (purpose, t, i, k, r) coordinate an independent reproducible stream.
-P_INIT = 1
 P_TASK = 2
 P_DATA = 3
-P_SPLIT = 4
 P_BATCH = 5
 P_NOISE_U = 6
 P_NOISE_W = 7
@@ -185,3 +186,5 @@ class RunConfig:
             raise ValueError("test_adapt_steps must be >= 0")
         if self.inner_batch < 0 or self.inner_batch > self.m_tr:
             raise ValueError("inner_batch must be in [0, m_tr]")
+        if self.init_u is not None and not all(map(math.isfinite, self.init_u)):
+            raise ValueError(f"init_u must be finite, got {self.init_u}")

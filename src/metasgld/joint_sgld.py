@@ -87,12 +87,15 @@ def mi_step_term(eta_t: float, sigma_t: float, l_hat: float,
         raise UndefinedBoundError(
             "mutual-information step term diverges as sigma_t -> 0; "
             "got sigma_t = 0 (noise-free steps carry unbounded information)")
-    scale = stacked_dim * sigma_t ** 2
-    if scale == 0:
+    try:
+        sigma_sq = sigma_t ** 2
+    except OverflowError:
+        sigma_sq = math.inf
+    if sigma_sq == 0 or math.isinf(sigma_sq):
         raise UndefinedBoundError(
             f"mutual-information step term is undefined: sigma_t = {sigma_t} "
-            "squares to 0 in floating point")
-    x = (eta_t * l_hat) ** 2 / scale
+            f"squares to {sigma_sq:g} in floating point")
+    x = (eta_t * l_hat) ** 2 / (stacked_dim * sigma_sq)
     if math.isinf(x):
         raise OverflowError("mutual-information step term overflowed")
     return 0.5 * stacked_dim * math.log1p(x)
@@ -135,6 +138,8 @@ class JointConfig:
     def __post_init__(self):
         if self.n < 1 or self.m < 1 or self.T < 0:
             raise ValueError("n, m must be >= 1 and T >= 0")
+        if not math.isfinite(self.coupling):
+            raise ValueError(f"coupling must be finite, got {self.coupling}")
         if self.coupling < 0:
             raise ValueError("coupling must be non-negative")
         if self.sigma_rule not in (SIGMA_SQRT_ETA, SIGMA_FIXED):

@@ -213,8 +213,7 @@ def draw_task_batch(env: EnvironmentSpec, cfg: RunConfig, t: int) -> List[TaskDa
 
 def run_meta_sgld(cfg: RunConfig, env: EnvironmentSpec,
                   eval_cadence: int = 0, n_test: int = 500,
-                  n_train_probe: int = 500,
-                  sg: Optional[bounds_mod.SubgaussianSpec] = None
+                  n_train_probe: int = 500
                   ) -> Tuple[List[RunRecord], np.ndarray]:
     """Full alternate-training run.
 
@@ -225,8 +224,7 @@ def run_meta_sgld(cfg: RunConfig, env: EnvironmentSpec,
     if cfg.m_va < 1:
         raise ConfigurationError("alternate training requires m_va >= 1")
     model = LossModel(dim=env.dim)
-    if sg is None:
-        sg = bounds_mod.subgaussian_mean_estimation(env, cfg.schedules.beta0)
+    sg = bounds_mod.subgaussian_mean_estimation(env, cfg.schedules.beta0)
     u = (np.array(cfg.init_u, dtype=float) if cfg.init_u is not None
          else np.zeros(env.dim))
     if u.shape != (env.dim,):

@@ -28,6 +28,9 @@ class EnvironmentSpec:
         object.__setattr__(self, "env_mean", as_vector(self.env_mean, self.dim))
         object.__setattr__(self, "trunc_lo", as_vector(self.trunc_lo, self.dim))
         object.__setattr__(self, "trunc_hi", as_vector(self.trunc_hi, self.dim))
+        for name in ("env_cov_scale", "task_cov_scale"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.env_cov_scale <= 0 or self.task_cov_scale <= 0:
             raise ValueError("covariance scales must be positive")
         if not np.all(self.trunc_lo < self.trunc_hi):

@@ -1,17 +1,24 @@
 """Config parsing, experiment runner, CSV round-trip, plotting, comparison."""
+import configparser
+import math
 import os
 import re
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from metasgld import cli
 from metasgld import records as records_mod
-from metasgld.cli import (ConfigParseError, ExperimentConfig, compare_splits,
-                          load_config_file, main, parse_config, preset_path,
-                          render_plot, run_experiment)
-from metasgld.joint_sgld import JointRecord
+from metasgld.cli import (ConfigParseError, ExperimentConfig, Outputs,
+                          compare_splits, load_config_file, main, parse_config,
+                          preset_path, render_plot, run_experiment)
+from metasgld.core import RunConfig, Schedules
+from metasgld.joint_sgld import JointConfig, JointRecord
 from metasgld.records import RunRecord
+from metasgld.task_env import EnvironmentSpec
 
 SMALL_ALT = """
 [experiment]
@@ -45,6 +52,50 @@ init_u = -4, -4
 [outputs]
 csv = {csv}
 eval_cadence = 2
+"""
+
+
+ENV_SECTION = """
+[env]
+dim = 2
+mean = -4, -4
+cov_scale = 5.0
+trunc_lo = -12, -12
+trunc_hi = 4, 4
+task_cov_scale = 0.1
+"""
+ENV = EnvironmentSpec(env_mean=(-4.0, -4.0), env_cov_scale=5.0,
+                      trunc_lo=(-12.0, -12.0), trunc_hi=(4.0, 4.0),
+                      task_cov_scale=0.1, dim=2)
+
+# required keys only
+MINIMAL_ALT = "[experiment]\nmode = alternate\n" + ENV_SECTION + """
+[run]
+n = 100
+m = 16
+m_tr = 8
+m_va = 8
+task_batch = 2
+T = 3
+K = 2
+eta = 0.2
+beta = 0.4
+gamma_outer = 10000
+gamma_inner = inf
+seed = 5
+
+[outputs]
+csv = out.csv
+"""
+MINIMAL_JOINT = "[experiment]\nmode = joint\n" + ENV_SECTION + """
+[run]
+n = 3
+m = 4
+T = 2
+seed = 7
+
+[outputs]
+csv = j.csv
 """
 
 
@@ -112,6 +163,50 @@ class TestParseConfig:
             parse_config(text)
         assert "run.T" in str(exc.value)
 
+    @pytest.mark.parametrize("old,new,key", [
+        ("mean = -4, -4", "mean = -4, abc", "env.mean"),
+        ("T = 3", "T = soon", "run.T"),
+        ("seed = 5", "seed = 5\nnoise = maybe", "run.noise"),
+        ("eval_cadence = 2", "eval_cadence = often", "outputs.eval_cadence"),
+    ])
+    def test_bad_value_is_reported_once(self, tmp_path, old, new, key):
+        text = tiny_config(tmp_path)
+        assert old in text
+        with pytest.raises(ConfigParseError) as exc:
+            parse_config(text.replace(old, new))
+        assert str(exc.value).startswith(f"bad value for {key}: ")
+
+    @pytest.mark.parametrize("old,new,key", [
+        ("name = tiny", "name = tiny\n  more", "experiment.name"),
+        ("mode = alternate", "mode =\n  alternate", "experiment.mode"),
+    ])
+    def test_multi_line_value_rejected(self, tmp_path, old, new, key):
+        with pytest.raises(ConfigParseError) as exc:
+            parse_config(tiny_config(tmp_path).replace(old, new))
+        assert str(exc.value).startswith(f"bad value for {key}: ")
+        assert "multi-line values are not supported" in str(exc.value)
+
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        cfg = parse_config(MINIMAL_ALT)
+        schedules = Schedules(eta0=0.2, beta0=0.4, gamma_outer=1e4, gamma_inner=math.inf)
+        expected = ExperimentConfig(
+            mode="alternate", env=ENV, joint=None, outputs=Outputs(csv_path="out.csv"),
+            run=RunConfig(n=100, m=16, m_tr=8, m_va=8, task_batch=2, T=3, K=2,
+                          schedules=schedules, seed=5))
+        np.testing.assert_equal(vars(cfg.env), vars(ENV))
+        assert replace(cfg, env=ENV) == expected
+
+    def test_absent_joint_keys_take_the_dataclass_defaults(self):
+        cfg = parse_config(MINIMAL_JOINT)
+        # joint mode fills the alternate-only Schedules fields with placeholders
+        schedules = Schedules(eta0=1.0, beta0=1.0, gamma_outer=math.inf,
+                              gamma_inner=math.inf)
+        expected = ExperimentConfig(
+            mode="joint", env=ENV, run=None, outputs=Outputs(csv_path="j.csv"),
+            joint=JointConfig(n=3, m=4, T=2, schedules=schedules, seed=7))
+        np.testing.assert_equal(vars(cfg.env), vars(ENV))
+        assert replace(cfg, env=ENV) == expected
+
     @pytest.mark.parametrize("key", ["beta", "gamma_outer", "gamma_inner"])
     def test_joint_rejects_alternate_only_keys(self, key):
         # joint mode has no inner loop and no temperatures to set
@@ -125,6 +220,71 @@ class TestParseConfig:
         text = tiny_config(tmp_path).replace("mode = alternate", "mode = hybrid")
         with pytest.raises(ConfigParseError):
             parse_config(text)
+
+
+# None drops the key
+FUZZ_VALUES = ["nan", "inf", "-inf", "1e999", "-1", "0", "abc", "%", "1,,2", "", None]
+
+
+def _sections(text):
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.optionxform = str
+    cp.read_string(text)
+    return {section: dict(cp[section]) for section in cp.sections()}
+
+
+def _floats(obj, name=""):
+    """(field name, value) for every float reachable from a parsed config."""
+    if is_dataclass(obj):
+        for f in fields(obj):
+            yield from _floats(getattr(obj, f.name), f.name)
+    elif isinstance(obj, (tuple, np.ndarray)):
+        for v in obj:
+            yield from _floats(v, name)
+    elif isinstance(obj, float):
+        yield name, obj
+
+
+@st.composite
+def fuzzed_ini(draw):
+    """A shipped preset with one to three keys set to junk, dropped or added,
+    and now and then a whole section dropped."""
+    # a seeded Random, whose choices are uniform: Hypothesis's own draws
+    # favour first entries and small numbers
+    rnd = draw(st.randoms(use_true_random=True))
+    mode = rnd.choice([cli.MODE_ALTERNATE, cli.MODE_JOINT])
+    doc = _sections(load_text(preset_path(
+        "toy_8_8" if mode == cli.MODE_ALTERNATE else "joint_demo")))
+    schema = {"experiment": cli._EXPERIMENT_KEYS, "env": cli._ENV_KEYS,
+              "outputs": cli._OUTPUT_KEYS, "run": cli._RUN_SCHEMA[mode][0]}
+    pairs = [(section, key) for section, keys in schema.items() for key in keys]
+    pairs += [("run", "warp"), ("run", "t"), ("env", "[run]")]
+    for _ in range(rnd.randint(1, 3)):
+        section, key = rnd.choice(pairs)
+        value = rnd.choice(FUZZ_VALUES)
+        if value is None:
+            doc[section].pop(key, None)
+        else:
+            doc[section][key] = value
+    if rnd.random() < 0.05:
+        del doc[rnd.choice(list(doc))]
+    return "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for section, keys in doc.items())
+
+
+class TestConfigFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(fuzzed_ini())
+    def test_parse_returns_a_config_or_a_config_parse_error(self, text):
+        try:
+            cfg = parse_config(text)
+        except ConfigParseError:
+            return
+        assert isinstance(cfg, ExperimentConfig)
+        for name, value in _floats(cfg):
+            # gamma = inf is the noise-off limit
+            assert math.isfinite(value) or (name.startswith("gamma_") and value == math.inf), \
+                (name, value)
 
 
 class TestRunExperiment:
@@ -324,6 +484,8 @@ class TestMain:
     @pytest.mark.parametrize("setting,message", [
         pytest.param("sigma_rule = fixed\nsigma0 = 1e-200",
                      "sigma_t = 1e-200 squares to 0", id="sigma0_1e-200"),
+        pytest.param("sigma_rule = fixed\nsigma0 = 1e200",
+                     "sigma_t = 1e+200 squares to inf", id="sigma0_1e200"),
         pytest.param("sigma_rule = fixed\nsigma0 = 1e-160",
                      "overflowed at step 1", id="sigma0_1e-160"),
         pytest.param("sigma_rule = fixed\nsigma0 = nan",
@@ -355,6 +517,44 @@ class TestMain:
         assert main(["run", str(cfg_file), "--eval-cadence", "0"]) == 1
         assert capsys.readouterr().err == "error: outputs.eval_cadence must be >= 1\n"
         assert not (tmp_path / "ec.csv").exists()
+
+    @pytest.mark.parametrize("mode,old,new,field", [
+        pytest.param("alternate", "eta = 0.2", "eta = nan", "eta0", id="eta_nan"),
+        pytest.param("alternate", "beta = 0.4", "beta = inf", "beta0", id="beta_inf"),
+        pytest.param("alternate", "seed = 5", "seed = 5\ndecay_c = nan", "decay_c",
+                     id="decay_c_nan"),
+        pytest.param("alternate", "seed = 5", "seed = 5\ndecay_rate = nan", "decay_rate",
+                     id="decay_rate_nan"),
+        pytest.param("alternate", "seed = 5", "seed = 5\ndecay_period = inf",
+                     "decay_period", id="decay_period_inf"),
+        pytest.param("alternate", "cov_scale = 5.0", "cov_scale = nan", "env_cov_scale",
+                     id="cov_scale_nan"),
+        pytest.param("alternate", "task_cov_scale = 0.1", "task_cov_scale = inf",
+                     "task_cov_scale", id="task_cov_scale_inf"),
+        pytest.param("alternate", "init_u = -4, -4", "init_u = nan, -4", "init_u",
+                     id="init_u_nan"),
+        pytest.param("joint", "coupling = 1.0", "coupling = nan", "coupling",
+                     id="coupling_nan"),
+    ])
+    def test_nan_or_inf_is_an_error_at_parse_time(self, tmp_path, capsys, mode, old,
+                                                  new, field):
+        text = (tiny_config(tmp_path, name="nan.csv") if mode == "alternate"
+                else joint_config(tmp_path, T=3, name="nan.csv"))
+        assert old in text
+        cfg_file = tmp_path / "nan.ini"
+        cfg_file.write_text(text.replace(old, new))
+        assert main(["run", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid ") and f"{field} must be finite" in err
+        assert not (tmp_path / "nan.csv").exists()
+
+    def test_percent_in_a_value_is_literal(self, tmp_path):
+        cfg_file = tmp_path / "pct.ini"
+        cfg_file.write_text(tiny_config(tmp_path, T=1, name="pct.csv").replace(
+            "name = tiny", "name = 100%"))
+        assert parse_config(cfg_file.read_text()).name == "100%"
+        assert main(["run", str(cfg_file)]) == 0
+        assert "# name = 100%\n" in (tmp_path / "pct.csv").read_text()
 
     def test_threads_flag_rejected(self, tmp_path):
         cfg_file = tmp_path / "tiny.ini"
