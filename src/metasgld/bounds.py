@@ -59,14 +59,18 @@ def step_term_consistency(eta: float, gamma: float, eps) -> tuple[float, float]:
 
     term = eta*gamma*||eps||^2/2 is exactly twice the KL between the two
     one-step transition kernels (mean shift eta*eps, shared variance
-    2*eta/gamma).
+    2*eta/gamma).  A nonzero eps whose squares fall below the smallest normal
+    float keeps too few significant bits for either value to mean anything.
     """
     if eta <= 0 or gamma <= 0:
         raise ValueError("eta and gamma must be positive")
     eps = as_vector(eps)
-    sq = float(eps @ eps)
+    sq, shift_sq = float(eps @ eps), float((eta * eps) @ (eta * eps))
     term = eta * gamma * sq / 2.0
     kl = gauss_kl_same_cov(eta * eps, np.zeros_like(eps), 2.0 * eta / gamma)
+    if np.any(eps != 0) and min(sq, shift_sq, kl) < np.finfo(float).tiny:
+        raise UndefinedBoundError(f"step term is undefined: eps = {eps.tolist()} squares "
+                                  f"to {min(sq, shift_sq, kl):g}, below the smallest normal float")
     return term, kl
 
 

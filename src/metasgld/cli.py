@@ -206,13 +206,14 @@ def _resolve_out(path: Optional[str]) -> Optional[str]:
 
 
 def _provenance(cfg: ExperimentConfig) -> List[str]:
-    lines = [f"mode = {cfg.mode}", f"name = {cfg.name}"]
+    # stream_layout 2: full-batch meta-level terms from the mean row, not MC
+    lines = [f"mode = {cfg.mode}", f"name = {cfg.name}", "stream_layout = 2"]
     env = cfg.env
     lines += [f"env.dim = {env.dim}",
-              f"env.mean = {tuple(env.env_mean)}",
+              f"env.mean = {tuple(env.env_mean.tolist())}",
               f"env.cov_scale = {env.env_cov_scale}",
-              f"env.trunc_lo = {tuple(env.trunc_lo)}",
-              f"env.trunc_hi = {tuple(env.trunc_hi)}",
+              f"env.trunc_lo = {tuple(env.trunc_lo.tolist())}",
+              f"env.trunc_hi = {tuple(env.trunc_hi.tolist())}",
               f"env.task_cov_scale = {env.task_cov_scale}"]
     rc = cfg.run if cfg.mode == MODE_ALTERNATE else cfg.joint
     for field_name, value in sorted(vars(rc).items()):

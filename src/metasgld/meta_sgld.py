@@ -1,10 +1,10 @@
 """Alternate-training meta learner: nested Langevin loops with first-order
-meta-gradients and online Monte-Carlo tracking of gradient-incoherence and
-gradient-norm statistics.
+meta-gradients and online tracking of gradient-incoherence and gradient-norm
+statistics.
 
-All inner paths of an epoch (live and MC replicas, every task) advance as one
-array.  Each path keeps its stream address and every sum runs in the order of
-the former per-path loops, whose results it reproduces bit for bit.
+All inner paths of an epoch (live, and per task either one noise-free mean
+row or the Monte-Carlo replicas) advance as one array.  Each path keeps its
+stream address and every sum runs in the order of the former per-path loops.
 """
 from __future__ import annotations
 
@@ -80,30 +80,37 @@ def _minibatches(datasets: Sequence[TaskDataset], union: np.ndarray,
     return union[task[:, None], tr_idx], union[task[:, None, None], un_idx]
 
 
+def _meta_rows(cfg: RunConfig) -> Tuple[Optional[int], ...]:
+    """Full batch: the noise-free mean row (None); else replicas 1..R."""
+    return (None,) if cfg.inner_batch == 0 else tuple(range(1, cfg.mc_replicas + 1))
+
+
 def _advance(u: np.ndarray, model: LossModel, datasets: Sequence[TaskDataset],
              cfg: RunConfig, t: int, slots: Sequence[int],
-             replicas: Sequence[int],
+             replicas: Sequence[Optional[int]],
              collect: Optional[BoundAccumulators] = None) -> np.ndarray:
     """K Langevin steps from U on tr-source batches for every (replica, task)
     path at once; returns W^0..W^K as a (K+1, replicas, tasks, dim) array.
 
     The noise of path (r, i) comes from (P_NOISE_W, t, slot) for r = 0, else
-    (P_MC, t, slot, r).  With ``collect``, the first replica also probes the
-    union source with ``mc_replicas`` batches per step and adds, task by task
-    and step by step, beta*gamma*mean(||grad_union - grad_tr||^2)/2 to
-    eps_w_sum (gradient-norm and Lipschitz analogues alike)."""
+    (P_MC, t, slot, r); row None has none.  With ``collect``, the first replica
+    also probes the union source (``mc_replicas`` batches per step if
+    inner_batch > 0) and adds, task by task and step by step,
+    beta*gamma*mean(||grad_union - grad_tr||^2)/2 to eps_w_sum (gradient-norm
+    and Lipschitz analogues alike)."""
     w0 = as_vector(u, model.dim)
     if cfg.m_tr >= 1 and any(ds.tr_indices.size == 0 for ds in datasets):
         raise RuntimeError("dataset has an empty tr split despite m_tr >= 1")
-    s, K, R = cfg.schedules, cfg.K, cfg.mc_replicas
+    s, K = cfg.schedules, cfg.K
     tr, union = _stack(datasets, "tr"), _stack(datasets, "samples")
     if cfg.inner_batch == 0:
         tr_b = np.broadcast_to(tr, (K, 1) + tr.shape)
-        un_b = np.broadcast_to(union[:, None], (K, len(slots), R) + union.shape[1:])
+        un_b = np.broadcast_to(union[:, None], (K, len(slots), 1) + union.shape[1:])
     else:
         tr_b, un_b = _minibatches(datasets, union, cfg, t, slots, replicas,
                                   collect is not None)
-    noise = np.array([[derive_stream(cfg.seed, (P_NOISE_W, t, slot) if r == 0
+    noise = np.array([[np.zeros((K, model.dim)) if r is None else
+                       derive_stream(cfg.seed, (P_NOISE_W, t, slot) if r == 0
                                      else (P_MC, t, slot, r)
                                      ).standard_normal((K, model.dim))
                        for slot in slots] for r in replicas])
@@ -124,8 +131,8 @@ def _advance(u: np.ndarray, model: LossModel, datasets: Sequence[TaskDataset],
         g_tr = stacked_grad(live, tr_b[:, 0])
         g_un = stacked_grad(live[:, :, None], un_b)           # (K, tasks, R, dim)
         weight = np.array([b * s.gamma_inner / 2.0 for b in betas])[:, None]
-        eps = weight * ordered_sum(sq_norm(g_un - g_tr[:, :, None])) / R
-        gn = weight * ordered_sum(sq_norm(g_un)) / R
+        eps = weight * ordered_sum(sq_norm(g_un - g_tr[:, :, None])) / un_b.shape[2]
+        gn = weight * ordered_sum(sq_norm(g_un)) / un_b.shape[2]
         for e, g in zip(eps.T.ravel().tolist(), gn.T.ravel().tolist()):
             collect.add_w(e, g)
         collect.see_gradients(g_un)
@@ -141,31 +148,44 @@ def inner_adapt(u: np.ndarray, model: LossModel, ds: TaskDataset, cfg: RunConfig
     return _advance(u, model, [ds], cfg, t, [task_slot], [replica], collect)[:, 0, 0]
 
 
+def _mean_grad(w: np.ndarray, task_batch: Sequence[TaskDataset],
+               split: str) -> np.ndarray:
+    """The task-batch mean of the ``split`` gradients at w (rows, tasks, dim)."""
+    return ordered_sum(stacked_grad(w, _stack(task_batch, split)), -2) / len(task_batch)
+
+
 def _eps_u_terms(w: np.ndarray, task_batch: Sequence[TaskDataset],
                  cfg: RunConfig, t: int, acc: Optional[BoundAccumulators]
                  ) -> Tuple[float, float]:
-    """eta*gamma*mean(||g_full - g_tr||^2)/2 and its g_full-norm analogue from
-    the replicas' adapted w, (replicas, tasks, dim)."""
-    bt = len(task_batch)
-    g_full = ordered_sum(stacked_grad(w, _stack(task_batch, "samples")), -2) / bt
-    g_tr = ordered_sum(stacked_grad(w, _stack(task_batch, "tr")), -2) / bt
+    """eta*gamma*mean(||g_full - g_tr||^2)/2 and its g_full-norm analogue over
+    the rows of the adapted w, (rows, tasks, dim).  On the mean row g_full -
+    g_tr is fixed by the data, and W_i^K is Gaussian about it with variance v
+    per coordinate (a step of the gradient 2(w - mean_tr) maps v to
+    (1 - 2 beta)^2 v + std^2), which adds the trace 4*d*v/B of Cov(g_full)."""
+    g_full = _mean_grad(w, task_batch, "samples")
+    g_tr = _mean_grad(w, task_batch, "tr")
     if acc is not None:
         acc.see_gradients(g_full)
-    s = cfg.schedules
+    s, rows, v = cfg.schedules, w.shape[0], 0.0
+    for k in range(1, cfg.K + 1) if cfg.inner_batch == 0 and cfg.noise else ():
+        beta = s.inner_lr(t, k)
+        v = (1.0 - 2.0 * beta) ** 2 * v + noise_std(beta, s.gamma_inner) ** 2
+    trace = 4.0 * w.shape[-1] * v / len(task_batch)
     weight = s.outer_lr(t) * s.gamma_outer / 2.0
-    return (float(weight * ordered_sum(sq_norm(g_full - g_tr), 0) / cfg.mc_replicas),
-            float(weight * ordered_sum(sq_norm(g_full), 0) / cfg.mc_replicas))
+    return (float(weight * ordered_sum(sq_norm(g_full - g_tr), 0) / rows),
+            float(weight * (ordered_sum(sq_norm(g_full), 0) + rows * trace) / rows))
 
 
 def estimate_eps_u(u: np.ndarray, model: LossModel,
                    task_batch: Sequence[TaskDataset], cfg: RunConfig, t: int,
                    acc: Optional[BoundAccumulators] = None
                    ) -> Tuple[float, float]:
-    """Monte-Carlo terms eta*gamma*mean(||eps^u||^2)/2 and the g_full-norm analogue."""
+    """The terms eta*gamma*mean(||eps^u||^2)/2 and the g_full-norm analogue:
+    exact for full-batch updates, else Monte-Carlo over the replicas."""
     if len(task_batch) == 0:
         raise ValueError("task_batch must be non-empty")
-    replicas = range(1, cfg.mc_replicas + 1)
-    path = _advance(u, model, task_batch, cfg, t, range(len(task_batch)), replicas)
+    path = _advance(u, model, task_batch, cfg, t, range(len(task_batch)),
+                    _meta_rows(cfg))
     return _eps_u_terms(path[-1], task_batch, cfg, t, acc)
 
 
@@ -184,11 +204,13 @@ def outer_step(u: np.ndarray, model: LossModel,
     bt = len(task_batch)
     task_acc = BoundAccumulators()
     w = _advance(u, model, task_batch, cfg, t, range(bt),
-                 range(cfg.mc_replicas + 1), collect=task_acc)[-1]
+                 (0,) + _meta_rows(cfg), collect=task_acc)[-1]
     acc.add_w(task_acc.eps_w_sum / bt, task_acc.gnorm_w_sum / bt)
     acc.lipschitz_max = max(acc.lipschitz_max, task_acc.lipschitz_max)
 
-    acc.add_u(*_eps_u_terms(w[1:], task_batch, cfg, t, acc))
+    acc.add_u(*_eps_u_terms(w[1:], task_batch, cfg, t, acc if cfg.inner_batch else None))
+    if cfg.inner_batch == 0:   # no path ran along the mean row: see the live W^K
+        acc.see_gradients(_mean_grad(w[:1], task_batch, "samples"))
 
     if cfg.m_va < 1:
         raise ConfigurationError("outer update needs m_va >= 1 (va split empty)")
@@ -202,13 +224,9 @@ def outer_step(u: np.ndarray, model: LossModel,
 
 def draw_task_batch(env: EnvironmentSpec, cfg: RunConfig, t: int) -> List[TaskDataset]:
     """Fresh tasks and datasets for outer iteration t, one stream pair per slot."""
-    out = []
-    for i in range(cfg.task_batch):
-        task = sample_task(env, derive_stream(cfg.seed, (P_TASK, t, i)))
-        ds = sample_dataset(task, env, cfg.m, cfg.m_tr,
-                            derive_stream(cfg.seed, (P_DATA, t, i)))
-        out.append(ds)
-    return out
+    return [sample_dataset(sample_task(env, derive_stream(cfg.seed, (P_TASK, t, i))),
+                           env, cfg.m, cfg.m_tr, derive_stream(cfg.seed, (P_DATA, t, i)))
+            for i in range(cfg.task_batch)]
 
 
 def run_meta_sgld(cfg: RunConfig, env: EnvironmentSpec,

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -13,6 +13,8 @@ from metasgld.bounds import (AltBound, SubgaussianSpec, assemble_alt_bound,
 from metasgld.core import UndefinedBoundError
 from metasgld.meta_sgld import BoundAccumulators
 from metasgld.task_env import EnvironmentSpec
+
+TINY = float(np.finfo(float).tiny)
 
 
 def box_env(lo, hi, task_var=0.1, mean=None):
@@ -93,13 +95,22 @@ class TestStepTermConsistency:
 
     @given(eta=st.floats(1e-3, 10), gamma=st.floats(1e-2, 1e5),
            ex=st.floats(-5, 5), ey=st.floats(-5, 5))
+    @example(eta=1.0, gamma=1.0, ex=1.47e-159, ey=0.0)
     @settings(max_examples=100, deadline=None)
     def test_term_is_twice_kl(self, eta, gamma, ex, ey):
-        term, kl = step_term_consistency(eta, gamma, [ex, ey])
-        if kl > 0:
-            assert term / kl == pytest.approx(2.0, rel=1e-12)
-        else:
-            assert term == 0.0
+        # below the smallest normal float ||eps||^2, ||eta*eps||^2 and the KL
+        # keep too few bits for rel = 1e-12; the band around it may go either way
+        sq = ex * ex + ey * ey
+        smallest = min(sq, eta * eta * sq, eta * gamma * sq / 4.0)
+        if (ex, ey) != (0.0, 0.0) and smallest < TINY * (1.0 - 1e-9):
+            with pytest.raises(UndefinedBoundError, match="below the smallest normal"):
+                step_term_consistency(eta, gamma, [ex, ey])
+        elif (ex, ey) == (0.0, 0.0) or smallest > TINY * (1.0 + 1e-9):
+            term, kl = step_term_consistency(eta, gamma, [ex, ey])
+            if kl > 0:
+                assert term / kl == pytest.approx(2.0, rel=1e-12)
+            else:
+                assert term == 0.0
 
 
 def acc(eu=0.0, ew=0.0, gu=0.0, gw=0.0):

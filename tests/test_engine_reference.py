@@ -3,8 +3,10 @@
 The ``ref_*`` functions below are the trainers' and the evaluator's loop
 implementations from before the engines: one task, one replica, one step and
 one probe at a time, through the per-vector gradient and risk.  The engines
-must reproduce every number they compute bit for bit, so every comparison
-here is exact.
+must reproduce every number they compute bit for bit, so the comparisons
+here are exact.  The exceptions are the full-batch meta-level terms, which
+the engine computes in closed form: the loops' replicas are their
+Monte-Carlo oracle.
 """
 import itertools
 import math
@@ -14,8 +16,8 @@ import numpy as np
 import pytest
 
 from metasgld.core import (P_BATCH, P_DATA, P_MC, P_NOISE_U, P_NOISE_W,
-                           P_TASK, DECAY_INVERSE_T, RunConfig, Schedules,
-                           derive_stream, noise_std)
+                           P_TASK, DECAY_CONSTANT, DECAY_INVERSE_T, RunConfig,
+                           Schedules, derive_stream, noise_std)
 from metasgld.evaluate import adapt_eval
 from metasgld.joint_sgld import (GradBoundTracker, JointConfig, JointRecord,
                                  joint_bound, joint_closed_form,
@@ -105,15 +107,20 @@ def ref_meta_gradient(w_finals, datasets, source):
     return g / len(w_finals)
 
 
+def ref_meta_replicas(u, task_batch, cfg, t):
+    """g_full and g_tr of each Monte-Carlo replica r = 1..mc_replicas."""
+    for r in range(1, cfg.mc_replicas + 1):
+        w_finals = [ref_inner_adapt(u, ds, cfg, t, i, replica=r)[-1]
+                    for i, ds in enumerate(task_batch)]
+        yield (ref_meta_gradient(w_finals, task_batch, "union"),
+               ref_meta_gradient(w_finals, task_batch, "tr"))
+
+
 def ref_estimate_eps_u(u, task_batch, cfg, t, acc=None):
     s = cfg.schedules
     eps_sq = 0.0
     gn_sq = 0.0
-    for r in range(1, cfg.mc_replicas + 1):
-        w_finals = [ref_inner_adapt(u, ds, cfg, t, i, replica=r)[-1]
-                    for i, ds in enumerate(task_batch)]
-        g_full = ref_meta_gradient(w_finals, task_batch, "union")
-        g_tr = ref_meta_gradient(w_finals, task_batch, "tr")
+    for g_full, g_tr in ref_meta_replicas(u, task_batch, cfg, t):
         e = g_full - g_tr
         eps_sq += float(e @ e)
         gn_sq += float(g_full @ g_full)
@@ -177,6 +184,14 @@ def same_acc(acc, ref):
                                    ref.lipschitz_max)
 
 
+def close_acc(acc, ref):
+    """eps_u, eps_w and gnorm_w to rel 1e-12: with inner_batch = 0 one union
+    probe stands for the loop's identical copies and eps_u is exact, so only
+    the rounding of the replica means differs."""
+    return all(getattr(acc, f) == pytest.approx(getattr(ref, f), rel=1e-12)
+               for f in ("eps_u_sum", "eps_w_sum", "gnorm_w_sum"))
+
+
 GRID = list(itertools.product((0, 3), (True, False), (0, 1, 4), SPLITS,
                               (1, 10), (1, 5)))
 
@@ -193,7 +208,10 @@ def test_outer_step_matches_loops(inner_batch, noise, K, split, mc_replicas,
         want_u, want_risk = ref_outer_step(want_u, batch, cfg, t, want_acc)
         assert np.array_equal(u, want_u)
         assert risk == want_risk
-        assert same_acc(acc, want_acc)
+        if inner_batch:
+            assert same_acc(acc, want_acc)
+        else:   # gnorm_u and lipschitz: see the full-batch oracles below
+            assert close_acc(acc, want_acc)
 
 
 @pytest.mark.parametrize("inner_batch,K,mc_replicas,replica",
@@ -208,7 +226,11 @@ def test_inner_adapt_matches_loop(inner_batch, K, mc_replicas, replica):
     ref_steps = ref_inner_adapt(u, ds, cfg, 2, 3, replica=replica, collect=ref_acc)
     assert path.shape == (K + 1, 2)
     assert np.array_equal(path, np.array(ref_steps))
-    assert same_acc(acc, ref_acc)
+    if inner_batch:
+        assert same_acc(acc, ref_acc)
+    else:
+        assert close_acc(acc, ref_acc) and acc.gnorm_u_sum == ref_acc.gnorm_u_sum
+        assert acc.lipschitz_max == ref_acc.lipschitz_max
 
 
 @pytest.mark.parametrize("inner_batch,K,mc_replicas,split",
@@ -218,8 +240,12 @@ def test_estimate_eps_u_matches_loop(inner_batch, K, mc_replicas, split):
     batch = draw_task_batch(ENV, cfg, 2)
     acc, ref_acc = BoundAccumulators(), RefAccumulators()
     terms = estimate_eps_u(np.zeros(2), MODEL, batch, cfg, 2, acc=acc)
-    assert terms == ref_estimate_eps_u(np.zeros(2), batch, cfg, 2, acc=ref_acc)
-    assert same_acc(acc, ref_acc)
+    want = ref_estimate_eps_u(np.zeros(2), batch, cfg, 2, acc=ref_acc)
+    if inner_batch:
+        assert terms == want
+        assert same_acc(acc, ref_acc)
+    else:   # gnorm_u: see the full-batch oracles below
+        assert terms[0] == pytest.approx(want[0], rel=1e-12)
 
 
 @pytest.mark.parametrize("eval_source,split,steps",
@@ -245,6 +271,79 @@ def test_non_finite_paths_raise_the_gradient_check_error():
     with pytest.raises(ValueError, match="NaN/Inf"):
         adapt_eval(np.array([np.inf, 0.0]), MODEL, ENV, make_cfg(), 3,
                    derive_stream(3, [9]))
+
+
+# ------------------------------------------------------------ full-batch oracles
+#
+# With inner_batch = 0 the trainer takes the meta-level terms from one
+# noise-free mean row in closed form; the loop's P_MC replicas estimate the
+# same expectations by Monte Carlo.
+
+ORACLE_R = 2000
+
+
+def oracle_cfg(decay_rule=DECAY_CONSTANT, noise=True, K=4):
+    # gamma_inner = 25 makes the inner noise most of E||g_full||^2
+    return RunConfig(n=100, m=16, m_tr=8, m_va=8, task_batch=2, T=2, K=K,
+                     schedules=Schedules(eta0=0.2, beta0=0.3, gamma_outer=1e4,
+                                         gamma_inner=25.0,
+                                         decay_rule=decay_rule, decay_c=0.4),
+                     seed=11, mc_replicas=ORACLE_R, noise=noise)
+
+
+def oracle_replicas(cfg, t=2):
+    """U near the batch's task means, the exact terms, and the replicas' terms."""
+    batch = draw_task_batch(ENV, cfg, t)
+    u = np.mean([ds.samples.mean(axis=0) for ds in batch], axis=0)
+    s = cfg.schedules
+    weight = s.outer_lr(t) * s.gamma_outer / 2.0
+    reps = np.array([(weight * float((g_full - g_tr) @ (g_full - g_tr)),
+                      weight * float(g_full @ g_full))
+                     for g_full, g_tr in ref_meta_replicas(u, batch, cfg, t)])
+    return batch, u, estimate_eps_u(u, MODEL, batch, cfg, t), reps
+
+
+@pytest.mark.parametrize("decay_rule", (DECAY_CONSTANT, DECAY_INVERSE_T))
+def test_full_batch_gnorm_u_is_the_replica_mean(decay_rule):
+    cfg = oracle_cfg(decay_rule)
+    batch, u, (eps_u, gnorm_u), reps = oracle_replicas(cfg)
+    se = reps[:, 1].std(ddof=1) / math.sqrt(ORACLE_R)
+    assert abs(reps[:, 1].mean() - gnorm_u) < 4 * se
+    assert eps_u == pytest.approx(reps[:, 0].mean(), rel=1e-12)
+    # the variance term is resolved: the mean row alone is far off
+    _, mean_row_only = estimate_eps_u(u, MODEL, batch, replace(cfg, noise=False), 2)
+    assert abs(reps[:, 1].mean() - mean_row_only) > 4 * se
+
+
+@pytest.mark.parametrize("K", (0, 4))
+def test_full_batch_without_inner_noise_matches_replicas(K):
+    # noise off (v = 0), or no inner step at all: every replica is the mean row
+    cfg = oracle_cfg(noise=K == 0, K=K)
+    _, _, terms, reps = oracle_replicas(cfg)
+    assert terms == pytest.approx(tuple(reps.mean(axis=0)), rel=1e-12)
+
+
+def test_full_batch_k0_adds_no_inner_increment():
+    cfg = oracle_cfg(K=0)
+    acc = BoundAccumulators()
+    outer_step(np.zeros(2), MODEL, draw_task_batch(ENV, cfg, 1), cfg, 1, acc)
+    assert acc.eps_w_sum == acc.gnorm_w_sum == 0.0 < acc.gnorm_u_sum
+
+
+@pytest.mark.parametrize("K", (0, 1, 4))
+def test_full_batch_lipschitz_sees_the_live_paths(K):
+    # the live union probes and g_full at the live W^K, not at the mean row;
+    # from the task's own mean the probes are small and the noise sets g_full
+    cfg = replace(oracle_cfg(K=K), task_batch=1)
+    batch = draw_task_batch(ENV, cfg, 1)
+    u = batch[0].samples.mean(axis=0)
+    acc, task_acc = BoundAccumulators(), RefAccumulators()
+    outer_step(u, MODEL, batch, cfg, 1, acc)
+    w_finals = [ref_inner_adapt(u, ds, cfg, 1, i, collect=task_acc)[-1]
+                for i, ds in enumerate(batch)]
+    g_full = ref_meta_gradient(w_finals, batch, "union")
+    assert acc.lipschitz_max == max(task_acc.lipschitz_max,
+                                    float(np.linalg.norm(g_full)))
 
 
 # ------------------------------------------------------------ joint mode

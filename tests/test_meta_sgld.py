@@ -132,8 +132,8 @@ class TestEstimateEpsU:
         assert eps_term == 0.0
 
     def test_replica_order_invariance(self):
-        # the estimate is the replica average of ||eps^u||^2, each replica
-        # rebuilt from its own inner paths, whichever order they are summed in
+        # with full-batch updates ||eps^u||^2 is the same on every replica's
+        # own inner paths, so their average in either order is the exact term
         cfg = small_cfg(mc_replicas=6)
         batch = draw_task_batch(paper_env(), cfg, 1)
         sq = []
