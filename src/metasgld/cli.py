@@ -206,8 +206,9 @@ def _resolve_out(path: Optional[str]) -> Optional[str]:
 
 
 def _provenance(cfg: ExperimentConfig) -> List[str]:
-    # stream_layout 2: full-batch meta-level terms from the mean row, not MC
-    lines = [f"mode = {cfg.mode}", f"name = {cfg.name}", "stream_layout = 2"]
+    # stream_layout 3: task batches and live noise drawn whole from one
+    # stream per (purpose, t)
+    lines = [f"mode = {cfg.mode}", f"name = {cfg.name}", "stream_layout = 3"]
     env = cfg.env
     lines += [f"env.dim = {env.dim}",
               f"env.mean = {tuple(env.env_mean.tolist())}",

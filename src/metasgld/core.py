@@ -74,7 +74,7 @@ class Schedules:
                 raise ValueError(f"{name} must be positive")
         for name in ("gamma_outer", "gamma_inner"):
             g = getattr(self, name)
-            if not (g > 0):  # allows math.inf (noise-off limit)
+            if not (g > 0):  # allows math.inf (joint mode leaves them unused)
                 raise ValueError(f"{name} must be positive")
         if self.decay_rule not in (DECAY_CONSTANT, DECAY_INVERSE_T, DECAY_EXPONENTIAL):
             raise ValueError(f"unknown decay rule {self.decay_rule!r}")
@@ -107,23 +107,20 @@ class Schedules:
 def noise_std(lr: float, gamma: float) -> float:
     """Langevin noise standard deviation sqrt(2 * lr / gamma).
 
-    gamma = inf is the noise-off limit and yields 0.0.
+    gamma = inf yields 0.0.
     """
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
     if not (gamma > 0):
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if math.isinf(gamma):
-        return 0.0
     return math.sqrt(2.0 * lr / gamma)
 
 
 # ---------------------------------------------------------------- RNG streams
 
 # Stream purpose tags: the first path component. Keeping them distinct makes
-# every (purpose, t, i, k, r) coordinate an independent reproducible stream.
+# every (purpose, t, ...) coordinate an independent reproducible stream.
 P_TASK = 2
-P_DATA = 3
 P_BATCH = 5
 P_NOISE_U = 6
 P_NOISE_W = 7

@@ -8,7 +8,7 @@ import numpy as np
 
 from .core import RunConfig, as_vector, ordered_sum
 from .model import LossModel, stacked_grad, stacked_risk
-from .task_env import EnvironmentSpec, sample_dataset, sample_task
+from .task_env import EnvironmentSpec, sample_datasets, sample_task_means
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,8 @@ def adapt_eval(u: np.ndarray, model: LossModel, env: EnvironmentSpec,
                eval_source: str = "va") -> float:
     """Average risk after noiseless tr-split fine-tuning on fresh tasks.
 
-    Tasks are drawn in turn (a mean, then its dataset); all adapt at once.
+    All n_tasks means, then their datasets, are drawn from rng as whole
+    arrays; all tasks adapt at once.
 
     ``eval_source`` selects the split the adapted parameter is scored on:
     "va" (held-out) for test loss, "tr" (the data actually fitted) for the
@@ -39,12 +40,11 @@ def adapt_eval(u: np.ndarray, model: LossModel, env: EnvironmentSpec,
         raise ValueError(f"eval_source must be va or tr, got {eval_source!r}")
     if eval_source == "va" and cfg.m_va < 1:
         raise ValueError("va evaluation needs m_va >= 1")
-    size = cfg.m_va if eval_source == "va" else cfg.m_tr
-    tr = np.empty((n_tasks, cfg.m_tr, model.dim))
-    batch = np.empty((n_tasks, size, model.dim))
-    for i in range(n_tasks):
-        ds = sample_dataset(sample_task(env, rng), env, cfg.m, cfg.m_tr, rng)
-        tr[i], batch[i] = ds.tr, getattr(ds, eval_source)
+    samples, tr_idx, va_idx = sample_datasets(
+        sample_task_means(env, n_tasks, rng), env, cfg.m, cfg.m_tr, rng)
+    tr = np.take_along_axis(samples, tr_idx[..., None], axis=1)
+    batch = (np.take_along_axis(samples, va_idx[..., None], axis=1)
+             if eval_source == "va" else tr)
     w = as_vector(u, model.dim)
     for _ in range(cfg.test_adapt_steps):
         w = w - cfg.schedules.beta0 * stacked_grad(w, tr)

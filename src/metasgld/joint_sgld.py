@@ -14,10 +14,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import (DECAY_INVERSE_T, P_DATA, P_NOISE_U, P_TASK, Schedules,
+from .core import (DECAY_INVERSE_T, P_NOISE_U, P_TASK, Schedules,
                    UndefinedBoundError, derive_stream, ordered_sum)
 from .model import stacked_grad, stacked_risk
-from .task_env import EnvironmentSpec, sample_dataset, sample_task
+from .task_env import EnvironmentSpec, sample_datasets, sample_task_means
 
 SIGMA_SQRT_ETA = "sqrt_eta"
 SIGMA_FIXED = "fixed"
@@ -171,11 +171,9 @@ class JointRecord:
 def run_joint_sgld(cfg: JointConfig, env: EnvironmentSpec,
                    sigma_sg: float) -> List[JointRecord]:
     """Full joint-training run on n fixed datasets sampled once up front."""
-    data = np.empty((cfg.n, cfg.m, env.dim))
-    for i in range(cfg.n):
-        task = sample_task(env, derive_stream(cfg.seed, (P_TASK, 0, i)))
-        data[i] = sample_dataset(task, env, cfg.m, cfg.m,
-                                 derive_stream(cfg.seed, (P_DATA, 0, i))).samples
+    rng = derive_stream(cfg.seed, (P_TASK, 0))
+    data, _, _ = sample_datasets(sample_task_means(env, cfg.n, rng), env,
+                                 cfg.m, cfg.m, rng)
 
     phi = np.zeros((cfg.n + 1, env.dim))
     tracker = GradBoundTracker(fixed_l=cfg.fixed_l)

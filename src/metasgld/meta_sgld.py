@@ -3,8 +3,9 @@ meta-gradients and online tracking of gradient-incoherence and gradient-norm
 statistics.
 
 All inner paths of an epoch (live, and per task either one noise-free mean
-row or the Monte-Carlo replicas) advance as one array.  Each path keeps its
-stream address and every sum runs in the order of the former per-path loops.
+row or the Monte-Carlo replicas) advance as one array.  The live paths take
+their noise from one draw per epoch, and every sum runs in the order of the
+former per-path loops.
 """
 from __future__ import annotations
 
@@ -13,12 +14,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (ConfigurationError, P_BATCH, P_DATA, P_MC, P_NOISE_U,
-                   P_NOISE_W, P_TASK, P_TEST, P_TRAIN_PROBE, RunConfig,
+from .core import (ConfigurationError, P_BATCH, P_MC, P_NOISE_U, P_NOISE_W,
+                   P_TASK, P_TEST, P_TRAIN_PROBE, RunConfig, UndefinedBoundError,
                    as_vector, derive_stream, noise_std, ordered_sum, sq_norm)
 from .model import LossModel, stacked_grad, stacked_risk
-from .task_env import (EnvironmentSpec, TaskDataset, sample_dataset,
-                       sample_minibatch, sample_task)
+from .task_env import (EnvironmentSpec, TaskDataset, sample_datasets,
+                       sample_minibatch, sample_task_means)
 from . import bounds as bounds_mod
 from . import evaluate as evaluate_mod
 from .records import RunRecord
@@ -92,10 +93,11 @@ def _advance(u: np.ndarray, model: LossModel, datasets: Sequence[TaskDataset],
     """K Langevin steps from U on tr-source batches for every (replica, task)
     path at once; returns W^0..W^K as a (K+1, replicas, tasks, dim) array.
 
-    The noise of path (r, i) comes from (P_NOISE_W, t, slot) for r = 0, else
-    (P_MC, t, slot, r); row None has none.  With ``collect``, the first replica
-    also probes the union source (``mc_replicas`` batches per step if
-    inner_batch > 0) and adds, task by task and step by step,
+    The live paths (r = 0) read column slot of one (K, task_batch, dim) draw
+    from (P_NOISE_W, t), path (r >= 1, slot) reads (P_MC, t, slot, r) and row
+    None has no noise.  With ``collect``, the first replica also probes the
+    union source (``mc_replicas`` batches per step if inner_batch > 0) and
+    adds, task by task and step by step,
     beta*gamma*mean(||grad_union - grad_tr||^2)/2 to eps_w_sum (gradient-norm
     and Lipschitz analogues alike)."""
     w0 = as_vector(u, model.dim)
@@ -109,10 +111,11 @@ def _advance(u: np.ndarray, model: LossModel, datasets: Sequence[TaskDataset],
     else:
         tr_b, un_b = _minibatches(datasets, union, cfg, t, slots, replicas,
                                   collect is not None)
-    noise = np.array([[np.zeros((K, model.dim)) if r is None else
-                       derive_stream(cfg.seed, (P_NOISE_W, t, slot) if r == 0
-                                     else (P_MC, t, slot, r)
-                                     ).standard_normal((K, model.dim))
+    live = (derive_stream(cfg.seed, (P_NOISE_W, t)).standard_normal(
+        (K, cfg.task_batch, model.dim)) if 0 in replicas else None)
+    noise = np.array([[np.zeros((K, model.dim)) if r is None else live[:, slot] if r == 0
+                       else derive_stream(cfg.seed, (P_MC, t, slot, r)
+                                          ).standard_normal((K, model.dim))
                        for slot in slots] for r in replicas])
     betas = [s.inner_lr(t, k) for k in range(1, K + 1)]
     path = np.empty((K + 1,) + noise.shape[:2] + (model.dim,))
@@ -145,6 +148,8 @@ def inner_adapt(u: np.ndarray, model: LossModel, ds: TaskDataset, cfg: RunConfig
     """K Langevin steps from U on tr-source batches for one task and replica,
     W^0..W^K as a (K+1, dim) array; ``collect`` gathers the task-level probe
     terms as in ``_advance``."""
+    if not 0 <= task_slot < cfg.task_batch:
+        raise ValueError(f"task_slot must be in [0, {cfg.task_batch}), got {task_slot}")
     return _advance(u, model, [ds], cfg, t, [task_slot], [replica], collect)[:, 0, 0]
 
 
@@ -223,10 +228,11 @@ def outer_step(u: np.ndarray, model: LossModel,
 
 
 def draw_task_batch(env: EnvironmentSpec, cfg: RunConfig, t: int) -> List[TaskDataset]:
-    """Fresh tasks and datasets for outer iteration t, one stream pair per slot."""
-    return [sample_dataset(sample_task(env, derive_stream(cfg.seed, (P_TASK, t, i))),
-                           env, cfg.m, cfg.m_tr, derive_stream(cfg.seed, (P_DATA, t, i)))
-            for i in range(cfg.task_batch)]
+    """Fresh tasks and datasets for outer iteration t, all from (P_TASK, t)."""
+    rng = derive_stream(cfg.seed, (P_TASK, t))
+    parts = sample_datasets(sample_task_means(env, cfg.task_batch, rng),
+                            env, cfg.m, cfg.m_tr, rng)
+    return [TaskDataset(*task) for task in zip(*parts)]
 
 
 def run_meta_sgld(cfg: RunConfig, env: EnvironmentSpec,
@@ -241,6 +247,10 @@ def run_meta_sgld(cfg: RunConfig, env: EnvironmentSpec,
     """
     if cfg.m_va < 1:
         raise ConfigurationError("alternate training requires m_va >= 1")
+    for name in ("gamma_outer", "gamma_inner"):
+        if np.isinf(getattr(cfg.schedules, name)):
+            raise UndefinedBoundError(f"{name} = inf weights every bound increment by "
+                                      "inf; set noise = false to run without noise")
     model = LossModel(dim=env.dim)
     sg = bounds_mod.subgaussian_mean_estimation(env, cfg.schedules.beta0)
     u = (np.array(cfg.init_u, dtype=float) if cfg.init_u is not None

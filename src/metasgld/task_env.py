@@ -65,39 +65,59 @@ class TaskDataset:
         return self.samples[self.va_indices]
 
 
-def sample_task(env: EnvironmentSpec, rng: np.random.Generator) -> TaskSpec:
-    """Draw a task mean from the truncated Gaussian via rejection sampling."""
+def _in_box(draws: np.ndarray, env: EnvironmentSpec) -> np.ndarray:
+    return np.all((draws >= env.trunc_lo) & (draws <= env.trunc_hi), axis=-1)
+
+
+def sample_task_means(env: EnvironmentSpec, n: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """n task means (n, dim) from the truncated Gaussian by rejection: one
+    (n, dim) draw, then rounds of max(#rejected, _REJECT_CHUNK) rows whose
+    first hits fill the rejected slots in row order."""
     std = np.sqrt(env.env_cov_scale)
-    total = 0
-    while total < _MAX_REJECT_DRAWS:
-        z = rng.standard_normal((_REJECT_CHUNK, env.dim))
-        total += _REJECT_CHUNK
-        # the whole chunk is drawn, but row 0 usually hits: test it alone first
-        first = env.env_mean + std * z[0]
-        if ((first >= env.trunc_lo) & (first <= env.trunc_hi)).all():
-            return TaskSpec(mu=first)
-        draws = env.env_mean + std * z
-        ok = np.all((draws >= env.trunc_lo) & (draws <= env.trunc_hi), axis=1)
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            return TaskSpec(mu=draws[hits[0]].copy())
-    raise ConfigurationError(
-        f"rejection sampling acceptance rate below {MIN_ACCEPT_RATE} "
-        f"({total} draws without a hit); truncation box carries too little mass")
+    mus = env.env_mean + std * rng.standard_normal((n, env.dim))
+    todo = np.flatnonzero(~_in_box(mus, env))
+    since_hit = 0 if todo.size < n else n
+    while todo.size:
+        if since_hit >= _MAX_REJECT_DRAWS:
+            raise ConfigurationError(
+                f"rejection sampling acceptance rate below {MIN_ACCEPT_RATE} ({since_hit} "
+                "draws without a hit); truncation box carries too little mass")
+        size = max(todo.size, _REJECT_CHUNK)
+        draws = env.env_mean + std * rng.standard_normal((size, env.dim))
+        hits = draws[_in_box(draws, env)][:todo.size]
+        mus[todo[:len(hits)]] = hits
+        todo = todo[len(hits):]
+        since_hit = 0 if len(hits) else since_hit + size
+    return mus
 
 
-def sample_dataset(task: TaskSpec, env: EnvironmentSpec, m: int, m_tr: int,
-                   rng: np.random.Generator) -> TaskDataset:
-    """m i.i.d. draws from N(mu, task_cov_scale * I) with a uniform random split."""
+# perfbench traces the task-mean draws under the span task_env.sample_task
+sample_task = sample_task_means
+
+
+def sample_datasets(mus: np.ndarray, env: EnvironmentSpec, m: int, m_tr: int,
+                    rng: np.random.Generator
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each row of mus, m i.i.d. draws from N(mu, task_cov_scale * I) and a
+    uniform random split: samples (n, m, dim), then the sorted tr (n, m_tr)
+    and va (n, m - m_tr) indices.  The split permutations are the argsort of
+    (n, m) uniform keys, drawn after the samples."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if not 0 <= m_tr <= m:
         raise ValueError(f"m_tr must be in [0, m], got {m_tr}")
-    samples = task.mu + np.sqrt(env.task_cov_scale) * rng.standard_normal((m, env.dim))
-    perm = rng.permutation(m)
-    return TaskDataset(samples=samples,
-                       tr_indices=np.sort(perm[:m_tr]),
-                       va_indices=np.sort(perm[m_tr:]))
+    samples = mus[:, None] + np.sqrt(env.task_cov_scale) * rng.standard_normal(
+        (len(mus), m, env.dim))
+    perm = np.argsort(rng.random((len(mus), m)), axis=1)
+    return samples, np.sort(perm[:, :m_tr], axis=1), np.sort(perm[:, m_tr:], axis=1)
+
+
+def sample_dataset(task: TaskSpec, env: EnvironmentSpec, m: int, m_tr: int,
+                   rng: np.random.Generator) -> TaskDataset:
+    """One task's dataset: sample_datasets for a single mean."""
+    samples, tr, va = sample_datasets(task.mu[None], env, m, m_tr, rng)
+    return TaskDataset(samples=samples[0], tr_indices=tr[0], va_indices=va[0])
 
 
 def sample_minibatch(pool: np.ndarray, b: int,

@@ -548,6 +548,20 @@ class TestMain:
         assert err.startswith("error: invalid ") and f"{field} must be finite" in err
         assert not (tmp_path / "nan.csv").exists()
 
+    @pytest.mark.parametrize("key", ["gamma_outer", "gamma_inner"])
+    @pytest.mark.parametrize("noise", ["true", "false"])
+    def test_infinite_gamma_is_an_error_before_epoch_1(self, tmp_path, capsys,
+                                                       key, noise):
+        # inf weights every accumulator and bound increment by inf
+        text = tiny_config(tmp_path, name="inf.csv").replace(
+            f"{key} = 10000", f"{key} = inf\nnoise = {noise}")
+        cfg_file = tmp_path / "inf.ini"
+        cfg_file.write_text(text)
+        assert main(["run", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} = inf ") and "noise = false" in err
+        assert not (tmp_path / "inf.csv").exists()
+
     def test_percent_in_a_value_is_literal(self, tmp_path):
         cfg_file = tmp_path / "pct.ini"
         cfg_file.write_text(tiny_config(tmp_path, T=1, name="pct.csv").replace(

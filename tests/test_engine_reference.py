@@ -2,9 +2,11 @@
 
 The ``ref_*`` functions below are the trainers' and the evaluator's loop
 implementations from before the engines: one task, one replica, one step and
-one probe at a time, through the per-vector gradient and risk.  The engines
-must reproduce every number they compute bit for bit, so the comparisons
-here are exact.  The exceptions are the full-batch meta-level terms, which
+one probe at a time, through the per-vector gradient and risk.  They read
+the engines' stream addresses (layout 3): task i's mean, data and split, and
+its live noise, are row or column i of arrays drawn whole per (purpose, t),
+and the loops consume them task by task.  The engines must reproduce every
+number they compute bit for bit, so the comparisons here are exact.  The exceptions are the full-batch meta-level terms, which
 the engine computes in closed form: the loops' replicas are their
 Monte-Carlo oracle.
 """
@@ -15,8 +17,8 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from metasgld.core import (P_BATCH, P_DATA, P_MC, P_NOISE_U, P_NOISE_W,
-                           P_TASK, DECAY_CONSTANT, DECAY_INVERSE_T, RunConfig,
+from metasgld.core import (P_BATCH, P_MC, P_NOISE_U, P_NOISE_W, P_TASK,
+                           DECAY_CONSTANT, DECAY_INVERSE_T, RunConfig,
                            Schedules, derive_stream, noise_std)
 from metasgld.evaluate import adapt_eval
 from metasgld.joint_sgld import (GradBoundTracker, JointConfig, JointRecord,
@@ -25,8 +27,8 @@ from metasgld.joint_sgld import (GradBoundTracker, JointConfig, JointRecord,
 from metasgld.meta_sgld import (BoundAccumulators, draw_task_batch,
                                 estimate_eps_u, inner_adapt, outer_step)
 from metasgld.model import LossModel
-from metasgld.task_env import (EnvironmentSpec, sample_dataset,
-                               sample_minibatch, sample_task)
+from metasgld.task_env import (EnvironmentSpec, TaskDataset, sample_datasets,
+                               sample_minibatch, sample_task_means)
 
 MODEL = LossModel(dim=2)
 ENV = EnvironmentSpec(env_mean=np.array([-4.0, -4.0]), env_cov_scale=5.0,
@@ -71,8 +73,11 @@ def ref_batch(pool, b, rng):
 
 def ref_inner_adapt(u, ds, cfg, t, task_slot, replica=0, collect=None):
     s = cfg.schedules
-    noise_path = (P_NOISE_W, t, task_slot) if replica == 0 else (P_MC, t, task_slot, replica)
-    noise_rng = derive_stream(cfg.seed, noise_path)
+    # a live path reads column task_slot of the epoch's (K, B, dim) draw
+    noise = (derive_stream(cfg.seed, (P_NOISE_W, t)).standard_normal(
+                 (cfg.K, cfg.task_batch, MODEL.dim))[:, task_slot] if replica == 0
+             else derive_stream(cfg.seed, (P_MC, t, task_slot, replica)
+                                ).standard_normal((cfg.K, MODEL.dim)))
     batch_rng = derive_stream(cfg.seed, (P_BATCH, t, task_slot, replica))
     w = np.asarray(u, dtype=float).copy()
     w_steps = [w.copy()]
@@ -94,7 +99,7 @@ def ref_inner_adapt(u, ds, cfg, t, task_slot, replica=0, collect=None):
             collect.add_w(weight * eps_sq / cfg.mc_replicas,
                           weight * gn_sq / cfg.mc_replicas)
         std = noise_std(beta, s.gamma_inner) if cfg.noise else 0.0
-        zeta = std * noise_rng.standard_normal(MODEL.dim)
+        zeta = std * noise[k - 1]
         w = w - beta * g_tr + zeta
         w_steps.append(w.copy())
     return w_steps
@@ -149,9 +154,11 @@ def ref_outer_step(u, task_batch, cfg, t, acc):
 
 
 def ref_adapt_eval(u, cfg, n_tasks, rng, eval_source):
+    draws = sample_datasets(sample_task_means(ENV, n_tasks, rng), ENV, cfg.m,
+                            cfg.m_tr, rng)
     total = 0.0
-    for _ in range(n_tasks):
-        ds = sample_dataset(sample_task(ENV, rng), ENV, cfg.m, cfg.m_tr, rng)
+    for task in zip(*draws):
+        ds = TaskDataset(*task)
         w = np.asarray(u, dtype=float).copy()
         for _ in range(cfg.test_adapt_steps):
             w = w - cfg.schedules.beta0 * ref_grad(w, ds.tr)
@@ -364,11 +371,9 @@ def ref_joint_grad(u, ws, datasets, coupling):
 
 def ref_run_joint(cfg, sigma_sg):
     """The joint trainer's loop: u and a list of w_i, one task at a time."""
-    datasets = []
-    for i in range(cfg.n):
-        task = sample_task(ENV, derive_stream(cfg.seed, (P_TASK, 0, i)))
-        datasets.append(sample_dataset(task, ENV, cfg.m, cfg.m,
-                                       derive_stream(cfg.seed, (P_DATA, 0, i))).samples)
+    rng = derive_stream(cfg.seed, (P_TASK, 0))
+    datasets = list(sample_datasets(sample_task_means(ENV, cfg.n, rng), ENV,
+                                    cfg.m, cfg.m, rng)[0])
     u, ws = np.zeros(2), [np.zeros(2) for _ in range(cfg.n)]
     tracker = GradBoundTracker(fixed_l=cfg.fixed_l)
     noise_rng = derive_stream(cfg.seed, (P_NOISE_U, 0))

@@ -1,4 +1,6 @@
 """Meta-test adaptation and the observed train/test gap."""
+import math
+
 import numpy as np
 import pytest
 
@@ -39,8 +41,8 @@ class TestAdaptation:
         c = cfg()
         e = env()
         rng = derive_stream(2, [1])
-        from metasgld.task_env import TaskSpec, sample_dataset, sample_task
-        task = sample_task(e, rng)
+        from metasgld.task_env import TaskSpec, sample_dataset, sample_task_means
+        task = TaskSpec(mu=sample_task_means(e, 1, rng)[0])
         ds = sample_dataset(task, e, c.m, c.m_tr, rng)
         u = np.array([10.0, -10.0])
         w = u.copy()
@@ -82,18 +84,24 @@ class TestObservedGap:
         assert rep.gap == rep.test_loss - rep.train_loss
 
     def test_one_shot_gap_dominates(self):
-        # support-scored train loss vs held-out test loss: the m_tr=1 split
-        # overfits its single support point, giving the largest gap
-        u = np.array([-4.0, -4.0])
-        gaps = {}
+        # support-scored train loss vs held-out test loss: after the
+        # (1 - 2 beta)^10 ~ 1e-7 contraction w is the tr mean, so with task
+        # variance tau the gap is 2 d tau / m_tr, largest for m_tr = 1
+        u, n, d, tau = np.array([-4.0, -4.0]), 5000, 2, 0.1
+        gap, se = {}, {}
         for m_tr, m_va in ((1, 15), (8, 8), (15, 1)):
-            c = cfg(m_tr=m_tr, m_va=m_va)
-            rep = observed_gap(u, env(), c, 400, 400,
+            rep = observed_gap(u, env(), cfg(m_tr=m_tr, m_va=m_va), n, n,
                                test_stream=derive_stream(6, [m_tr, 1]),
                                train_stream=derive_stream(6, [m_tr, 2]))
-            gaps[(m_tr, m_va)] = rep.gap
-        assert gaps[(1, 15)] > gaps[(8, 8)] > gaps[(15, 1)]
-        assert gaps[(1, 15)] == pytest.approx(0.4, rel=0.25)
+            # per-task variances of the va score and of the tr score
+            var_va = d * (2 * tau ** 2 / m_tr ** 2
+                          + (2 * tau ** 2 + 4 * tau ** 2 / m_tr) / m_va)
+            var_tr = d * 2 * tau ** 2 * (m_tr - 1) / m_tr ** 2
+            gap[m_tr], se[m_tr] = rep.gap, math.sqrt((var_va + var_tr) / n)
+            assert abs(rep.gap - 2 * d * tau / m_tr) < 4 * se[m_tr]
+        # n tasks put the closest pair of expected gaps >= 6 SE apart
+        assert 2 * d * tau * (1 / 8 - 1 / 15) > 6 * math.hypot(se[8], se[15])
+        assert gap[1] > gap[8] > gap[15]
 
     def test_stream_identity_invariance_within_tolerance(self):
         u = np.array([-4.0, -4.0])

@@ -57,6 +57,14 @@ class TestInnerAdapt:
         path = inner_adapt(np.zeros(2), MODEL, ds, cfg, t=2, task_slot=1)
         assert path.shape == (cfg.K + 1, 2)
 
+    @pytest.mark.parametrize("slot", [-1, 3])
+    def test_slot_outside_the_task_batch_rejected(self, slot):
+        # the live noise is one (K, task_batch, dim) draw: slot is its column
+        ds = sample_dataset(TaskSpec(mu=np.zeros(2)), paper_env(), 16, 8,
+                            derive_stream(0, [3]))
+        with pytest.raises(ValueError, match="task_slot"):
+            inner_adapt(np.zeros(2), MODEL, ds, small_cfg(), t=1, task_slot=slot)
+
     def test_union_equal_tr_gives_zero_eps_w(self):
         # m_va = 0 forces the union source to coincide with the tr source
         cfg = small_cfg(m_tr=16, m_va=0)

@@ -3,11 +3,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
 from metasgld.core import ConfigurationError, derive_stream
-from metasgld.task_env import (EnvironmentSpec, TaskDataset, TaskSpec,
-                               sample_dataset, sample_minibatch, sample_task)
+from metasgld.task_env import (EnvironmentSpec, TaskSpec, sample_dataset,
+                               sample_datasets, sample_minibatch,
+                               sample_task_means)
 
 
 def paper_env():
@@ -33,65 +34,96 @@ class TestEnvironmentSpec:
                             task_cov_scale=0.1, dim=2)
 
 
-def draw_tasks(env, rng, count):
-    return np.array([sample_task(env, rng).mu for _ in range(count)])
+def box_env(half=1.0):
+    # acceptance ~ (2 Phi(half / sqrt 5) - 1)^2: 0.12 at half = 1
+    return EnvironmentSpec(env_mean=np.array([-4.0, -4.0]), env_cov_scale=5.0,
+                           trunc_lo=np.array([-4.0 - half] * 2),
+                           trunc_hi=np.array([-4.0 + half] * 2),
+                           task_cov_scale=0.1, dim=2)
+
+
+def in_box(mus, env):
+    return np.all((mus >= env.trunc_lo) & (mus <= env.trunc_hi), axis=1)
 
 
 class TestSampleTask:
     def test_draws_stay_inside_box(self):
         env = paper_env()
-        mus = draw_tasks(env, derive_stream(0, [1]), 10_000)
-        assert np.all(mus >= env.trunc_lo) and np.all(mus <= env.trunc_hi)
+        mus = sample_task_means(env, 10_000, derive_stream(0, [1]))
+        assert mus.shape == (10_000, 2) and np.all(in_box(mus, env))
 
     def test_single_draw_inside_box(self):
         env = paper_env()
-        task = sample_task(env, derive_stream(3, [1]))
-        assert np.all(task.mu >= env.trunc_lo) and np.all(task.mu <= env.trunc_hi)
+        mus = sample_task_means(env, 1, derive_stream(3, [1]))
+        assert mus.shape == (1, 2) and np.all(in_box(mus, env))
 
     def test_tight_box_forces_draws_near_mean(self):
         # acceptance rate ~1e-5: still feasible, and every draw lands within the box
-        env = EnvironmentSpec(env_mean=np.array([-4.0, -4.0]), env_cov_scale=5.0,
-                              trunc_lo=np.array([-4.01, -4.01]),
-                              trunc_hi=np.array([-3.99, -3.99]),
-                              task_cov_scale=0.1, dim=2)
-        task = sample_task(env, derive_stream(1, [1]))
-        assert np.all(np.abs(task.mu - env.env_mean) <= 0.01)
+        env = box_env(half=0.01)
+        mus = sample_task_means(env, 3, derive_stream(1, [1]))
+        assert np.all(np.abs(mus - env.env_mean) <= 0.01)
 
     def test_hopeless_box_raises_configuration_error(self):
         env = EnvironmentSpec(env_mean=np.array([0.0, 0.0]), env_cov_scale=5.0,
                               trunc_lo=np.array([-1e-9, -1e-9]),
                               trunc_hi=np.array([1e-9, 1e-9]),
                               task_cov_scale=0.1, dim=2)
-        with pytest.raises(ConfigurationError):
-            sample_task(env, derive_stream(1, [1]))
+        with pytest.raises(ConfigurationError, match="acceptance rate"):
+            sample_task_means(env, 4, derive_stream(1, [1]))
 
     def test_mean_matches_quadrature_oracle(self):
         # isotropic Gaussian on a product box: coordinates are independent
         # 1-D truncated normals, so integrate each coordinate directly and
-        # check the sample mean and variance within 5 standard errors
-        env = paper_env()
+        # check the sample mean and variance within 5 standard errors; the
+        # tighter second box sends most rows through the redraw rounds
         draws = 20_000
-        mus = draw_tasks(env, derive_stream(11, [1]), draws)
-        for c in range(2):
-            mu, var = env.env_mean[c], env.env_cov_scale
-            lo, hi = env.trunc_lo[c], env.trunc_hi[c]
-            pdf = lambda x: np.exp(-(x - mu) ** 2 / (2 * var))
-            z, _ = integrate.quad(pdf, lo, hi)
-            mean = integrate.quad(lambda x: x * pdf(x), lo, hi)[0] / z
-            v, m4 = (integrate.quad(lambda x: (x - mean) ** p * pdf(x), lo, hi)[0] / z
-                     for p in (2, 4))
-            assert abs(mus[:, c].mean() - mean) < 5 * np.sqrt(v / draws)
-            assert abs(mus[:, c].var() - v) < 5 * np.sqrt((m4 - v ** 2) / draws)
+        for env in (paper_env(), box_env(half=2.0)):
+            mus = sample_task_means(env, draws, derive_stream(11, [1]))
+            for c in range(2):
+                mu, var = env.env_mean[c], env.env_cov_scale
+                lo, hi = env.trunc_lo[c], env.trunc_hi[c]
+                pdf = lambda x: np.exp(-(x - mu) ** 2 / (2 * var))
+                z, _ = integrate.quad(pdf, lo, hi)
+                mean = integrate.quad(lambda x: x * pdf(x), lo, hi)[0] / z
+                v, m4 = (integrate.quad(lambda x: (x - mean) ** p * pdf(x), lo, hi)[0] / z
+                         for p in (2, 4))
+                assert abs(mus[:, c].mean() - mean) < 5 * np.sqrt(v / draws)
+                assert abs(mus[:, c].var() - v) < 5 * np.sqrt((m4 - v ** 2) / draws)
 
-    @given(mean=st.floats(-3, 3), half=st.floats(0.5, 4), var=st.floats(0.1, 9))
+    @given(mean=st.floats(-3, 3), half=st.floats(0.5, 4), var=st.floats(0.1, 9),
+           n=st.integers(1, 60))
     @settings(max_examples=25, deadline=None)
-    def test_box_invariant_property(self, mean, half, var):
+    def test_box_invariant_property(self, mean, half, var, n):
         env = EnvironmentSpec(env_mean=np.array([mean, mean]), env_cov_scale=var,
                               trunc_lo=np.array([mean - half] * 2),
                               trunc_hi=np.array([mean + half] * 2),
                               task_cov_scale=0.1, dim=2)
-        task = sample_task(env, derive_stream(5, [int(var * 100), 1]))
-        assert np.all(task.mu >= env.trunc_lo) and np.all(task.mu <= env.trunc_hi)
+        mus = sample_task_means(env, n, derive_stream(5, [int(var * 100), 1]))
+        assert mus.shape == (n, 2) and np.all(in_box(mus, env))
+
+    def test_first_round_hits_kept_and_rejections_filled_in_row_order(self):
+        # 100 rows at acceptance ~0.12: one redraw round of 1,024 rows has
+        # enough hits for the ~88 rejected slots
+        env, n = box_env(), 100
+        rng = derive_stream(8, [1])
+        first = env.env_mean + np.sqrt(5.0) * rng.standard_normal((n, 2))
+        ok = in_box(first, env)
+        redraw = env.env_mean + np.sqrt(5.0) * rng.standard_normal((1024, 2))
+        want = first.copy()
+        want[~ok] = redraw[in_box(redraw, env)][:n - ok.sum()]
+        assert 0 < ok.sum() < n
+        assert np.array_equal(sample_task_means(env, n, derive_stream(8, [1])), want)
+
+    def test_rejected_rows_are_redrawn_inside_box(self):
+        # 500 rows at acceptance ~0.01 take several redraw rounds
+        env, n = box_env(half=0.3), 500
+        first = env.env_mean + np.sqrt(5.0) * derive_stream(9, [1]).standard_normal((n, 2))
+        ok = in_box(first, env)
+        mus = sample_task_means(env, n, derive_stream(9, [1]))
+        assert (~ok).sum() > 400
+        assert np.all(in_box(mus, env))
+        assert np.array_equal(mus[ok], first[ok])
+        assert len(np.unique(mus, axis=0)) == n
 
 
 class TestSampleDataset:
@@ -129,6 +161,30 @@ class TestSampleDataset:
                             derive_stream(1, [m, m_tr, 3]))
         assert ds.tr_indices.size + ds.va_indices.size == m
         assert not set(ds.tr_indices) & set(ds.va_indices)
+
+
+    @given(n=st.integers(1, 30), m=st.integers(1, 40), frac=st.floats(0, 1))
+    @settings(max_examples=40, deadline=None)
+    def test_batched_splits_sorted_disjoint_and_cover(self, n, m, frac):
+        m_tr = int(round(frac * m))
+        samples, tr, va = sample_datasets(np.zeros((n, 2)), paper_env(), m, m_tr,
+                                          derive_stream(2, [n, m, m_tr]))
+        assert samples.shape == (n, m, 2)
+        assert tr.shape == (n, m_tr) and va.shape == (n, m - m_tr)
+        assert np.all(np.diff(tr) > 0) and np.all(np.diff(va) > 0)
+        both = np.sort(np.concatenate([tr, va], axis=1), axis=1)
+        assert np.array_equal(both, np.broadcast_to(np.arange(m), (n, m)))
+
+    @pytest.mark.parametrize("m,m_tr", [(16, 1), (16, 8), (16, 15), (3, 1)])
+    def test_each_index_lands_in_tr_uniformly(self, m, m_tr):
+        # the tr indicators of one split have covariance p(1-p) m/(m-1)
+        # (I - 11'/m), so this statistic is chi^2 with m - 1 degrees of freedom
+        splits, p = 20_000, m_tr / m
+        _, tr, _ = sample_datasets(np.zeros((splits, 2)), paper_env(), m, m_tr,
+                                   derive_stream(3, [m, m_tr]))
+        counts = np.bincount(tr.ravel(), minlength=m)
+        chi2 = (m - 1) / m * np.sum((counts - splits * p) ** 2) / (splits * p * (1 - p))
+        assert stats.chi2.sf(chi2, m - 1) > 1e-3
 
 
 class TestSampleMinibatch:
