@@ -13,6 +13,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import __version__
 from . import bounds as bounds_mod
 from . import joint_sgld as joint_mod
 from . import meta_sgld as meta_mod
@@ -88,7 +89,6 @@ _ALT_RUN_KEYS = {**_SCHEDULE_KEYS,
                                           "T", "K", "seed")},
                  "beta": ("beta0", float), "gamma_outer": ("gamma_outer", float),
                  "gamma_inner": ("gamma_inner", float),
-                 "mc_replicas": ("mc_replicas", int),
                  "test_adapt_steps": ("test_adapt_steps", int),
                  "inner_batch": ("inner_batch", int), "noise": ("noise", _bool),
                  "init_u": ("init_u", _vector)}
@@ -206,9 +206,10 @@ def _resolve_out(path: Optional[str]) -> Optional[str]:
 
 
 def _provenance(cfg: ExperimentConfig) -> List[str]:
-    # stream_layout 3: task batches and live noise drawn whole from one
-    # stream per (purpose, t)
-    lines = [f"mode = {cfg.mode}", f"name = {cfg.name}", "stream_layout = 3"]
+    # stream_layout 4: every stream, live minibatches included, is drawn
+    # whole from one address per (purpose, t)
+    lines = [f"mode = {cfg.mode}", f"name = {cfg.name}", "stream_layout = 4",
+             f"version = {__version__}"]
     env = cfg.env
     lines += [f"env.dim = {env.dim}",
               f"env.mean = {tuple(env.env_mean.tolist())}",
@@ -347,7 +348,8 @@ def compare_splits(configs: Sequence[ExperimentConfig]) -> List[dict]:
                 f"presets must share T: {ref.name} has T={ref.run.T}, "
                 f"{c.name} has T={c.run.T}")
         if (c.env.dim != ref.env.dim
-                or not np.array_equal(c.env.env_mean, ref.env.env_mean)
+                or not all(np.array_equal(getattr(c.env, box), getattr(ref.env, box))
+                           for box in ("env_mean", "trunc_lo", "trunc_hi"))
                 or c.env.env_cov_scale != ref.env.env_cov_scale
                 or c.env.task_cov_scale != ref.env.task_cov_scale):
             raise ValueError(f"presets must share the environment ({c.name} differs)")

@@ -124,7 +124,6 @@ P_TASK = 2
 P_BATCH = 5
 P_NOISE_U = 6
 P_NOISE_W = 7
-P_MC = 8
 P_TEST = 9
 P_TRAIN_PROBE = 10
 
@@ -158,7 +157,7 @@ class RunConfig:
     K: int
     schedules: Schedules
     seed: int
-    mc_replicas: int = 10
+    mc_replicas: int = 10       # no code reads it; callers still pass it
     test_adapt_steps: int = 10
     inner_batch: int = 0        # 0 = full-batch inner updates (GLD branch)
     noise: bool = True          # False disables Langevin noise (plain first-order MAML)

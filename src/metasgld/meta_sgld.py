@@ -2,10 +2,11 @@
 meta-gradients and online tracking of gradient-incoherence and gradient-norm
 statistics.
 
-All inner paths of an epoch (live, and per task either one noise-free mean
-row or the Monte-Carlo replicas) advance as one array.  The live paths take
-their noise from one draw per epoch, and every sum runs in the order of the
-former per-path loops.
+The inner paths of an epoch advance as one array of two rows per task: the
+live path, which the meta step uses, and its noise-free mean.  The live
+paths take their noise and their minibatches from one draw per epoch, every
+bound increment is an exact expectation, and every sum runs in the order of
+the former per-path loops.
 """
 from __future__ import annotations
 
@@ -14,12 +15,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (ConfigurationError, P_BATCH, P_MC, P_NOISE_U, P_NOISE_W,
+from .core import (ConfigurationError, P_BATCH, P_NOISE_U, P_NOISE_W,
                    P_TASK, P_TEST, P_TRAIN_PROBE, RunConfig, UndefinedBoundError,
                    as_vector, derive_stream, noise_std, ordered_sum, sq_norm)
 from .model import LossModel, stacked_grad, stacked_risk
-from .task_env import (EnvironmentSpec, TaskDataset, sample_datasets,
-                       sample_minibatch, sample_task_means)
+from .task_env import (EnvironmentSpec, TaskDataset, minibatch_mean_var,
+                       sample_datasets, sample_minibatch, sample_task_means)
 from . import bounds as bounds_mod
 from . import evaluate as evaluate_mod
 from .records import RunRecord
@@ -59,71 +60,46 @@ def _stack(datasets: Sequence[TaskDataset], split: str) -> np.ndarray:
     return np.stack([getattr(ds, split) for ds in datasets])
 
 
-def _minibatches(datasets: Sequence[TaskDataset], union: np.ndarray,
-                 cfg: RunConfig, t: int, slots: Sequence[int],
-                 replicas: Sequence[int], probe: bool
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """inner_batch > 0: per step, the tr batch of every path and the union
-    probes of the first replica, drawn from each path's (P_BATCH, t, slot, r)
-    stream in the loop's order (a step's tr batch, then its probes)."""
-    b, K, R = cfg.inner_batch, cfg.K, cfg.mc_replicas
-    tr_idx = np.zeros((K, len(replicas), len(slots), b), dtype=int)
-    un_idx = np.zeros((K, len(slots), R, b), dtype=int)
-    for p, r in enumerate(replicas):
-        for i, (slot, ds) in enumerate(zip(slots, datasets)):
-            rng = derive_stream(cfg.seed, (P_BATCH, t, slot, r))
-            pool = np.arange(ds.m)
-            for k in range(K):
-                tr_idx[k, p, i] = sample_minibatch(ds.tr_indices, b, rng)
-                for j in range(R if probe and p == 0 else 0):
-                    un_idx[k, i, j] = sample_minibatch(pool, b, rng)
-    task = np.arange(len(slots))
-    return union[task[:, None], tr_idx], union[task[:, None, None], un_idx]
-
-
-def _meta_rows(cfg: RunConfig) -> Tuple[Optional[int], ...]:
-    """Full batch: the noise-free mean row (None); else replicas 1..R."""
-    return (None,) if cfg.inner_batch == 0 else tuple(range(1, cfg.mc_replicas + 1))
-
-
-def _advance(u: np.ndarray, model: LossModel, datasets: Sequence[TaskDataset],
+def _advance(u: np.ndarray, model: LossModel, tr: np.ndarray, union: np.ndarray,
              cfg: RunConfig, t: int, slots: Sequence[int],
-             replicas: Sequence[Optional[int]],
              collect: Optional[BoundAccumulators] = None) -> np.ndarray:
-    """K Langevin steps from U on tr-source batches for every (replica, task)
-    path at once; returns W^0..W^K as a (K+1, replicas, tasks, dim) array.
+    """K Langevin steps from U for the tasks of tr and union (tasks, count,
+    dim) in the task slots ``slots``; returns W^0..W^K as a (K+1, 2, tasks,
+    dim) array.
 
-    The live paths (r = 0) read column slot of one (K, task_batch, dim) draw
-    from (P_NOISE_W, t), path (r >= 1, slot) reads (P_MC, t, slot, r) and row
-    None has no noise.  With ``collect``, the first replica also probes the
-    union source (``mc_replicas`` batches per step if inner_batch > 0) and
-    adds, task by task and step by step,
-    beta*gamma*mean(||grad_union - grad_tr||^2)/2 to eps_w_sum (gradient-norm
-    and Lipschitz analogues alike)."""
+    Row 0 holds the live paths.  Slot i reads column i of one (K,
+    task_batch, dim) noise draw from (P_NOISE_W, t) and, with inner_batch >
+    0, steps on the minibatches of column i of one (K, task_batch, m_tr)
+    sample_minibatch draw from (P_BATCH, t).  Row 1 is the mean row, E[W^k]:
+    no noise, the whole tr split.  With ``collect``, each live step adds,
+    task by task and step by step, beta*gamma/2 times the expectation over a
+    union probe batch U of ||g_U - g_tr||^2 to eps_w_sum, and of ||g_U||^2 to
+    gnorm_w_sum: the squared norm at the whole union plus the trace
+    4*sum Var(mean(U)) of the probe's covariance.  lipschitz_max sees the
+    union gradient at each live W^k."""
     w0 = as_vector(u, model.dim)
-    if cfg.m_tr >= 1 and any(ds.tr_indices.size == 0 for ds in datasets):
+    if tr.shape[-2] == 0:
         raise RuntimeError("dataset has an empty tr split despite m_tr >= 1")
-    s, K = cfg.schedules, cfg.K
-    tr, union = _stack(datasets, "tr"), _stack(datasets, "samples")
-    if cfg.inner_batch == 0:
-        tr_b = np.broadcast_to(tr, (K, 1) + tr.shape)
-        un_b = np.broadcast_to(union[:, None], (K, len(slots), 1) + union.shape[1:])
-    else:
-        tr_b, un_b = _minibatches(datasets, union, cfg, t, slots, replicas,
-                                  collect is not None)
-    live = (derive_stream(cfg.seed, (P_NOISE_W, t)).standard_normal(
-        (K, cfg.task_batch, model.dim)) if 0 in replicas else None)
-    noise = np.array([[np.zeros((K, model.dim)) if r is None else live[:, slot] if r == 0
-                       else derive_stream(cfg.seed, (P_MC, t, slot, r)
-                                          ).standard_normal((K, model.dim))
-                       for slot in slots] for r in replicas])
+    s, K, b, tasks = cfg.schedules, cfg.K, cfg.inner_batch, len(tr)
+    live_batch = tr
+    if b:
+        m_tr = tr.shape[-2]
+        pos = sample_minibatch(np.broadcast_to(np.arange(m_tr), (K, cfg.task_batch, m_tr)),
+                               b, derive_stream(cfg.seed, (P_BATCH, t)))[:, slots]
+        live_batch = tr[np.arange(tasks)[:, None], pos]       # (K, tasks, b, dim)
+    # the gradient on a batch is 2 (w - centre), centre the batch mean
+    centre = np.empty((K, 2, tasks, model.dim))
+    centre[:, 0] = live_batch.mean(axis=-2)
+    centre[:, 1] = tr.mean(axis=-2)
+    noise = np.zeros((K, 2, tasks, model.dim))
+    noise[:, 0] = derive_stream(cfg.seed, (P_NOISE_W, t)).standard_normal(
+        (K, cfg.task_batch, model.dim))[:, slots]
     betas = [s.inner_lr(t, k) for k in range(1, K + 1)]
-    path = np.empty((K + 1,) + noise.shape[:2] + (model.dim,))
+    path = np.empty((K + 1, 2, tasks, model.dim))
     path[0] = w0
     for k, beta in enumerate(betas):
         std = noise_std(beta, s.gamma_inner) if cfg.noise else 0.0
-        path[k + 1] = (path[k] - beta * stacked_grad(path[k], tr_b[k])
-                       + std * noise[:, :, k])
+        path[k + 1] = path[k] - beta * (2.0 * (path[k] - centre[k])) + std * noise[k]
     # a non-finite coordinate stays non-finite in later steps, so this one
     # check raises wherever the per-step gradient check did
     if not np.all(np.isfinite(path[-1])):
@@ -131,11 +107,12 @@ def _advance(u: np.ndarray, model: LossModel, datasets: Sequence[TaskDataset],
 
     if collect is not None:
         live = path[:-1, 0]                                   # (K, tasks, dim)
-        g_tr = stacked_grad(live, tr_b[:, 0])
-        g_un = stacked_grad(live[:, :, None], un_b)           # (K, tasks, R, dim)
-        weight = np.array([b * s.gamma_inner / 2.0 for b in betas])[:, None]
-        eps = weight * ordered_sum(sq_norm(g_un - g_tr[:, :, None])) / un_b.shape[2]
-        gn = weight * ordered_sum(sq_norm(g_un)) / un_b.shape[2]
+        g_tr = 2.0 * (live - centre[:, 0])
+        g_un = stacked_grad(live, union)
+        probe_var = 4.0 * minibatch_mean_var(union, b).sum(axis=-1)
+        weight = np.array([beta * s.gamma_inner / 2.0 for beta in betas])[:, None]
+        eps = weight * (sq_norm(g_un - g_tr) + probe_var)
+        gn = weight * (sq_norm(g_un) + probe_var)
         for e, g in zip(eps.T.ravel().tolist(), gn.T.ravel().tolist()):
             collect.add_w(e, g)
         collect.see_gradients(g_un)
@@ -143,88 +120,87 @@ def _advance(u: np.ndarray, model: LossModel, datasets: Sequence[TaskDataset],
 
 
 def inner_adapt(u: np.ndarray, model: LossModel, ds: TaskDataset, cfg: RunConfig,
-                t: int, task_slot: int, replica: int = 0,
+                t: int, task_slot: int,
                 collect: Optional[BoundAccumulators] = None) -> np.ndarray:
-    """K Langevin steps from U on tr-source batches for one task and replica,
-    W^0..W^K as a (K+1, dim) array; ``collect`` gathers the task-level probe
-    terms as in ``_advance``."""
+    """The live path of K Langevin steps from U on tr-source batches for one
+    task, W^0..W^K as a (K+1, dim) array; ``collect`` gathers the task-level
+    probe terms as in ``_advance``."""
     if not 0 <= task_slot < cfg.task_batch:
         raise ValueError(f"task_slot must be in [0, {cfg.task_batch}), got {task_slot}")
-    return _advance(u, model, [ds], cfg, t, [task_slot], [replica], collect)[:, 0, 0]
+    return _advance(u, model, ds.tr[None], ds.samples[None], cfg, t, [task_slot],
+                    collect)[:, 0, 0]
 
 
-def _mean_grad(w: np.ndarray, task_batch: Sequence[TaskDataset],
-               split: str) -> np.ndarray:
-    """The task-batch mean of the ``split`` gradients at w (rows, tasks, dim)."""
-    return ordered_sum(stacked_grad(w, _stack(task_batch, split)), -2) / len(task_batch)
+def _mean_grad(w: np.ndarray, split: np.ndarray) -> np.ndarray:
+    """The task-batch mean of the gradients at w (tasks, dim) on the split
+    (tasks, count, dim)."""
+    return ordered_sum(stacked_grad(w, split), -2) / len(split)
 
 
-def _eps_u_terms(w: np.ndarray, task_batch: Sequence[TaskDataset],
-                 cfg: RunConfig, t: int, acc: Optional[BoundAccumulators]
-                 ) -> Tuple[float, float]:
-    """eta*gamma*mean(||g_full - g_tr||^2)/2 and its g_full-norm analogue over
-    the rows of the adapted w, (rows, tasks, dim).  On the mean row g_full -
-    g_tr is fixed by the data, and W_i^K is Gaussian about it with variance v
-    per coordinate (a step of the gradient 2(w - mean_tr) maps v to
-    (1 - 2 beta)^2 v + std^2), which adds the trace 4*d*v/B of Cov(g_full)."""
-    g_full = _mean_grad(w, task_batch, "samples")
-    g_tr = _mean_grad(w, task_batch, "tr")
-    if acc is not None:
-        acc.see_gradients(g_full)
-    s, rows, v = cfg.schedules, w.shape[0], 0.0
-    for k in range(1, cfg.K + 1) if cfg.inner_batch == 0 and cfg.noise else ():
+def _eps_u_terms(w: np.ndarray, tr: np.ndarray, union: np.ndarray,
+                 cfg: RunConfig, t: int) -> Tuple[float, float]:
+    """eta*gamma*E||g_full - g_tr||^2/2 and its g_full-norm analogue, exact,
+    from the mean row w = E[W^K] (tasks, dim).  g_full - g_tr is fixed by the
+    data.  About w each W_i^K has variance v per coordinate: a step of the
+    gradient 2(w - mean(B)) on a tr minibatch B maps v to (1 - 2 beta)^2 v +
+    std^2 + 4 beta^2 Var(mean(B)).  The noise part is common to every task
+    and coordinate, the minibatch part (0.0 at full batch) is not, and their
+    sum adds the trace 4*sum(v)/B^2 of Cov(g_full) to ||g_full(w)||^2."""
+    g_full, g_tr = _mean_grad(w, union), _mean_grad(w, tr)
+    s, bt = cfg.schedules, len(tr)
+    batch_var = minibatch_mean_var(tr, cfg.inner_batch)
+    v, v_batch = 0.0, np.zeros_like(batch_var)
+    for k in range(1, cfg.K + 1):
         beta = s.inner_lr(t, k)
-        v = (1.0 - 2.0 * beta) ** 2 * v + noise_std(beta, s.gamma_inner) ** 2
-    trace = 4.0 * w.shape[-1] * v / len(task_batch)
+        std = noise_std(beta, s.gamma_inner) if cfg.noise else 0.0
+        decay = (1.0 - 2.0 * beta) ** 2
+        v = decay * v + std ** 2
+        v_batch = decay * v_batch + 4.0 * beta ** 2 * batch_var
+    trace = (4.0 * w.shape[-1] * v + 4.0 * ordered_sum(v_batch.ravel()) / bt) / bt
     weight = s.outer_lr(t) * s.gamma_outer / 2.0
-    return (float(weight * ordered_sum(sq_norm(g_full - g_tr), 0) / rows),
-            float(weight * (ordered_sum(sq_norm(g_full), 0) + rows * trace) / rows))
+    return (float(weight * sq_norm(g_full - g_tr)),
+            float(weight * (sq_norm(g_full) + trace)))
 
 
 def estimate_eps_u(u: np.ndarray, model: LossModel,
-                   task_batch: Sequence[TaskDataset], cfg: RunConfig, t: int,
-                   acc: Optional[BoundAccumulators] = None
+                   task_batch: Sequence[TaskDataset], cfg: RunConfig, t: int
                    ) -> Tuple[float, float]:
-    """The terms eta*gamma*mean(||eps^u||^2)/2 and the g_full-norm analogue:
-    exact for full-batch updates, else Monte-Carlo over the replicas."""
+    """The exact terms eta*gamma*E||eps^u||^2/2 and the g_full-norm analogue
+    of a task batch adapted from U."""
     if len(task_batch) == 0:
         raise ValueError("task_batch must be non-empty")
-    path = _advance(u, model, task_batch, cfg, t, range(len(task_batch)),
-                    _meta_rows(cfg))
-    return _eps_u_terms(path[-1], task_batch, cfg, t, acc)
+    tr, union = _stack(task_batch, "tr"), _stack(task_batch, "samples")
+    path = _advance(u, model, tr, union, cfg, t, range(len(task_batch)))
+    return _eps_u_terms(path[-1, 1], tr, union, cfg, t)
 
 
 def outer_step(u: np.ndarray, model: LossModel,
                task_batch: Sequence[TaskDataset], cfg: RunConfig, t: int,
                acc: BoundAccumulators) -> Tuple[np.ndarray, float]:
     """One meta iteration: live inner paths (collecting task-level terms,
-    averaged over the task batch), meta-level incoherence estimation, then a
-    Langevin meta-step on the va-evaluated first-order meta-gradient.
+    averaged over the task batch), the meta-level terms from the mean row,
+    then a Langevin meta-step on the va-evaluated first-order meta-gradient.
 
     Returns the new U and the mean va risk of the adapted parameters.
     """
     if len(task_batch) != cfg.task_batch:
         raise ValueError(f"expected {cfg.task_batch} tasks, got {len(task_batch)}")
-    s = cfg.schedules
-    bt = len(task_batch)
-    task_acc = BoundAccumulators()
-    w = _advance(u, model, task_batch, cfg, t, range(bt),
-                 (0,) + _meta_rows(cfg), collect=task_acc)[-1]
-    acc.add_w(task_acc.eps_w_sum / bt, task_acc.gnorm_w_sum / bt)
-    acc.lipschitz_max = max(acc.lipschitz_max, task_acc.lipschitz_max)
-
-    acc.add_u(*_eps_u_terms(w[1:], task_batch, cfg, t, acc if cfg.inner_batch else None))
-    if cfg.inner_batch == 0:   # no path ran along the mean row: see the live W^K
-        acc.see_gradients(_mean_grad(w[:1], task_batch, "samples"))
-
     if cfg.m_va < 1:
         raise ConfigurationError("outer update needs m_va >= 1 (va split empty)")
-    va = _stack(task_batch, "va")
-    meta_grad = ordered_sum(stacked_grad(w[0], va), -2) / bt
+    s = cfg.schedules
+    bt = len(task_batch)
+    tr, va, union = (_stack(task_batch, split) for split in ("tr", "va", "samples"))
+    task_acc = BoundAccumulators()
+    w, w_mean = _advance(u, model, tr, union, cfg, t, range(bt), collect=task_acc)[-1]
+    acc.add_w(task_acc.eps_w_sum / bt, task_acc.gnorm_w_sum / bt)
+    acc.lipschitz_max = max(acc.lipschitz_max, task_acc.lipschitz_max)
+    acc.add_u(*_eps_u_terms(w_mean, tr, union, cfg, t))
+    acc.see_gradients(_mean_grad(w, union))   # g_full at the live W^K
+
     eta = s.outer_lr(t)
     std = noise_std(eta, s.gamma_outer) if cfg.noise else 0.0
     xi = std * derive_stream(cfg.seed, (P_NOISE_U, t)).standard_normal(model.dim)
-    return u - eta * meta_grad + xi, float(np.mean(stacked_risk(w[0], va)))
+    return u - eta * _mean_grad(w, va) + xi, float(np.mean(stacked_risk(w, va)))
 
 
 def draw_task_batch(env: EnvironmentSpec, cfg: RunConfig, t: int) -> List[TaskDataset]:

@@ -122,7 +122,21 @@ def sample_dataset(task: TaskSpec, env: EnvironmentSpec, m: int, m_tr: int,
 
 def sample_minibatch(pool: np.ndarray, b: int,
                      rng: np.random.Generator) -> np.ndarray:
-    """Sorted uniform subset of b indices from pool, drawn without replacement."""
-    if not 1 <= b <= pool.size:
-        raise ValueError(f"batch size {b} not in [1, {pool.size}]")
-    return np.sort(rng.choice(pool, size=b, replace=False))
+    """Uniform subsets of b entries, drawn without replacement and kept in
+    pool order, from the last axis of pool (..., N), (..., b): the first b of
+    the argsort of one uniform key per entry of pool."""
+    if not 1 <= b <= pool.shape[-1]:
+        raise ValueError(f"batch size {b} not in [1, {pool.shape[-1]}]")
+    first = np.argsort(rng.random(pool.shape), axis=-1)[..., :b]
+    return np.take_along_axis(pool, np.sort(first, axis=-1), axis=-1)
+
+
+def minibatch_mean_var(pool: np.ndarray, b: int) -> np.ndarray:
+    """Per-coordinate variance of the mean of a uniform b-subset of the N rows
+    of pool (..., N, dim), drawn without replacement: the finite-population
+    S^2/b * (N - b)/(N - 1), S^2 the population variance, (..., dim).  It is
+    exactly 0.0 when the subset is the whole pool, b = N or b = 0."""
+    n = pool.shape[-2]
+    if b in (0, n):
+        return np.zeros(pool.shape[:-2] + pool.shape[-1:])
+    return pool.var(axis=-2) / b * (n - b) / (n - 1)

@@ -46,7 +46,6 @@ beta = 0.4
 gamma_outer = 10000
 gamma_inner = 10000
 seed = 5
-mc_replicas = 3
 init_u = -4, -4
 
 [outputs]
@@ -420,6 +419,15 @@ class TestCompareSplits:
         with pytest.raises(ValueError):
             compare_splits([a, b])
 
+    @pytest.mark.parametrize("box,value", [("trunc_lo", "-11, -12"),
+                                           ("trunc_hi", "4, 5")])
+    def test_mismatched_truncation_box_rejected(self, tmp_path, box, value):
+        a = parse_config(tiny_config(tmp_path, T=2, name="c5.csv"))
+        text = tiny_config(tmp_path, T=2, name="c6.csv")
+        b = parse_config(re.sub(rf"{box} = .*", f"{box} = {value}", text))
+        with pytest.raises(ValueError, match="share the environment"):
+            compare_splits([a, b])
+
     def test_single_preset_rejected(self, tmp_path):
         a = parse_config(tiny_config(tmp_path, T=2, name="c4.csv"))
         with pytest.raises(ValueError):
@@ -510,6 +518,15 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert message in err
+
+    def test_mc_replicas_is_an_unknown_key(self, tmp_path, capsys):
+        # every increment is exact: no code reads a replica count
+        cfg_file = tmp_path / "tiny.ini"
+        cfg_file.write_text(tiny_config(tmp_path, T=1, name="mc.csv").replace(
+            "seed = 5", "seed = 5\nmc_replicas = 3"))
+        assert main(["run", str(cfg_file)]) == 1
+        assert capsys.readouterr().err == "error: unknown keys in [run]: run.mc_replicas\n"
+        assert not (tmp_path / "mc.csv").exists()
 
     def test_zero_eval_cadence_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "tiny.ini"

@@ -3,12 +3,13 @@
 The ``ref_*`` functions below are the trainers' and the evaluator's loop
 implementations from before the engines: one task, one replica, one step and
 one probe at a time, through the per-vector gradient and risk.  They read
-the engines' stream addresses (layout 3): task i's mean, data and split, and
-its live noise, are row or column i of arrays drawn whole per (purpose, t),
-and the loops consume them task by task.  The engines must reproduce every
-number they compute bit for bit, so the comparisons here are exact.  The exceptions are the full-batch meta-level terms, which
-the engine computes in closed form: the loops' replicas are their
-Monte-Carlo oracle.
+the engines' stream addresses (layout 4): task i's mean, data and split, its
+live noise and its live minibatch keys are row or column i of arrays drawn
+whole per (purpose, t), and the loops consume them task by task.  The
+engines must reproduce the live paths, U and the losses bit for bit, so
+those comparisons are exact.  The bound increments are expectations, which
+the engine computes in closed form: the loops' union probes and meta-level
+replicas, on streams of their own, are their Monte-Carlo oracle.
 """
 import itertools
 import math
@@ -17,7 +18,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from metasgld.core import (P_BATCH, P_MC, P_NOISE_U, P_NOISE_W, P_TASK,
+from metasgld.core import (P_BATCH, P_NOISE_U, P_NOISE_W, P_TASK,
                            DECAY_CONSTANT, DECAY_INVERSE_T, RunConfig,
                            Schedules, derive_stream, noise_std)
 from metasgld.evaluate import adapt_eval
@@ -27,7 +28,8 @@ from metasgld.joint_sgld import (GradBoundTracker, JointConfig, JointRecord,
 from metasgld.meta_sgld import (BoundAccumulators, draw_task_batch,
                                 estimate_eps_u, inner_adapt, outer_step)
 from metasgld.model import LossModel
-from metasgld.task_env import (EnvironmentSpec, TaskDataset, sample_datasets,
+from metasgld.task_env import (EnvironmentSpec, TaskDataset,
+                               minibatch_mean_var, sample_datasets,
                                sample_minibatch, sample_task_means)
 
 MODEL = LossModel(dim=2)
@@ -35,6 +37,9 @@ ENV = EnvironmentSpec(env_mean=np.array([-4.0, -4.0]), env_cov_scale=5.0,
                       trunc_lo=np.array([-12.0, -12.0]),
                       trunc_hi=np.array([4.0, 4.0]), task_cov_scale=0.1, dim=2)
 SPLITS = ((8, 8), (1, 15), (15, 1))
+# the purpose tag of the loops' own streams: (REF_MC, t, slot, 0) for the
+# union probes of a live path, (REF_MC, t, slot, r) for replica r >= 1
+REF_MC = 8
 
 
 # ------------------------------------------------------------ the loops
@@ -53,6 +58,7 @@ class RefAccumulators:
         self.eps_u_sum = self.eps_w_sum = 0.0
         self.gnorm_u_sum = self.gnorm_w_sum = 0.0
         self.lipschitz_max = 0.0
+        self.probe_terms = []     # per step, the R probes' weighted terms
 
     def add_w(self, eps_term, gnorm_term):
         self.eps_w_sum += eps_term
@@ -72,32 +78,42 @@ def ref_batch(pool, b, rng):
 
 
 def ref_inner_adapt(u, ds, cfg, t, task_slot, replica=0, collect=None):
-    s = cfg.schedules
-    # a live path reads column task_slot of the epoch's (K, B, dim) draw
-    noise = (derive_stream(cfg.seed, (P_NOISE_W, t)).standard_normal(
-                 (cfg.K, cfg.task_batch, MODEL.dim))[:, task_slot] if replica == 0
-             else derive_stream(cfg.seed, (P_MC, t, task_slot, replica)
-                                ).standard_normal((cfg.K, MODEL.dim)))
-    batch_rng = derive_stream(cfg.seed, (P_BATCH, t, task_slot, replica))
+    s, b = cfg.schedules, cfg.inner_batch
+    if replica == 0:
+        # a live path reads column task_slot of the epoch's (K, B, dim) noise
+        # and of its (K, B, m_tr) minibatch keys
+        noise = derive_stream(cfg.seed, (P_NOISE_W, t)).standard_normal(
+            (cfg.K, cfg.task_batch, MODEL.dim))[:, task_slot]
+        keys = derive_stream(cfg.seed, (P_BATCH, t)).random(
+            (cfg.K, cfg.task_batch, ds.tr_indices.size))[:, task_slot]
+        rng = None
+    else:
+        rng = derive_stream(cfg.seed, (REF_MC, t, task_slot, replica))
+        noise = rng.standard_normal((cfg.K, MODEL.dim))
+    probe_rng = derive_stream(cfg.seed, (REF_MC, t, task_slot, 0))
     w = np.asarray(u, dtype=float).copy()
     w_steps = [w.copy()]
     for k in range(1, cfg.K + 1):
         beta = s.inner_lr(t, k)
-        tr_idx = ref_batch(ds.tr_indices, cfg.inner_batch, batch_rng)
+        if replica == 0 and b:
+            tr_idx = ds.tr_indices[np.sort(np.argsort(keys[k - 1])[:b])]
+        else:
+            tr_idx = ref_batch(ds.tr_indices, b, rng)
         g_tr = ref_grad(w, ds.samples[tr_idx])
         if collect is not None:
-            eps_sq = 0.0
-            gn_sq = 0.0
+            eps_sq = []
+            gn_sq = []
             for _ in range(cfg.mc_replicas):
-                un_idx = ref_batch(np.arange(ds.m), cfg.inner_batch, batch_rng)
+                un_idx = ref_batch(np.arange(ds.m), b, probe_rng)
                 g_un = ref_grad(w, ds.samples[un_idx])
                 e = g_un - g_tr
-                eps_sq += float(e @ e)
-                gn_sq += float(g_un @ g_un)
+                eps_sq.append(float(e @ e))
+                gn_sq.append(float(g_un @ g_un))
                 collect.see_gradient(g_un)
             weight = beta * s.gamma_inner / 2.0
-            collect.add_w(weight * eps_sq / cfg.mc_replicas,
-                          weight * gn_sq / cfg.mc_replicas)
+            collect.add_w(weight * sum(eps_sq) / cfg.mc_replicas,
+                          weight * sum(gn_sq) / cfg.mc_replicas)
+            collect.probe_terms.append(weight * np.array([eps_sq, gn_sq]))
         std = noise_std(beta, s.gamma_inner) if cfg.noise else 0.0
         zeta = std * noise[k - 1]
         w = w - beta * g_tr + zeta
@@ -121,7 +137,7 @@ def ref_meta_replicas(u, task_batch, cfg, t):
                ref_meta_gradient(w_finals, task_batch, "tr"))
 
 
-def ref_estimate_eps_u(u, task_batch, cfg, t, acc=None):
+def ref_estimate_eps_u(u, task_batch, cfg, t):
     s = cfg.schedules
     eps_sq = 0.0
     gn_sq = 0.0
@@ -129,8 +145,6 @@ def ref_estimate_eps_u(u, task_batch, cfg, t, acc=None):
         e = g_full - g_tr
         eps_sq += float(e @ e)
         gn_sq += float(g_full @ g_full)
-        if acc is not None:
-            acc.see_gradient(g_full)
     weight = s.outer_lr(t) * s.gamma_outer / 2.0
     return (weight * eps_sq / cfg.mc_replicas, weight * gn_sq / cfg.mc_replicas)
 
@@ -143,7 +157,7 @@ def ref_outer_step(u, task_batch, cfg, t, acc):
     bt = len(task_batch)
     acc.add_w(task_acc.eps_w_sum / bt, task_acc.gnorm_w_sum / bt)
     acc.lipschitz_max = max(acc.lipschitz_max, task_acc.lipschitz_max)
-    acc.add_u(*ref_estimate_eps_u(u, task_batch, cfg, t, acc=acc))
+    acc.add_u(*ref_estimate_eps_u(u, task_batch, cfg, t))
     meta_grad = ref_meta_gradient(w_finals, task_batch, "va")
     eta = s.outer_lr(t)
     std = noise_std(eta, s.gamma_outer) if cfg.noise else 0.0
@@ -184,19 +198,12 @@ def make_cfg(split=(8, 8), inner_batch=0, noise=True, K=4, mc_replicas=10,
                      init_u=(-3.0, -5.0))
 
 
-def same_acc(acc, ref):
-    return (acc.eps_u_sum, acc.eps_w_sum, acc.gnorm_u_sum, acc.gnorm_w_sum,
-            acc.lipschitz_max) == (ref.eps_u_sum, ref.eps_w_sum,
-                                   ref.gnorm_u_sum, ref.gnorm_w_sum,
-                                   ref.lipschitz_max)
-
-
-def close_acc(acc, ref):
-    """eps_u, eps_w and gnorm_w to rel 1e-12: with inner_batch = 0 one union
-    probe stands for the loop's identical copies and eps_u is exact, so only
-    the rounding of the replica means differs."""
+def close_acc(acc, ref, fields=("eps_u_sum", "eps_w_sum", "gnorm_w_sum")):
+    """The named sums to rel 1e-12: eps_u is exact in every batch mode, and
+    with inner_batch = 0 so are the loop's identical union probes, so only
+    the rounding of the Monte-Carlo means differs."""
     return all(getattr(acc, f) == pytest.approx(getattr(ref, f), rel=1e-12)
-               for f in ("eps_u_sum", "eps_w_sum", "gnorm_w_sum"))
+               for f in fields)
 
 
 GRID = list(itertools.product((0, 3), (True, False), (0, 1, 4), SPLITS,
@@ -215,27 +222,26 @@ def test_outer_step_matches_loops(inner_batch, noise, K, split, mc_replicas,
         want_u, want_risk = ref_outer_step(want_u, batch, cfg, t, want_acc)
         assert np.array_equal(u, want_u)
         assert risk == want_risk
-        if inner_batch:
-            assert same_acc(acc, want_acc)
-        else:   # gnorm_u and lipschitz: see the full-batch oracles below
-            assert close_acc(acc, want_acc)
+        # the other sums are Monte-Carlo in the loops: see the oracles below
+        assert close_acc(acc, want_acc, fields=(
+            ("eps_u_sum",) if cfg.inner_batch else
+            ("eps_u_sum", "eps_w_sum", "gnorm_w_sum")))
 
 
-@pytest.mark.parametrize("inner_batch,K,mc_replicas,replica",
-                         itertools.product((0, 3), (0, 1, 4), (1, 10), (0, 2)))
-def test_inner_adapt_matches_loop(inner_batch, K, mc_replicas, replica):
+@pytest.mark.parametrize("inner_batch,K,mc_replicas,slot",
+                         itertools.product((0, 3), (0, 1, 4), (1, 10), (0, 3)))
+def test_inner_adapt_matches_loop(inner_batch, K, mc_replicas, slot):
+    # the slot picks the column of the epoch's noise and minibatch keys
     cfg = make_cfg(inner_batch=inner_batch, K=K, mc_replicas=mc_replicas)
     ds = draw_task_batch(ENV, cfg, 1)[0]
     u = np.array([1.5, -2.0])
     acc, ref_acc = BoundAccumulators(), RefAccumulators()
     acc.eps_w_sum = ref_acc.eps_w_sum = 0.3       # collect adds to what is there
-    path = inner_adapt(u, MODEL, ds, cfg, 2, 3, replica=replica, collect=acc)
-    ref_steps = ref_inner_adapt(u, ds, cfg, 2, 3, replica=replica, collect=ref_acc)
+    path = inner_adapt(u, MODEL, ds, cfg, 2, slot, collect=acc)
+    ref_steps = ref_inner_adapt(u, ds, cfg, 2, slot, collect=ref_acc)
     assert path.shape == (K + 1, 2)
     assert np.array_equal(path, np.array(ref_steps))
-    if inner_batch:
-        assert same_acc(acc, ref_acc)
-    else:
+    if not inner_batch:
         assert close_acc(acc, ref_acc) and acc.gnorm_u_sum == ref_acc.gnorm_u_sum
         assert acc.lipschitz_max == ref_acc.lipschitz_max
 
@@ -243,16 +249,12 @@ def test_inner_adapt_matches_loop(inner_batch, K, mc_replicas, replica):
 @pytest.mark.parametrize("inner_batch,K,mc_replicas,split",
                          itertools.product((0, 3), (0, 4), (1, 10), SPLITS))
 def test_estimate_eps_u_matches_loop(inner_batch, K, mc_replicas, split):
+    # eps_u is exact in both batch modes; gnorm_u: see the oracles below
     cfg = make_cfg(split, inner_batch=inner_batch, K=K, mc_replicas=mc_replicas)
     batch = draw_task_batch(ENV, cfg, 2)
-    acc, ref_acc = BoundAccumulators(), RefAccumulators()
-    terms = estimate_eps_u(np.zeros(2), MODEL, batch, cfg, 2, acc=acc)
-    want = ref_estimate_eps_u(np.zeros(2), batch, cfg, 2, acc=ref_acc)
-    if inner_batch:
-        assert terms == want
-        assert same_acc(acc, ref_acc)
-    else:   # gnorm_u: see the full-batch oracles below
-        assert terms[0] == pytest.approx(want[0], rel=1e-12)
+    terms = estimate_eps_u(np.zeros(2), MODEL, batch, cfg, 2)
+    want = ref_estimate_eps_u(np.zeros(2), batch, cfg, 2)
+    assert terms[0] == pytest.approx(want[0], rel=1e-12)
 
 
 @pytest.mark.parametrize("eval_source,split,steps",
@@ -280,22 +282,26 @@ def test_non_finite_paths_raise_the_gradient_check_error():
                    derive_stream(3, [9]))
 
 
-# ------------------------------------------------------------ full-batch oracles
+# ------------------------------------------------------------ Monte-Carlo oracles
 #
-# With inner_batch = 0 the trainer takes the meta-level terms from one
-# noise-free mean row in closed form; the loop's P_MC replicas estimate the
-# same expectations by Monte Carlo.
+# The trainer takes every bound increment in closed form: the meta-level
+# terms from one noise-free mean row plus the variance of W^K, the
+# task-level terms from the union gradient at each live W^k plus the
+# variance of a union probe's mean.  The loop's replicas and probes
+# estimate the same expectations by Monte Carlo.
 
 ORACLE_R = 2000
+ORACLE_BATCHES = (0, 1, 3, 8)      # 8 = m_tr: minibatches only in the probes
 
 
-def oracle_cfg(decay_rule=DECAY_CONSTANT, noise=True, K=4):
+def oracle_cfg(decay_rule=DECAY_CONSTANT, noise=True, K=4, inner_batch=0):
     # gamma_inner = 25 makes the inner noise most of E||g_full||^2
     return RunConfig(n=100, m=16, m_tr=8, m_va=8, task_batch=2, T=2, K=K,
                      schedules=Schedules(eta0=0.2, beta0=0.3, gamma_outer=1e4,
                                          gamma_inner=25.0,
                                          decay_rule=decay_rule, decay_c=0.4),
-                     seed=11, mc_replicas=ORACLE_R, noise=noise)
+                     seed=11, mc_replicas=ORACLE_R, inner_batch=inner_batch,
+                     noise=noise)
 
 
 def oracle_replicas(cfg, t=2):
@@ -310,16 +316,51 @@ def oracle_replicas(cfg, t=2):
     return batch, u, estimate_eps_u(u, MODEL, batch, cfg, t), reps
 
 
-@pytest.mark.parametrize("decay_rule", (DECAY_CONSTANT, DECAY_INVERSE_T))
-def test_full_batch_gnorm_u_is_the_replica_mean(decay_rule):
-    cfg = oracle_cfg(decay_rule)
+def check_gnorm_u_is_the_replica_mean(cfg):
     batch, u, (eps_u, gnorm_u), reps = oracle_replicas(cfg)
     se = reps[:, 1].std(ddof=1) / math.sqrt(ORACLE_R)
     assert abs(reps[:, 1].mean() - gnorm_u) < 4 * se
     assert eps_u == pytest.approx(reps[:, 0].mean(), rel=1e-12)
-    # the variance term is resolved: the mean row alone is far off
-    _, mean_row_only = estimate_eps_u(u, MODEL, batch, replace(cfg, noise=False), 2)
-    assert abs(reps[:, 1].mean() - mean_row_only) > 4 * se
+    # the variance terms are resolved: without the inner noise, or without
+    # the variance of single-sample tr minibatches, the term is far off
+    _, noise_free = estimate_eps_u(u, MODEL, batch, replace(cfg, noise=False), 2)
+    assert abs(reps[:, 1].mean() - noise_free) > 4 * se
+    if cfg.inner_batch == 1:
+        _, full_batch = estimate_eps_u(u, MODEL, batch,
+                                       replace(cfg, inner_batch=0), 2)
+        assert abs(reps[:, 1].mean() - full_batch) > 4 * se
+
+
+@pytest.mark.parametrize("decay_rule", (DECAY_CONSTANT, DECAY_INVERSE_T))
+def test_full_batch_gnorm_u_is_the_replica_mean(decay_rule):
+    check_gnorm_u_is_the_replica_mean(oracle_cfg(decay_rule))
+
+
+@pytest.mark.parametrize("decay_rule,inner_batch", itertools.product(
+    (DECAY_CONSTANT, DECAY_INVERSE_T), ORACLE_BATCHES[1:]))
+def test_minibatch_gnorm_u_is_the_replica_mean(decay_rule, inner_batch):
+    check_gnorm_u_is_the_replica_mean(oracle_cfg(decay_rule, inner_batch=inner_batch))
+
+
+@pytest.mark.parametrize("inner_batch", ORACLE_BATCHES)
+def test_eps_w_and_gnorm_w_are_the_probe_means(inner_batch):
+    # the live path is the loop's, bit for bit; its R union probes per step
+    # estimate the exact task-level increments
+    cfg = oracle_cfg(inner_batch=inner_batch)
+    ds = draw_task_batch(ENV, cfg, 2)[1]
+    u = ds.samples.mean(axis=0) + 0.5
+    acc, ref_acc = BoundAccumulators(), RefAccumulators()
+    inner_adapt(u, MODEL, ds, cfg, 2, 1, collect=acc)
+    ref_inner_adapt(u, ds, cfg, 2, 1, collect=ref_acc)
+    per_probe = np.sum(ref_acc.probe_terms, axis=0)          # (2, R)
+    se = per_probe.std(axis=1, ddof=1) / math.sqrt(ORACLE_R)
+    got = np.array([acc.eps_w_sum, acc.gnorm_w_sum])
+    assert np.all(np.abs(per_probe.mean(axis=1) - got) < 4 * se + 1e-12 * got)
+    # the probe variance term is resolved wherever it is not 0
+    probe_var = sum(cfg.schedules.inner_lr(2, k) * cfg.schedules.gamma_inner / 2.0
+                    for k in range(1, cfg.K + 1)) * 4.0 * float(
+                        minibatch_mean_var(ds.samples, inner_batch).sum())
+    assert probe_var > 4 * se.max() if inner_batch else probe_var == 0.0
 
 
 @pytest.mark.parametrize("K", (0, 4))
@@ -337,20 +378,31 @@ def test_full_batch_k0_adds_no_inner_increment():
     assert acc.eps_w_sum == acc.gnorm_w_sum == 0.0 < acc.gnorm_u_sum
 
 
-@pytest.mark.parametrize("K", (0, 1, 4))
-def test_full_batch_lipschitz_sees_the_live_paths(K):
-    # the live union probes and g_full at the live W^K, not at the mean row;
-    # from the task's own mean the probes are small and the noise sets g_full
-    cfg = replace(oracle_cfg(K=K), task_batch=1)
+def check_lipschitz_sees_the_live_paths(K, inner_batch):
+    # the union gradient at each live W^k and g_full at the live W^K, not at
+    # the mean row; from the task's own mean the union gradients are small
+    # and the noise sets g_full
+    cfg = replace(oracle_cfg(K=K, inner_batch=inner_batch), task_batch=1)
     batch = draw_task_batch(ENV, cfg, 1)
     u = batch[0].samples.mean(axis=0)
-    acc, task_acc = BoundAccumulators(), RefAccumulators()
+    acc = BoundAccumulators()
     outer_step(u, MODEL, batch, cfg, 1, acc)
-    w_finals = [ref_inner_adapt(u, ds, cfg, 1, i, collect=task_acc)[-1]
-                for i, ds in enumerate(batch)]
-    g_full = ref_meta_gradient(w_finals, batch, "union")
-    assert acc.lipschitz_max == max(task_acc.lipschitz_max,
-                                    float(np.linalg.norm(g_full)))
+    steps = ref_inner_adapt(u, batch[0], cfg, 1, 0)
+    g_full = ref_meta_gradient(steps[-1:], batch, "union")
+    assert acc.lipschitz_max == max(
+        [0.0] + [float(np.linalg.norm(ref_grad(w, batch[0].samples)))
+                 for w in steps[:-1]] + [float(np.linalg.norm(g_full))])
+
+
+@pytest.mark.parametrize("K", (0, 1, 4))
+def test_full_batch_lipschitz_sees_the_live_paths(K):
+    check_lipschitz_sees_the_live_paths(K, 0)
+
+
+@pytest.mark.parametrize("K", (0, 1, 4))
+def test_minibatch_lipschitz_sees_the_live_paths(K):
+    # the same rule: the minibatches move the path, not what is measured
+    check_lipschitz_sees_the_live_paths(K, 3)
 
 
 # ------------------------------------------------------------ joint mode

@@ -139,23 +139,6 @@ class TestEstimateEpsU:
         eps_term, _ = estimate_eps_u(np.array([3.0, 3.0]), MODEL, [ds], cfg, 1)
         assert eps_term == 0.0
 
-    def test_replica_order_invariance(self):
-        # with full-batch updates ||eps^u||^2 is the same on every replica's
-        # own inner paths, so their average in either order is the exact term
-        cfg = small_cfg(mc_replicas=6)
-        batch = draw_task_batch(paper_env(), cfg, 1)
-        sq = []
-        for r in range(1, 7):
-            ws = [inner_adapt(np.zeros(2), MODEL, ds, cfg, 1, i, replica=r)[-1]
-                  for i, ds in enumerate(batch)]
-            eps = np.mean([batch_grad(MODEL, w, ds.samples) - batch_grad(MODEL, w, ds.tr)
-                           for w, ds in zip(ws, batch)], axis=0)
-            sq.append(float(eps @ eps))
-        weight = 0.2 * 1e4 / 2.0 / 6
-        eps_term, _ = estimate_eps_u(np.zeros(2), MODEL, batch, cfg, 1)
-        assert eps_term == pytest.approx(weight * sum(sq), rel=1e-10)
-        assert eps_term == pytest.approx(weight * sum(reversed(sq)), rel=1e-10)
-
 
 class TestOuterStep:
     def test_fixed_point_without_gradient_or_noise(self):

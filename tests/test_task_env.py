@@ -1,4 +1,6 @@
 """Truncated-Gaussian task sampling, dataset generation, splits, minibatches."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,9 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from metasgld.core import ConfigurationError, derive_stream
-from metasgld.task_env import (EnvironmentSpec, TaskSpec, sample_dataset,
-                               sample_datasets, sample_minibatch,
-                               sample_task_means)
+from metasgld.task_env import (EnvironmentSpec, TaskSpec, minibatch_mean_var,
+                               sample_dataset, sample_datasets,
+                               sample_minibatch, sample_task_means)
 
 
 def paper_env():
@@ -222,3 +224,32 @@ class TestSampleMinibatch:
         p = 1 / 16
         sigma = np.sqrt(draws * p * (1 - p))
         assert np.all(np.abs(counts - draws * p) < 3.5 * sigma)
+
+    def test_leading_axes_draw_independent_subsets_in_pool_order(self):
+        # one uniform key per pool entry: each (k, i) row is its own subset
+        pool = np.broadcast_to(np.arange(10, 18), (500, 3, 8))
+        idx = sample_minibatch(pool, 3, derive_stream(0, [7]))
+        assert idx.shape == (500, 3, 3)
+        assert np.all(np.diff(idx, axis=-1) > 0) and np.all((idx >= 10) & (idx < 18))
+        assert len({tuple(row) for row in idx.reshape(-1, 3)}) > 50   # of C(8, 3) = 56
+
+
+class TestMinibatchMeanVar:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_every_subset(self, m):
+        pool = derive_stream(1, [m]).normal(size=(m, 2)) * [1.0, 3.0]
+        for b in range(1, m + 1):
+            means = np.array([pool[list(c)].mean(axis=0)
+                              for c in itertools.combinations(range(m), b)])
+            want = ((means - means.mean(axis=0)) ** 2).mean(axis=0)
+            got = minibatch_mean_var(pool, b)
+            if b == m:
+                assert np.all(got == 0.0)
+            else:
+                assert got == pytest.approx(want, rel=1e-12)
+
+    def test_whole_pool_is_zero_on_leading_axes(self):
+        pool = derive_stream(1, [9]).normal(size=(3, 5, 2))
+        assert minibatch_mean_var(pool, 0).shape == (3, 2)
+        assert np.all(minibatch_mean_var(pool, 0) == 0.0)
+        assert np.all(minibatch_mean_var(pool, 5) == 0.0)
