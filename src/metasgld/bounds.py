@@ -85,7 +85,8 @@ class AltBound:
 
 
 def assemble_alt_bound(acc, sg: SubgaussianSpec, n: int, m_va: int) -> AltBound:
-    """Assemble the alternate-training bound values from accumulator sums.
+    """Assemble the alternate-training bound values from accumulator sums,
+    floats or arrays of them (one per epoch).
 
     Each component is sigma * sqrt(sum / (n * m_va)); the gnorm_* values use
     the gradient-norm accumulators with identical weighting.
@@ -96,10 +97,10 @@ def assemble_alt_bound(acc, sg: SubgaussianSpec, n: int, m_va: int) -> AltBound:
         raise ValueError("n must be positive")
     scale = sg.sigma / math.sqrt(n * m_va)
 
-    def part(x: float) -> float:
-        if x < 0:
+    def part(x):
+        if np.any(np.less(x, 0)):
             raise ValueError("accumulator sums must be non-negative")
-        return scale * math.sqrt(x)
+        return scale * np.sqrt(x)
 
     return AltBound(
         bound_u=part(acc.eps_u_sum),

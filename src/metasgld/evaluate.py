@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RunConfig, as_vector, ordered_sum
-from .model import LossModel, stacked_grad, stacked_risk
+from .model import LossModel, stacked_risk
 from .task_env import EnvironmentSpec, sample_datasets, sample_task_means
 
 
@@ -45,9 +45,9 @@ def adapt_eval(u: np.ndarray, model: LossModel, env: EnvironmentSpec,
     tr = np.take_along_axis(samples, tr_idx[..., None], axis=1)
     batch = (np.take_along_axis(samples, va_idx[..., None], axis=1)
              if eval_source == "va" else tr)
-    w = as_vector(u, model.dim)
-    for _ in range(cfg.test_adapt_steps):
-        w = w - cfg.schedules.beta0 * stacked_grad(w, tr)
+    w, tr_mean = as_vector(u, model.dim), tr.mean(axis=-2)
+    for _ in range(cfg.test_adapt_steps):    # the gradient on tr is 2 (w - its mean)
+        w = w - cfg.schedules.beta0 * (2.0 * (w - tr_mean))
     if not np.all(np.isfinite(w)):
         raise ValueError("vector contains NaN/Inf")
     return float(ordered_sum(stacked_risk(w, batch))) / n_tasks

@@ -2,15 +2,20 @@
 meta-gradients and online tracking of gradient-incoherence and gradient-norm
 statistics.
 
-The inner paths of an epoch advance as one array of two rows per task: the
-live path, which the meta step uses, and its noise-free mean.  The live
-paths take their noise and their minibatches from one draw per epoch, every
-bound increment is an exact expectation, and every sum runs in the order of
-the former per-path loops.
+Epoch t depends on earlier epochs only through U_{t-1}, so a run takes three
+passes: (1) each epoch's draws, then whole-run array ops on them; (2) the U
+loop, per epoch the live inner steps and the meta step; (3) over the whole
+epoch axis, the noise-free mean rows, every bound increment (an exact
+expectation over noise, minibatch and probe draws) and the running sums.
+Sums add in the order of the former per-epoch loop, so rows are that loop's
+bit for bit, and a failure raises what that loop raised first: each pass
+works on the epochs before the earliest failure found so far.
+``outer_step``, ``inner_adapt`` and ``estimate_eps_u`` are one-epoch cases.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -18,7 +23,7 @@ import numpy as np
 from .core import (ConfigurationError, P_BATCH, P_NOISE_U, P_NOISE_W,
                    P_TASK, P_TEST, P_TRAIN_PROBE, RunConfig, UndefinedBoundError,
                    as_vector, derive_stream, noise_std, ordered_sum, sq_norm)
-from .model import LossModel, stacked_grad, stacked_risk
+from .model import LossModel, stacked_risk
 from .task_env import (EnvironmentSpec, TaskDataset, minibatch_mean_var,
                        sample_datasets, sample_minibatch, sample_task_means)
 from . import bounds as bounds_mod
@@ -28,7 +33,8 @@ from .records import RunRecord
 
 @dataclass
 class BoundAccumulators:
-    """Running sums feeding the incoherence bound and its gradient-norm analogue."""
+    """Running sums feeding the incoherence bound and its gradient-norm
+    analogue, and L-hat: floats, or arrays of their values after each epoch."""
 
     eps_u_sum: float = 0.0
     eps_w_sum: float = 0.0
@@ -36,179 +42,252 @@ class BoundAccumulators:
     gnorm_w_sum: float = 0.0
     lipschitz_max: float = 0.0
 
-    def add_w(self, eps_term: float, gnorm_term: float) -> None:
-        if eps_term < 0 or gnorm_term < 0:
-            raise ValueError("accumulator increments must be non-negative")
-        self.eps_w_sum += eps_term
-        self.gnorm_w_sum += gnorm_term
 
-    def add_u(self, eps_term: float, gnorm_term: float) -> None:
-        if eps_term < 0 or gnorm_term < 0:
-            raise ValueError("accumulator increments must be non-negative")
-        self.eps_u_sum += eps_term
-        self.gnorm_u_sum += gnorm_term
-
-    def see_gradients(self, grads: np.ndarray) -> None:
-        """Raise lipschitz_max to the largest norm among grads (..., dim);
-        like a running max() from 0.0, it never takes a NaN norm."""
-        self.lipschitz_max = float(np.fmax.reduce(
-            np.sqrt(sq_norm(grads)), axis=None, initial=self.lipschitz_max))
+# n epochs ts of B tasks, K inner steps, dimension d: meta rates eta (n,);
+# inner rates beta and noise stds std (n, K); the tr and union (all m
+# samples) means tr_mean, un_mean and the variance batch_var of a live
+# minibatch mean (n, B, d); a union probe mean's 4 sum Var, probe_var (n,
+# B); va (n, B, m_va, d); for live steps the minibatch means centre and the
+# noise std_k xi_k (n, K, B, d), and the meta noise z_u (n, d) before its std.
+_Epochs = namedtuple("_Epochs", "ts eta beta std tr_mean un_mean batch_var "
+                                "probe_var va centre noise z_u")
 
 
-def _stack(datasets: Sequence[TaskDataset], split: str) -> np.ndarray:
-    """One split ("tr", "va" or "samples") of every task, (tasks, count, dim)."""
-    return np.stack([getattr(ds, split) for ds in datasets])
+def _draw(env: EnvironmentSpec, cfg: RunConfig, t: int):
+    """Epoch t's samples (B, m, d) and sorted tr and va indices, (P_TASK, t)."""
+    rng = derive_stream(cfg.seed, (P_TASK, t))
+    return sample_datasets(sample_task_means(env, cfg.task_batch, rng),
+                           env, cfg.m, cfg.m_tr, rng)
 
 
-def _advance(u: np.ndarray, model: LossModel, tr: np.ndarray, union: np.ndarray,
-             cfg: RunConfig, t: int, slots: Sequence[int],
-             collect: Optional[BoundAccumulators] = None) -> np.ndarray:
-    """K Langevin steps from U for the tasks of tr and union (tasks, count,
-    dim) in the task slots ``slots``; returns W^0..W^K as a (K+1, 2, tasks,
-    dim) array.
+def _rates(cfg: RunConfig, t: int) -> List[float]:
+    """Epoch t's K inner rates, then its meta rate; with noise, an inner rate
+    that is not positive fails as its noise_std call does."""
+    s = cfg.schedules
+    rates = [s.inner_lr(t, k) for k in range(1, cfg.K + 1)] + [s.outer_lr(t)]
+    if cfg.noise and min(rates[:-1], default=1.0) <= 0:
+        noise_std(min(rates[:-1]), s.gamma_inner)
+    return rates
 
-    Row 0 holds the live paths.  Slot i reads column i of one (K,
-    task_batch, dim) noise draw from (P_NOISE_W, t) and, with inner_batch >
-    0, steps on the minibatches of column i of one (K, task_batch, m_tr)
-    sample_minibatch draw from (P_BATCH, t).  Row 1 is the mean row, E[W^k]:
-    no noise, the whole tr split.  With ``collect``, each live step adds,
-    task by task and step by step, beta*gamma/2 times the expectation over a
-    union probe batch U of ||g_U - g_tr||^2 to eps_w_sum, and of ||g_U||^2 to
-    gnorm_w_sum: the squared norm at the whole union plus the trace
-    4*sum Var(mean(U)) of the probe's covariance.  lipschitz_max sees the
-    union gradient at each live W^k."""
-    w0 = as_vector(u, model.dim)
-    if tr.shape[-2] == 0:
-        raise RuntimeError("dataset has an empty tr split despite m_tr >= 1")
-    s, K, b, tasks = cfg.schedules, cfg.K, cfg.inner_batch, len(tr)
-    live_batch = tr
-    if b:
-        m_tr = tr.shape[-2]
-        pos = sample_minibatch(np.broadcast_to(np.arange(m_tr), (K, cfg.task_batch, m_tr)),
-                               b, derive_stream(cfg.seed, (P_BATCH, t)))[:, slots]
-        live_batch = tr[np.arange(tasks)[:, None], pos]       # (K, tasks, b, dim)
-    # the gradient on a batch is 2 (w - centre), centre the batch mean
-    centre = np.empty((K, 2, tasks, model.dim))
-    centre[:, 0] = live_batch.mean(axis=-2)
-    centre[:, 1] = tr.mean(axis=-2)
-    noise = np.zeros((K, 2, tasks, model.dim))
-    noise[:, 0] = derive_stream(cfg.seed, (P_NOISE_W, t)).standard_normal(
-        (K, cfg.task_batch, model.dim))[:, slots]
-    betas = [s.inner_lr(t, k) for k in range(1, K + 1)]
-    path = np.empty((K + 1, 2, tasks, model.dim))
-    path[0] = w0
-    for k, beta in enumerate(betas):
-        std = noise_std(beta, s.gamma_inner) if cfg.noise else 0.0
-        path[k + 1] = path[k] - beta * (2.0 * (path[k] - centre[k])) + std * noise[k]
-    # a non-finite coordinate stays non-finite in later steps, so this one
-    # check raises wherever the per-step gradient check did
-    if not np.all(np.isfinite(path[-1])):
+
+def _live_draws(cfg: RunConfig, t: int, dim: int, cols=slice(None)):
+    """Slots ``cols`` of epoch t's live noise (K, B, dim), from (P_NOISE_W,
+    t), and live minibatch tr positions (K, B, b) or None, from (P_BATCH, t)."""
+    shape = (cfg.K, cfg.task_batch)
+    pos = (sample_minibatch(np.broadcast_to(np.arange(cfg.m_tr), shape + (cfg.m_tr,)),
+                            cfg.inner_batch, derive_stream(cfg.seed, (P_BATCH, t)))[:, cols]
+           if cfg.inner_batch else None)
+    return derive_stream(cfg.seed, (P_NOISE_W, t)).standard_normal(shape + (dim,))[:, cols], pos
+
+
+def _epochs(cfg: RunConfig, t0: int, samples, tr_idx, va_idx, rates, z, pos, z_u) -> _Epochs:
+    """Pass 1's array ops on the draws of epochs t0, t0 + 1, ...: samples,
+    splits, rates, live noise and positions, meta noise (the last three may
+    be None), each with a leading epoch axis."""
+    beta = rates[:, :-1]
+    std = (np.sqrt(2.0 * beta / cfg.schedules.gamma_inner) if cfg.noise
+           else np.zeros_like(beta))
+    tr = np.take_along_axis(samples, tr_idx[..., None], axis=-2)
+    tr_mean, centre, b = tr.mean(axis=-2), None, cfg.inner_batch
+    if pos is not None:     # the gradient on a batch is 2 (w - its mean)
+        centre = tr[np.arange(len(tr))[:, None, None, None],
+                    np.arange(tr.shape[1])[:, None], pos].mean(axis=-2)
+    elif z is not None:
+        centre = np.broadcast_to(tr_mean[:, None], z.shape)
+    return _Epochs(list(range(t0, t0 + len(tr))), rates[:, -1], beta, std, tr_mean,
+                   samples.mean(axis=-2), minibatch_mean_var(tr, b),
+                   4.0 * minibatch_mean_var(samples, b).sum(axis=-1),
+                   np.take_along_axis(samples, va_idx[..., None], axis=-2), centre,
+                   None if z is None else std[..., None, None] * z, z_u)
+
+
+def _one_epoch(cfg: RunConfig, t: int, task_batch: Sequence[TaskDataset], dim: int,
+               cols=None, z_u=None) -> _Epochs:
+    """Epoch t on the datasets task_batch, with live draws if cols is set."""
+    live = (None, None) if cols is None else _live_draws(cfg, t, dim, cols)
+    epoch = (*(np.stack([getattr(ds, name) for ds in task_batch])
+               for name in ("samples", "tr_indices", "va_indices")), _rates(cfg, t), *live, z_u)
+    return _epochs(cfg, t, *(None if x is None else np.asarray(x)[None] for x in epoch))
+
+
+def _step_live(w: np.ndarray, betas, ep: _Epochs, i: int, path: np.ndarray) -> np.ndarray:
+    """Epoch i's K live steps w - beta_k 2 (w - mean(B_k)) + std_k xi_k from
+    w = U into path (K+1, B, d); returns W^K.  Non-finite stays non-finite,
+    so this one check raises wherever a per-step one did."""
+    path[0] = w
+    for k, (beta, centre, noise) in enumerate(zip(betas, ep.centre[i], ep.noise[i]), 1):
+        w = path[k] = w - beta * (2.0 * (w - centre)) + noise
+    if not np.isfinite(w).all():
         raise ValueError("vector contains NaN/Inf")
+    return w
 
-    if collect is not None:
-        live = path[:-1, 0]                                   # (K, tasks, dim)
-        g_tr = 2.0 * (live - centre[:, 0])
-        g_un = stacked_grad(live, union)
-        probe_var = 4.0 * minibatch_mean_var(union, b).sum(axis=-1)
-        weight = np.array([beta * s.gamma_inner / 2.0 for beta in betas])[:, None]
-        eps = weight * (sq_norm(g_un - g_tr) + probe_var)
-        gn = weight * (sq_norm(g_un) + probe_var)
-        for e, g in zip(eps.T.ravel().tolist(), gn.T.ravel().tolist()):
-            collect.add_w(e, g)
-        collect.see_gradients(g_un)
-    return path
+
+def _variance_rates(betas: Sequence[float], stds: Sequence[float]) -> List[tuple]:
+    """Per step (1 - 2 beta)^2, std^2, 4 beta^2 by float ** (not x * x)."""
+    return [((1.0 - 2.0 * b) ** 2, s ** 2, 4.0 * b ** 2) for b, s in zip(betas, stds)]
+
+
+def _u_loop(u: np.ndarray, ep: _Epochs, cfg: RunConfig):
+    """Pass 2, per epoch: live steps, variance rates, U <- U - eta g_va + xi.
+    Returns U_0..U_n, the live paths (n, K+1, B, d), the variance rates and
+    the failure that stopped it after n epochs."""
+    (B, d), g = ep.tr_mean.shape[1:], cfg.schedules.gamma_outer
+    us, paths = np.empty((len(ep.ts) + 1, d)), np.empty((len(ep.ts), cfg.K + 1, B, d))
+    us[0], va_mean, rates, i = u, ep.va.mean(axis=-2), [], 0
+    try:
+        for i, (t, eta, betas, stds) in enumerate(zip(
+                ep.ts, ep.eta.tolist(), ep.beta.tolist(), ep.std.tolist())):
+            w = _step_live(u, betas, ep, i, paths[i])
+            rates.append(_variance_rates(betas, stds))
+            xi = (noise_std(eta, g) if cfg.noise else 0.0) * ep.z_u[i]
+            u = us[i + 1] = u - eta * (ordered_sum(2.0 * (w - va_mean[i]), -2) / B) + xi
+            if not np.isfinite(u).all():
+                raise FloatingPointError(f"meta parameter became non-finite at epoch {t}")
+    except (ValueError, OverflowError, FloatingPointError) as exc:
+        return us[:i + 1], paths[:i], rates, exc
+    return us, paths, rates, None
+
+
+def _mean_rows(us: np.ndarray, ep: _Epochs) -> np.ndarray:
+    """E[W^K] (n, B, d) after U_0..U_{n-1}: K noise-free steps on all of tr."""
+    n = len(us)
+    w = np.broadcast_to(us[:, None], ep.tr_mean[:n].shape)
+    for k in range(ep.beta.shape[1]):
+        w = w - ep.beta[:n, k, None, None] * (2.0 * (w - ep.tr_mean[:n]))
+    return w
+
+
+def _task_terms(live: np.ndarray, ep: _Epochs, cfg: RunConfig):
+    """Per live step W^k (n, K, B, d): beta gamma/2 times E||g_U - g_tr||^2
+    and E||g_U||^2 over a union probe batch U, the squared norm at the whole
+    union plus the trace 4 sum Var(mean(U)); and |g_union|, for L-hat."""
+    n = len(live)
+    g_un = 2.0 * (live - ep.un_mean[:n, None])
+    weight = (ep.beta[:n] * cfg.schedules.gamma_inner / 2.0)[..., None]
+    sq_un, probe = sq_norm(g_un), ep.probe_var[:n, None]
+    return (weight * (sq_norm(g_un - 2.0 * (live - ep.centre[:n])) + probe),
+            weight * (sq_un + probe), np.sqrt(sq_un))
+
+
+def _meta_terms(w: np.ndarray, ep: _Epochs, rates, cfg: RunConfig):
+    """eta*gamma*E||g_full - g_tr||^2/2 and its g_full-norm analogue per
+    epoch, exact, from the mean rows w = E[W^K] (n, B, d).  g_full - g_tr is
+    fixed by the data.  About w each W_i^K has variance v per coordinate: a
+    step of the gradient 2(w - mean(B)) on a tr minibatch B maps v to
+    (1 - 2 beta)^2 v + std^2 + 4 beta^2 Var(mean(B)).  The noise part is
+    common to every task and coordinate, the minibatch part (0.0 at full
+    batch) is not, and their sum adds the trace 4*sum(v)/B^2 of Cov(g_full)
+    to ||g_full(w)||^2."""
+    n, (B, d) = len(w), w.shape[1:]
+    g_full = ordered_sum(2.0 * (w - ep.un_mean[:n]), -2) / B
+    g_tr = ordered_sum(2.0 * (w - ep.tr_mean[:n]), -2) / B
+    r = np.array(rates[:n], dtype=float).reshape(n, cfg.K, 3)
+    v, v_batch = np.zeros(n), np.zeros_like(ep.batch_var[:n])
+    for k in range(cfg.K):
+        v = r[:, k, 0] * v + r[:, k, 1]
+        v_batch = r[:, k, 0, None, None] * v_batch + r[:, k, 2, None, None] * ep.batch_var[:n]
+    trace = (4.0 * d * v + 4.0 * ordered_sum(v_batch.reshape(n, B * d)) / B) / B
+    weight = ep.eta[:n] * cfg.schedules.gamma_outer / 2.0
+    return weight * sq_norm(g_full - g_tr), weight * (sq_norm(g_full) + trace)
+
+
+def _cumulate(start, terms: np.ndarray) -> np.ndarray:
+    """The running sums (..., n + 1) of ``total = start; for x in terms:
+    total += x``, from start on."""
+    lead = np.broadcast_to(start, terms.shape[:-1] + (1,))
+    return np.cumsum(np.concatenate([lead, terms], axis=-1), axis=-1)
+
+
+def _post_pass(ep: _Epochs, us, paths, rates, failure, acc: BoundAccumulators,
+               cfg: RunConfig):
+    """Pass 3 from the carried state, U_0..U_n and acc, leaving acc at the
+    end state.  The mean rows' W^K check and the train-risk check cut n
+    where the former loop stopped.  Returns the running values as a
+    BoundAccumulators of (n,) arrays, the train risks and the failure."""
+    n, B = len(paths), ep.tr_mean.shape[1]
+    w_mean = _mean_rows(us[:len(ep.ts)], ep)
+    bad = np.flatnonzero(~np.isfinite(w_mean).all(axis=(1, 2)))
+    if bad.size:
+        n, failure = bad[0], ValueError("vector contains NaN/Inf")
+    risk = np.mean(stacked_risk(paths[:n, -1], ep.va[:n]), axis=-1)
+    bad = np.flatnonzero(~np.isfinite(risk))
+    if bad.size:
+        n, failure = bad[0], FloatingPointError(
+            f"meta parameter became non-finite at epoch {ep.ts[bad[0]]}")
+    eps_w, gn_w, norms = _task_terms(paths[:n, :-1], ep, cfg)
+    g_full = ordered_sum(2.0 * (paths[:n, -1] - ep.un_mean[:n]), -2) / B
+    # task-level terms add task by task, step by step, then / B
+    eps_w, gn_w = (_cumulate(0.0, x.transpose(0, 2, 1).reshape(n, cfg.K * B))[:, -1] / B
+                   for x in (eps_w, gn_w))
+    seen = np.concatenate([norms.reshape(n, cfg.K * B), np.sqrt(sq_norm(g_full))[:, None]], 1)
+    eps_u, gn_u = _meta_terms(w_mean[:n], ep, rates, cfg)
+    run = BoundAccumulators(
+        *(_cumulate(getattr(acc, f.name), x)[1:]
+          for f, x in zip(fields(acc), (eps_u, eps_w, gn_u, gn_w))),
+        np.fmax.accumulate(np.concatenate([[acc.lipschitz_max],
+                                           np.fmax.reduce(seen, axis=1)]))[1:])
+    if n:
+        for f in fields(acc):
+            setattr(acc, f.name, float(getattr(run, f.name)[-1]))
+    return run, risk[:n], failure
 
 
 def inner_adapt(u: np.ndarray, model: LossModel, ds: TaskDataset, cfg: RunConfig,
                 t: int, task_slot: int,
                 collect: Optional[BoundAccumulators] = None) -> np.ndarray:
-    """The live path of K Langevin steps from U on tr-source batches for one
-    task, W^0..W^K as a (K+1, dim) array; ``collect`` gathers the task-level
-    probe terms as in ``_advance``."""
+    """The live path of K Langevin steps from U for one task in slot
+    ``task_slot`` of epoch t, W^0..W^K as a (K+1, dim) array; ``collect``
+    adds its task-level terms and union-gradient norms as a run does."""
     if not 0 <= task_slot < cfg.task_batch:
         raise ValueError(f"task_slot must be in [0, {cfg.task_batch}), got {task_slot}")
-    return _advance(u, model, ds.tr[None], ds.samples[None], cfg, t, [task_slot],
-                    collect)[:, 0, 0]
-
-
-def _mean_grad(w: np.ndarray, split: np.ndarray) -> np.ndarray:
-    """The task-batch mean of the gradients at w (tasks, dim) on the split
-    (tasks, count, dim)."""
-    return ordered_sum(stacked_grad(w, split), -2) / len(split)
-
-
-def _eps_u_terms(w: np.ndarray, tr: np.ndarray, union: np.ndarray,
-                 cfg: RunConfig, t: int) -> Tuple[float, float]:
-    """eta*gamma*E||g_full - g_tr||^2/2 and its g_full-norm analogue, exact,
-    from the mean row w = E[W^K] (tasks, dim).  g_full - g_tr is fixed by the
-    data.  About w each W_i^K has variance v per coordinate: a step of the
-    gradient 2(w - mean(B)) on a tr minibatch B maps v to (1 - 2 beta)^2 v +
-    std^2 + 4 beta^2 Var(mean(B)).  The noise part is common to every task
-    and coordinate, the minibatch part (0.0 at full batch) is not, and their
-    sum adds the trace 4*sum(v)/B^2 of Cov(g_full) to ||g_full(w)||^2."""
-    g_full, g_tr = _mean_grad(w, union), _mean_grad(w, tr)
-    s, bt = cfg.schedules, len(tr)
-    batch_var = minibatch_mean_var(tr, cfg.inner_batch)
-    v, v_batch = 0.0, np.zeros_like(batch_var)
-    for k in range(1, cfg.K + 1):
-        beta = s.inner_lr(t, k)
-        std = noise_std(beta, s.gamma_inner) if cfg.noise else 0.0
-        decay = (1.0 - 2.0 * beta) ** 2
-        v = decay * v + std ** 2
-        v_batch = decay * v_batch + 4.0 * beta ** 2 * batch_var
-    trace = (4.0 * w.shape[-1] * v + 4.0 * ordered_sum(v_batch.ravel()) / bt) / bt
-    weight = s.outer_lr(t) * s.gamma_outer / 2.0
-    return (float(weight * sq_norm(g_full - g_tr)),
-            float(weight * (sq_norm(g_full) + trace)))
+    ep = _one_epoch(cfg, t, [ds], model.dim, slice(task_slot, task_slot + 1))
+    path = np.empty((cfg.K + 1, 1, model.dim))
+    _step_live(as_vector(u, model.dim), ep.beta[0].tolist(), ep, 0, path)
+    if collect is not None:
+        eps, gn, norms = (x.ravel() for x in _task_terms(path[None, :-1], ep, cfg))
+        collect.eps_w_sum = float(_cumulate(collect.eps_w_sum, eps)[-1])
+        collect.gnorm_w_sum = float(_cumulate(collect.gnorm_w_sum, gn)[-1])
+        collect.lipschitz_max = float(np.fmax.reduce(norms, initial=collect.lipschitz_max))
+    return path[:, 0]
 
 
 def estimate_eps_u(u: np.ndarray, model: LossModel,
                    task_batch: Sequence[TaskDataset], cfg: RunConfig, t: int
                    ) -> Tuple[float, float]:
     """The exact terms eta*gamma*E||eps^u||^2/2 and the g_full-norm analogue
-    of a task batch adapted from U."""
+    of a task batch adapted from U, from its mean row alone."""
     if len(task_batch) == 0:
         raise ValueError("task_batch must be non-empty")
-    tr, union = _stack(task_batch, "tr"), _stack(task_batch, "samples")
-    path = _advance(u, model, tr, union, cfg, t, range(len(task_batch)))
-    return _eps_u_terms(path[-1, 1], tr, union, cfg, t)
+    ep = _one_epoch(cfg, t, task_batch, model.dim)
+    w = _mean_rows(as_vector(u, model.dim)[None], ep)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("vector contains NaN/Inf")
+    rates = [_variance_rates(ep.beta[0].tolist(), ep.std[0].tolist())]
+    eps_u, gn_u = _meta_terms(w, ep, rates, cfg)
+    return float(eps_u[0]), float(gn_u[0])
 
 
 def outer_step(u: np.ndarray, model: LossModel,
                task_batch: Sequence[TaskDataset], cfg: RunConfig, t: int,
                acc: BoundAccumulators) -> Tuple[np.ndarray, float]:
-    """One meta iteration: live inner paths (collecting task-level terms,
-    averaged over the task batch), the meta-level terms from the mean row,
-    then a Langevin meta-step on the va-evaluated first-order meta-gradient.
-
-    Returns the new U and the mean va risk of the adapted parameters.
-    """
+    """One meta iteration, a one-epoch run adding its increments to acc.
+    Returns the new U and the mean va risk of the adapted parameters."""
     if len(task_batch) != cfg.task_batch:
         raise ValueError(f"expected {cfg.task_batch} tasks, got {len(task_batch)}")
     if cfg.m_va < 1:
         raise ConfigurationError("outer update needs m_va >= 1 (va split empty)")
-    s = cfg.schedules
-    bt = len(task_batch)
-    tr, va, union = (_stack(task_batch, split) for split in ("tr", "va", "samples"))
-    task_acc = BoundAccumulators()
-    w, w_mean = _advance(u, model, tr, union, cfg, t, range(bt), collect=task_acc)[-1]
-    acc.add_w(task_acc.eps_w_sum / bt, task_acc.gnorm_w_sum / bt)
-    acc.lipschitz_max = max(acc.lipschitz_max, task_acc.lipschitz_max)
-    acc.add_u(*_eps_u_terms(w_mean, tr, union, cfg, t))
-    acc.see_gradients(_mean_grad(w, union))   # g_full at the live W^K
-
-    eta = s.outer_lr(t)
-    std = noise_std(eta, s.gamma_outer) if cfg.noise else 0.0
-    xi = std * derive_stream(cfg.seed, (P_NOISE_U, t)).standard_normal(model.dim)
-    return u - eta * _mean_grad(w, va) + xi, float(np.mean(stacked_risk(w, va)))
+    ep = _one_epoch(cfg, t, task_batch, model.dim, slice(None),
+                    derive_stream(cfg.seed, (P_NOISE_U, t)).standard_normal(model.dim))
+    us, *walk = _u_loop(as_vector(u, model.dim), ep, cfg)
+    _, risk, failure = _post_pass(ep, us, *walk, acc, cfg)
+    if failure is not None:
+        raise failure
+    return us[-1], float(risk[0])
 
 
 def draw_task_batch(env: EnvironmentSpec, cfg: RunConfig, t: int) -> List[TaskDataset]:
     """Fresh tasks and datasets for outer iteration t, all from (P_TASK, t)."""
-    rng = derive_stream(cfg.seed, (P_TASK, t))
-    parts = sample_datasets(sample_task_means(env, cfg.task_batch, rng),
-                            env, cfg.m, cfg.m_tr, rng)
-    return [TaskDataset(*task) for task in zip(*parts)]
+    return [TaskDataset(*task) for task in zip(*_draw(env, cfg, t))]
 
 
 def run_meta_sgld(cfg: RunConfig, env: EnvironmentSpec,
@@ -227,37 +306,47 @@ def run_meta_sgld(cfg: RunConfig, env: EnvironmentSpec,
         if np.isinf(getattr(cfg.schedules, name)):
             raise UndefinedBoundError(f"{name} = inf weights every bound increment by "
                                       "inf; set noise = false to run without noise")
-    model = LossModel(dim=env.dim)
     sg = bounds_mod.subgaussian_mean_estimation(env, cfg.schedules.beta0)
     u = (np.array(cfg.init_u, dtype=float) if cfg.init_u is not None
          else np.zeros(env.dim))
     if u.shape != (env.dim,):
         raise ConfigurationError(f"init_u must have length {env.dim}")
 
-    acc = BoundAccumulators()
-    records: List[RunRecord] = []
+    draws, failure, n = [], None, 0
     for t in range(1, cfg.T + 1):
-        task_batch = draw_task_batch(env, cfg, t)
-        u, train_risk = outer_step(u, model, task_batch, cfg, t, acc)
-        if not (np.all(np.isfinite(u)) and np.isfinite(train_risk)):
-            raise FloatingPointError(f"meta parameter became non-finite at epoch {t}")
-        ab = bounds_mod.assemble_alt_bound(acc, sg, cfg.n, cfg.m_va)
-
-        train_loss = test_loss = gap = None
+        try:
+            epoch = (*_draw(env, cfg, t), _rates(cfg, t), *_live_draws(cfg, t, env.dim),
+                     derive_stream(cfg.seed, (P_NOISE_U, t)).standard_normal(env.dim))
+        except (ValueError, OverflowError) as exc:
+            failure = exc
+            break
+        # whole-run arrays from the start, so no epoch's arrays outlive it
+        draws = draws or [None if x is None else np.empty((cfg.T,) + np.shape(x),
+                                                            np.asarray(x).dtype) for x in epoch]
+        for whole, x in zip(draws, epoch):
+            if whole is not None:
+                whole[t - 1] = x
+        n = t
+    if not n:                                   # T = 0, or epoch 1 failed
+        if failure is not None:
+            raise failure
+        return [], u
+    ep = _epochs(cfg, 1, *(None if x is None else x[:n] for x in draws))
+    del draws
+    us, paths, rates, loop_failure = _u_loop(u, ep, cfg)
+    run, _, failure = _post_pass(ep, us, paths, rates, loop_failure or failure,
+                                 BoundAccumulators(), cfg)
+    ab = bounds_mod.assemble_alt_bound(run, sg, cfg.n, cfg.m_va)
+    gaps = {}
+    for t in ep.ts[:len(run.eps_u_sum)]:
         if eval_cadence > 0 and (t % eval_cadence == 0 or t == cfg.T):
             rep = evaluate_mod.observed_gap(
-                u, env, cfg, n_train_probe, n_test,
+                us[t], env, cfg, n_train_probe, n_test,
                 test_stream=derive_stream(cfg.seed, (P_TEST, t)),
                 train_stream=derive_stream(cfg.seed, (P_TRAIN_PROBE, t)))
-            train_loss, test_loss, gap = rep.train_loss, rep.test_loss, rep.gap
-
-        records.append(RunRecord(
-            epoch=t,
-            eps_u=acc.eps_u_sum, eps_w=acc.eps_w_sum,
-            gnorm_u=acc.gnorm_u_sum, gnorm_w=acc.gnorm_w_sum,
-            lipschitz=acc.lipschitz_max,
-            bound_u=ab.bound_u, bound_w=ab.bound_w, bound_total=ab.bound_total,
-            gnorm_bound_u=ab.gnorm_u, gnorm_bound_w=ab.gnorm_w,
-            gnorm_bound_total=ab.gnorm_total,
-            train_loss=train_loss, test_loss=test_loss, gap=gap))
-    return records, u
+            gaps[t] = (rep.train_loss, rep.test_loss, rep.gap)
+    if failure is not None:
+        raise failure
+    columns = [getattr(x, f.name).tolist() for x in (run, ab) for f in fields(x)]
+    return ([RunRecord(t, *row, *gaps.get(t, (None,) * 3))
+             for t, *row in zip(ep.ts, *columns)], us[-1])

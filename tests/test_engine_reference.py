@@ -18,15 +18,18 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from metasgld.core import (P_BATCH, P_NOISE_U, P_NOISE_W, P_TASK,
-                           DECAY_CONSTANT, DECAY_INVERSE_T, RunConfig,
-                           Schedules, derive_stream, noise_std)
-from metasgld.evaluate import adapt_eval
+from metasgld.bounds import assemble_alt_bound, subgaussian_mean_estimation
+from metasgld.core import (P_BATCH, P_NOISE_U, P_NOISE_W, P_TASK, P_TEST,
+                           P_TRAIN_PROBE, DECAY_CONSTANT, DECAY_EXPONENTIAL,
+                           DECAY_INVERSE_T, RunConfig, Schedules, derive_stream,
+                           noise_std)
+from metasgld.evaluate import adapt_eval, observed_gap
 from metasgld.joint_sgld import (GradBoundTracker, JointConfig, JointRecord,
                                  joint_bound, joint_closed_form,
                                  joint_loss_grad, mi_step_term, run_joint_sgld)
 from metasgld.meta_sgld import (BoundAccumulators, draw_task_batch,
-                                estimate_eps_u, inner_adapt, outer_step)
+                                estimate_eps_u, inner_adapt, outer_step,
+                                run_meta_sgld)
 from metasgld.model import LossModel
 from metasgld.task_env import (EnvironmentSpec, TaskDataset,
                                minibatch_mean_var, sample_datasets,
@@ -280,6 +283,86 @@ def test_non_finite_paths_raise_the_gradient_check_error():
     with pytest.raises(ValueError, match="NaN/Inf"):
         adapt_eval(np.array([np.inf, 0.0]), MODEL, ENV, make_cfg(), 3,
                    derive_stream(3, [9]))
+
+
+# ------------------------------------------------------------ the whole run
+#
+# run_meta_sgld draws every epoch first, then advances U alone, then takes
+# every increment over the whole epoch axis.  The per-epoch trainer it
+# replaced is a loop of draw_task_batch, outer_step, assemble_alt_bound and
+# observed_gap; its records and U are the reference, bit for bit.
+
+def ref_run(cfg, eval_cadence, n_eval=30):
+    sg = subgaussian_mean_estimation(ENV, cfg.schedules.beta0)
+    u = np.array(cfg.init_u if cfg.init_u is not None else (0.0, 0.0))
+    acc, records = BoundAccumulators(), []
+    for t in range(1, cfg.T + 1):
+        u, risk = outer_step(u, MODEL, draw_task_batch(ENV, cfg, t), cfg, t, acc)
+        if not (np.all(np.isfinite(u)) and np.isfinite(risk)):
+            raise FloatingPointError(f"meta parameter became non-finite at epoch {t}")
+        gap = (None,) * 3
+        if eval_cadence > 0 and (t % eval_cadence == 0 or t == cfg.T):
+            rep = observed_gap(u, ENV, cfg, n_eval, n_eval,
+                               test_stream=derive_stream(cfg.seed, (P_TEST, t)),
+                               train_stream=derive_stream(cfg.seed, (P_TRAIN_PROBE, t)))
+            gap = (rep.train_loss, rep.test_loss, rep.gap)
+        records.append((t, acc.eps_u_sum, acc.eps_w_sum, acc.gnorm_u_sum,
+                        acc.gnorm_w_sum, acc.lipschitz_max,
+                        *astuple(assemble_alt_bound(acc, sg, cfg.n, cfg.m_va)), *gap))
+    return records, u
+
+
+def as_bits(rows):
+    """Each value's float repr, so the sign of zero and every bit count."""
+    return [tuple(v if v is None or isinstance(v, int) else repr(float(v)) for v in row)
+            for row in rows]
+
+
+@pytest.mark.parametrize("decay_rule,inner_batch,K,task_batch", itertools.product(
+    (DECAY_CONSTANT, DECAY_INVERSE_T, DECAY_EXPONENTIAL), (0, 3), (0, 4), (1, 5)))
+def test_run_matches_per_epoch_loop(decay_rule, inner_batch, K, task_batch):
+    cfg = replace(make_cfg(inner_batch=inner_batch, K=K, task_batch=task_batch), T=5,
+                  schedules=Schedules(eta0=0.2, beta0=0.3, gamma_outer=1e4,
+                                      gamma_inner=25.0, decay_rule=decay_rule,
+                                      decay_c=0.4, decay_rate=0.8))
+    records, u = run_meta_sgld(cfg, ENV, eval_cadence=2, n_test=30, n_train_probe=30)
+    want, want_u = ref_run(cfg, eval_cadence=2)
+    assert as_bits(astuple(r) for r in records) == as_bits(want)
+    assert u.tobytes() == want_u.tobytes()
+
+
+# Diverging runs, with the error and epoch the per-epoch trainer (layout 4)
+# raised: exponential decay with a huge rate makes the rates jump by that
+# factor each epoch.  (eta0, beta0, K, decay_rate, eval_cadence, T, the
+# last T that runs through, error, message)
+DIVERGING = {
+    # the inner paths overflow first
+    "inner": (1e-90, 1e-60, 4, 1e30, 0, 6, 3, ValueError, "NaN/Inf"),
+    "u": (1e-60, 1e-200, 4, 1e30, 0, 7, 5, FloatingPointError, "at epoch 6$"),
+    # the live W^K is finite, its va risk is not; U stays finite
+    "train_risk": (1e-300, 1e-20, 2, 1e40, 0, 5, 2, FloatingPointError, "at epoch 3$"),
+    # the rates overflow at epoch 4, after U did at epoch 3
+    "u_before_rates": (1e-95, 1e40, 0, 1e100, 0, 6, 2, FloatingPointError, "at epoch 3$"),
+    # the gap evaluation at epoch 2 overflows (beta0 = 1e40) before U does
+    "eval": (1e-95, 1e40, 0, 1e100, 2, 3, 0, ValueError, "NaN/Inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIVERGING))
+def test_diverging_run_raises_where_the_per_epoch_loop_did(case):
+    eta0, beta0, K, rate, cadence, T, last_ok, error, match = DIVERGING[case]
+    cfg = replace(make_cfg(K=K, task_batch=3), init_u=(-4.0, -4.0), seed=5,
+                  schedules=Schedules(eta0=eta0, beta0=beta0, gamma_outer=1e4,
+                                      gamma_inner=1e4, decay_rule=DECAY_EXPONENTIAL,
+                                      decay_rate=rate, decay_period=1.0))
+    with np.errstate(all="ignore"):
+        if last_ok:
+            run_meta_sgld(replace(cfg, T=last_ok), ENV, eval_cadence=cadence)
+        with pytest.raises(error, match=match):
+            run_meta_sgld(replace(cfg, T=T), ENV, eval_cadence=cadence,
+                          n_test=30, n_train_probe=30)
+        with pytest.raises(error, match=match):
+            ref_run(replace(cfg, T=T), eval_cadence=cadence)
 
 
 # ------------------------------------------------------------ Monte-Carlo oracles
