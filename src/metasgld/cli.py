@@ -17,7 +17,7 @@ from . import __version__
 from . import bounds as bounds_mod
 from . import joint_sgld as joint_mod
 from . import meta_sgld as meta_mod
-from .core import ConfigurationError, RunConfig, Schedules
+from .core import RunConfig, Schedules
 from .records import RunRecord, format_value, read_csv, write_csv
 from .task_env import EnvironmentSpec
 
@@ -210,13 +210,9 @@ def _provenance(cfg: ExperimentConfig) -> List[str]:
     # whole from one address per (purpose, t)
     lines = [f"mode = {cfg.mode}", f"name = {cfg.name}", "stream_layout = 4",
              f"version = {__version__}"]
-    env = cfg.env
-    lines += [f"env.dim = {env.dim}",
-              f"env.mean = {tuple(env.env_mean.tolist())}",
-              f"env.cov_scale = {env.env_cov_scale}",
-              f"env.trunc_lo = {tuple(env.trunc_lo.tolist())}",
-              f"env.trunc_hi = {tuple(env.trunc_hi.tolist())}",
-              f"env.task_cov_scale = {env.task_cov_scale}"]
+    for key, (name, _) in _ENV_KEYS.items():    # vectors as plain-float tuples
+        value = getattr(cfg.env, name)
+        lines.append(f"env.{key} = {tuple(value.tolist()) if np.ndim(value) else value}")
     rc = cfg.run if cfg.mode == MODE_ALTERNATE else cfg.joint
     for field_name, value in sorted(vars(rc).items()):
         lines.append(f"run.{field_name} = {value}")
@@ -347,11 +343,8 @@ def compare_splits(configs: Sequence[ExperimentConfig]) -> List[dict]:
             raise ValueError(
                 f"presets must share T: {ref.name} has T={ref.run.T}, "
                 f"{c.name} has T={c.run.T}")
-        if (c.env.dim != ref.env.dim
-                or not all(np.array_equal(getattr(c.env, box), getattr(ref.env, box))
-                           for box in ("env_mean", "trunc_lo", "trunc_hi"))
-                or c.env.env_cov_scale != ref.env.env_cov_scale
-                or c.env.task_cov_scale != ref.env.task_cov_scale):
+        if not all(np.array_equal(getattr(c.env, f.name), getattr(ref.env, f.name))
+                   for f in fields(EnvironmentSpec)):
             raise ValueError(f"presets must share the environment ({c.name} differs)")
     rows = []
     for c in configs:
@@ -390,9 +383,9 @@ def _print_comparison(rows: List[dict], out=sys.stdout) -> None:
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     from dataclasses import replace
-    if getattr(args, "eval_cadence", None) is not None:
+    if args.eval_cadence is not None:
         cfg = replace(cfg, outputs=replace(cfg.outputs, eval_cadence=args.eval_cadence))
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         if cfg.mode == MODE_ALTERNATE:
             cfg = replace(cfg, run=replace(cfg.run, seed=args.seed))
         else:
@@ -412,11 +405,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Meta-learning Langevin trainers with online "
                     "generalization-bound tracking")
     sub = parser.add_subparsers(dest="command", required=True)
+    overrides = argparse.ArgumentParser(add_help=False)   # run and compare
+    overrides.add_argument("--seed", type=int, default=None)
+    overrides.add_argument("--eval-cadence", type=int, default=None)
 
-    p_run = sub.add_parser("run", help="run one experiment config")
+    p_run = sub.add_parser("run", parents=[overrides], help="run one experiment config")
     p_run.add_argument("config", help="config file path or shipped preset name")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--eval-cadence", type=int, default=None)
 
     p_plot = sub.add_parser("plot", help="render CSV columns to SVG")
     p_plot.add_argument("csv")
@@ -424,10 +418,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="comma-separated column names")
     p_plot.add_argument("--out", required=True)
 
-    p_cmp = sub.add_parser("compare", help="run several presets and summarize")
+    p_cmp = sub.add_parser("compare", parents=[overrides],
+                           help="run several presets and summarize")
     p_cmp.add_argument("configs", nargs="+")
-    p_cmp.add_argument("--seed", type=int, default=None)
-    p_cmp.add_argument("--eval-cadence", type=int, default=None)
 
     args = parser.parse_args(argv)
     try:
@@ -440,8 +433,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfgs = [_apply_overrides(_load(c), args) for c in args.configs]
         _print_comparison(compare_splits(cfgs))
         return 0
-    except (ConfigParseError, ConfigurationError, ValueError,
-            FileNotFoundError, FloatingPointError) as exc:
+    except (ValueError, ArithmeticError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -84,24 +84,26 @@ class Schedules:
             raise ValueError("exponential decay needs rate > 0 and period > 0")
 
     def outer_lr(self, t: int) -> float:
-        if t < 1:
-            raise ValueError(f"iteration index t must be >= 1, got {t}")
-        if self.decay_rule == DECAY_CONSTANT:
-            return self.eta0
-        if self.decay_rule == DECAY_INVERSE_T:
-            return self.decay_c / t
-        return self.eta0 * self.decay_rate ** (t / self.decay_period)
+        return self._rate(self.eta0, t, 1)
 
     def inner_lr(self, t: int, k: int) -> float:
+        return self._rate(self.beta0, t, k)
+
+    def _rate(self, base: float, t: int, k: int) -> float:
+        """The decay rule from base; the outer rate is the case k = 1."""
         if t < 1:
             raise ValueError(f"iteration index t must be >= 1, got {t}")
         if k < 1:
             raise ValueError(f"inner index k must be >= 1, got {k}")
         if self.decay_rule == DECAY_CONSTANT:
-            return self.beta0
+            return base
         if self.decay_rule == DECAY_INVERSE_T:
             return self.decay_c / (t * k)
-        return self.beta0 * self.decay_rate ** (t / self.decay_period)
+        try:
+            return base * self.decay_rate ** (t / self.decay_period)
+        except OverflowError:
+            raise OverflowError(
+                f"decay_rate ** (t / decay_period) overflows at t = {t}") from None
 
 
 def noise_std(lr: float, gamma: float) -> float:

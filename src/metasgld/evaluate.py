@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RunConfig, as_vector, ordered_sum
-from .model import LossModel, stacked_risk
+from .model import descend, stacked_risk
 from .task_env import EnvironmentSpec, sample_datasets, sample_task_means
 
 
@@ -22,13 +22,14 @@ class GapReport:
             raise ValueError("gap must equal test_loss - train_loss exactly")
 
 
-def adapt_eval(u: np.ndarray, model: LossModel, env: EnvironmentSpec,
-               cfg: RunConfig, n_tasks: int, rng: np.random.Generator,
+def adapt_eval(u: np.ndarray, env: EnvironmentSpec, cfg: RunConfig,
+               n_tasks: int, rng: np.random.Generator,
                eval_source: str = "va") -> float:
     """Average risk after noiseless tr-split fine-tuning on fresh tasks.
 
     All n_tasks means, then their datasets, are drawn from rng as whole
-    arrays; all tasks adapt at once.
+    arrays; all tasks adapt at once.  A loss that overflows raises
+    FloatingPointError.
 
     ``eval_source`` selects the split the adapted parameter is scored on:
     "va" (held-out) for test loss, "tr" (the data actually fitted) for the
@@ -45,12 +46,14 @@ def adapt_eval(u: np.ndarray, model: LossModel, env: EnvironmentSpec,
     tr = np.take_along_axis(samples, tr_idx[..., None], axis=1)
     batch = (np.take_along_axis(samples, va_idx[..., None], axis=1)
              if eval_source == "va" else tr)
-    w, tr_mean = as_vector(u, model.dim), tr.mean(axis=-2)
-    for _ in range(cfg.test_adapt_steps):    # the gradient on tr is 2 (w - its mean)
-        w = w - cfg.schedules.beta0 * (2.0 * (w - tr_mean))
+    w = descend(as_vector(u, env.dim), [cfg.schedules.beta0] * cfg.test_adapt_steps,
+                tr.mean(axis=-2))
     if not np.all(np.isfinite(w)):
         raise ValueError("vector contains NaN/Inf")
-    return float(ordered_sum(stacked_risk(w, batch))) / n_tasks
+    loss = float(ordered_sum(stacked_risk(w, batch))) / n_tasks
+    if not np.isfinite(loss):
+        raise FloatingPointError(f"gap evaluation overflowed: {eval_source} loss is {loss}")
+    return loss
 
 
 def observed_gap(u: np.ndarray, env: EnvironmentSpec, cfg: RunConfig,
@@ -63,10 +66,7 @@ def observed_gap(u: np.ndarray, env: EnvironmentSpec, cfg: RunConfig,
     side on the support (tr) data they were fitted to, so the gap measures
     how much held-out performance trails fitted performance.
     """
-    model = LossModel(dim=env.dim)
-    test_loss = adapt_eval(u, model, env, cfg, n_test, test_stream,
-                           eval_source="va")
-    train_loss = adapt_eval(u, model, env, cfg, n_train_probe, train_stream,
-                            eval_source="tr")
+    test_loss = adapt_eval(u, env, cfg, n_test, test_stream, eval_source="va")
+    train_loss = adapt_eval(u, env, cfg, n_train_probe, train_stream, eval_source="tr")
     return GapReport(train_loss=train_loss, test_loss=test_loss,
                      gap=test_loss - train_loss)

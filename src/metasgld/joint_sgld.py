@@ -153,10 +153,6 @@ class JointConfig:
             raise ValueError(f"fixed_l must be finite and >= 0, got {self.fixed_l}")
 
 
-def sigma_value(cfg: JointConfig, eta_t: float) -> float:
-    return math.sqrt(eta_t) if cfg.sigma_rule == SIGMA_SQRT_ETA else cfg.sigma0
-
-
 @dataclass(frozen=True)
 class JointRecord:
     t: int
@@ -181,10 +177,10 @@ def run_joint_sgld(cfg: JointConfig, env: EnvironmentSpec,
     s = cfg.schedules
     closed_form_available = s.decay_rule == DECAY_INVERSE_T and cfg.sigma_rule == SIGMA_SQRT_ETA
 
-    records: List[JointRecord] = []
+    records, mi_sum = [], 0.0
     for t in range(1, cfg.T + 1):
         eta = s.outer_lr(t)
-        sigma = sigma_value(cfg, eta)
+        sigma = math.sqrt(eta) if cfg.sigma_rule == SIGMA_SQRT_ETA else cfg.sigma0
         grad = joint_loss_grad(phi, data, cfg.coupling)
         l_hat = tracker.observe(np.linalg.norm(grad))
         try:
@@ -192,16 +188,16 @@ def run_joint_sgld(cfg: JointConfig, env: EnvironmentSpec,
         except OverflowError:
             raise FloatingPointError(
                 f"information step term overflowed at step {t}") from None
-        tracker.per_step_terms.append(term)
+        mi_sum += term
         phi = joint_sgld_step(phi, grad, eta, sigma, noise_rng)
         if not np.all(np.isfinite(phi)):
             raise FloatingPointError(f"joint parameter became non-finite at step {t}")
 
-        bound = joint_bound(tracker.mi_sum, sigma_sg, cfg.n, cfg.m)
+        bound = joint_bound(mi_sum, sigma_sg, cfg.n, cfg.m)
         cf = (joint_closed_form(sigma_sg, l_hat, cfg.n, cfg.m, s.decay_c, t)
               if closed_form_available else float("nan"))
         train = float(np.mean(stacked_risk(phi[1:], data)))
         records.append(JointRecord(t=t, l_hat=l_hat, mi_step_term=term,
-                                   mi_sum=tracker.mi_sum, joint_bound=bound,
+                                   mi_sum=mi_sum, joint_bound=bound,
                                    closed_form=cf, train_risk=train))
     return records

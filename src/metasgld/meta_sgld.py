@@ -23,7 +23,7 @@ import numpy as np
 from .core import (ConfigurationError, P_BATCH, P_NOISE_U, P_NOISE_W,
                    P_TASK, P_TEST, P_TRAIN_PROBE, RunConfig, UndefinedBoundError,
                    as_vector, derive_stream, noise_std, ordered_sum, sq_norm)
-from .model import LossModel, stacked_risk
+from .model import LossModel, descend, stacked_risk
 from .task_env import (EnvironmentSpec, TaskDataset, minibatch_mean_var,
                        sample_datasets, sample_minibatch, sample_task_means)
 from . import bounds as bounds_mod
@@ -151,10 +151,8 @@ def _u_loop(u: np.ndarray, ep: _Epochs, cfg: RunConfig):
 def _mean_rows(us: np.ndarray, ep: _Epochs) -> np.ndarray:
     """E[W^K] (n, B, d) after U_0..U_{n-1}: K noise-free steps on all of tr."""
     n = len(us)
-    w = np.broadcast_to(us[:, None], ep.tr_mean[:n].shape)
-    for k in range(ep.beta.shape[1]):
-        w = w - ep.beta[:n, k, None, None] * (2.0 * (w - ep.tr_mean[:n]))
-    return w
+    return descend(np.broadcast_to(us[:, None], ep.tr_mean[:n].shape),
+                   ep.beta[:n].T[..., None, None], ep.tr_mean[:n])
 
 
 def _task_terms(live: np.ndarray, ep: _Epochs, cfg: RunConfig):
@@ -340,10 +338,13 @@ def run_meta_sgld(cfg: RunConfig, env: EnvironmentSpec,
     gaps = {}
     for t in ep.ts[:len(run.eps_u_sum)]:
         if eval_cadence > 0 and (t % eval_cadence == 0 or t == cfg.T):
-            rep = evaluate_mod.observed_gap(
-                us[t], env, cfg, n_train_probe, n_test,
-                test_stream=derive_stream(cfg.seed, (P_TEST, t)),
-                train_stream=derive_stream(cfg.seed, (P_TRAIN_PROBE, t)))
+            try:
+                rep = evaluate_mod.observed_gap(
+                    us[t], env, cfg, n_train_probe, n_test,
+                    test_stream=derive_stream(cfg.seed, (P_TEST, t)),
+                    train_stream=derive_stream(cfg.seed, (P_TRAIN_PROBE, t)))
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"{exc} at epoch {t}") from None
             gaps[t] = (rep.train_loss, rep.test_loss, rep.gap)
     if failure is not None:
         raise failure

@@ -40,6 +40,14 @@ def stacked_grad(w: np.ndarray, batch: np.ndarray) -> np.ndarray:
     return 2.0 * (w - batch.mean(axis=-2))
 
 
+def descend(w: np.ndarray, rates, mean: np.ndarray) -> np.ndarray:
+    """Noise-free steps w <- w - rate 2 (w - mean), one per rate: gradient
+    descent on the risk of a batch whose mean is mean."""
+    for rate in rates:
+        w = w - rate * (2.0 * (w - mean))
+    return w
+
+
 def finite_diff_grad(model: LossModel, w, batch, h: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of batch_risk, the test oracle for batch_grad."""
     if h <= 0:

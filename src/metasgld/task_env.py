@@ -53,10 +53,6 @@ class TaskDataset:
     va_indices: np.ndarray         # (m_va,)
 
     @property
-    def m(self) -> int:
-        return self.samples.shape[0]
-
-    @property
     def tr(self) -> np.ndarray:
         return self.samples[self.tr_indices]
 

@@ -420,11 +420,17 @@ class TestCompareSplits:
             compare_splits([a, b])
 
     @pytest.mark.parametrize("box,value", [("trunc_lo", "-11, -12"),
-                                           ("trunc_hi", "4, 5")])
+                                           ("trunc_hi", "4, 5"),
+                                           ("mean", "-4, -3"),
+                                           ("cov_scale", "4.0"),
+                                           ("task_cov_scale", "0.2")])
     def test_mismatched_truncation_box_rejected(self, tmp_path, box, value):
         a = parse_config(tiny_config(tmp_path, T=2, name="c5.csv"))
         text = tiny_config(tmp_path, T=2, name="c6.csv")
-        b = parse_config(re.sub(rf"{box} = .*", f"{box} = {value}", text))
+        # anchored, so cov_scale leaves task_cov_scale alone
+        b = parse_config(re.sub(rf"^{box} = .*$", f"{box} = {value}", text, flags=re.M))
+        assert sum(not np.array_equal(getattr(a.env, f.name), getattr(b.env, f.name))
+                   for f in fields(EnvironmentSpec)) == 1
         with pytest.raises(ValueError, match="share the environment"):
             compare_splits([a, b])
 
@@ -488,6 +494,34 @@ class TestMain:
         cfg_file.write_text(text.replace("T = 500", f"T = {step - 1}"))
         with np.errstate(all="ignore"):
             assert main(["run", str(cfg_file)]) == 0
+
+    @pytest.mark.parametrize("edits,message", [
+        # the exponential decay overflows the float range at epoch 4
+        pytest.param((("T = 200", "T = 5"), ("K = 4", "K = 0"),
+                      ("eta = 0.2", "eta = 1e-300\ndecay_rule = exponential\n"
+                                    "decay_rate = 1e100")),
+                     r"decay_rate \*\* \(t / decay_period\) overflows at t = 4$",
+                     id="decay_rate"),
+        # U overflows the squared losses of the first gap evaluation, at epoch 2
+        pytest.param((("T = 200", "T = 12"), ("beta = 0.4", "beta = 1e-3"),
+                      ("eta = 0.2", "eta = 1e30\ndecay_rule = exponential\n"
+                                    "decay_rate = 1e10"),
+                      ("eval_cadence = 20", "eval_cadence = 2")),
+                     r"gap evaluation overflowed: va loss is inf at epoch 2$",
+                     id="gap_overflow"),
+    ])
+    def test_float_overflow_is_one_error_line(self, tmp_path, capsys, edits, message):
+        text = load_text(preset_path("toy_8_8")).replace(
+            "csv = toy_8_8.csv", f"csv = {tmp_path / 'o.csv'}")
+        for old, repl in edits:
+            text = text.replace(old, repl)
+        cfg_file = tmp_path / "overflow.ini"
+        cfg_file.write_text(text)
+        with np.errstate(all="ignore"):
+            assert main(["run", str(cfg_file)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert re.search(message, lines[0])
 
     @pytest.mark.parametrize("setting,message", [
         pytest.param("sigma_rule = fixed\nsigma0 = 1e-200",

@@ -42,6 +42,9 @@ class TestScheduleValue:
             sched().outer_lr(0)
         with pytest.raises(ValueError):
             sched().inner_lr(0, 1)
+        # t is checked before k
+        with pytest.raises(ValueError, match="iteration index t"):
+            sched().inner_lr(0, 0)
 
     def test_zero_k_rejected(self):
         with pytest.raises(ValueError):

@@ -107,7 +107,7 @@ def ref_inner_adapt(u, ds, cfg, t, task_slot, replica=0, collect=None):
             eps_sq = []
             gn_sq = []
             for _ in range(cfg.mc_replicas):
-                un_idx = ref_batch(np.arange(ds.m), b, probe_rng)
+                un_idx = ref_batch(np.arange(len(ds.samples)), b, probe_rng)
                 g_un = ref_grad(w, ds.samples[un_idx])
                 e = g_un - g_tr
                 eps_sq.append(float(e @ e))
@@ -265,7 +265,7 @@ def test_estimate_eps_u_matches_loop(inner_batch, K, mc_replicas, split):
 def test_adapt_eval_matches_loop(eval_source, split, steps):
     cfg = make_cfg(split, test_adapt_steps=steps)
     u = np.array([-2.5, -4.5])
-    got = adapt_eval(u, MODEL, ENV, cfg, 40, derive_stream(3, [9]), eval_source)
+    got = adapt_eval(u, ENV, cfg, 40, derive_stream(3, [9]), eval_source)
     assert got == ref_adapt_eval(u, cfg, 40, derive_stream(3, [9]), eval_source)
 
 
@@ -281,7 +281,7 @@ def test_non_finite_paths_raise_the_gradient_check_error():
         outer_step(np.array([np.nan, 0.0]), MODEL, batch, make_cfg(), 1,
                    BoundAccumulators())
     with pytest.raises(ValueError, match="NaN/Inf"):
-        adapt_eval(np.array([np.inf, 0.0]), MODEL, ENV, make_cfg(), 3,
+        adapt_eval(np.array([np.inf, 0.0]), ENV, make_cfg(), 3,
                    derive_stream(3, [9]))
 
 
@@ -513,14 +513,14 @@ def ref_run_joint(cfg, sigma_sg):
     tracker = GradBoundTracker(fixed_l=cfg.fixed_l)
     noise_rng = derive_stream(cfg.seed, (P_NOISE_U, 0))
     s = cfg.schedules
-    records = []
+    records, mi_sum = [], 0.0
     for t in range(1, cfg.T + 1):
         eta = s.outer_lr(t)
         sigma = math.sqrt(eta) if cfg.sigma_rule == "sqrt_eta" else cfg.sigma0
         grad = ref_joint_grad(u, ws, datasets, cfg.coupling)
         l_hat = tracker.observe(np.linalg.norm(grad))
         term = mi_step_term(eta, sigma, l_hat, grad.size)
-        tracker.per_step_terms.append(term)
+        mi_sum += term      # left to right, as the trainer adds
         flat = np.concatenate([u] + ws) - eta * grad
         if sigma > 0:
             flat = flat + sigma * noise_rng.standard_normal(flat.size)
@@ -530,8 +530,8 @@ def ref_run_joint(cfg, sigma_sg):
               if cfg.sigma_rule == "sqrt_eta" else float("nan"))
         train = float(np.mean([ref_risk(w, b) for w, b in zip(ws, datasets)]))
         records.append(JointRecord(
-            t=t, l_hat=l_hat, mi_step_term=term, mi_sum=tracker.mi_sum,
-            joint_bound=joint_bound(tracker.mi_sum, sigma_sg, cfg.n, cfg.m),
+            t=t, l_hat=l_hat, mi_step_term=term, mi_sum=mi_sum,
+            joint_bound=joint_bound(mi_sum, sigma_sg, cfg.n, cfg.m),
             closed_form=cf, train_risk=train))
     return records
 

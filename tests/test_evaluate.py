@@ -56,23 +56,23 @@ class TestAdaptation:
     def test_meta_test_loss_near_population_value(self):
         # adapted risk floor: d * task_var * (1 + 1/m_tr)
         c = cfg()
-        val = adapt_eval(np.array([-4.0, -4.0]), MODEL, env(), c, 2000,
+        val = adapt_eval(np.array([-4.0, -4.0]), env(), c, 2000,
                          derive_stream(1, [9]), eval_source="va")
         assert val == pytest.approx(2 * 0.1 * (1 + 1 / 8), rel=0.1)
 
     def test_near_zero_variances_give_near_zero_loss(self):
         e = env(task_var=1e-12, env_var=1e-6)
         c = cfg()
-        val = adapt_eval(np.zeros(2), MODEL, e, c, 50, derive_stream(1, [9]),
+        val = adapt_eval(np.zeros(2), e, c, 50, derive_stream(1, [9]),
                          eval_source="va")
         assert val < 1e-9
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            adapt_eval(np.zeros(2), MODEL, env(), cfg(), 0, derive_stream(1, [9]),
+            adapt_eval(np.zeros(2), env(), cfg(), 0, derive_stream(1, [9]),
                        eval_source="va")
         with pytest.raises(ValueError):
-            adapt_eval(np.zeros(2), MODEL, env(), cfg(), 5,
+            adapt_eval(np.zeros(2), env(), cfg(), 5,
                        derive_stream(1, [9]), eval_source="nope")
 
 
@@ -105,7 +105,7 @@ class TestObservedGap:
 
     def test_stream_identity_invariance_within_tolerance(self):
         u = np.array([-4.0, -4.0])
-        vals = [adapt_eval(u, MODEL, env(), cfg(), 1000, derive_stream(9, [k]),
+        vals = [adapt_eval(u, env(), cfg(), 1000, derive_stream(9, [k]),
                            eval_source="va") for k in range(3)]
         # distribution-level invariance to the stream path used
         assert max(vals) - min(vals) < 3 * 0.09 / np.sqrt(1000) * 2

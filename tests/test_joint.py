@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metasgld.cli import load_config_file, preset_path
 from metasgld.core import Schedules, UndefinedBoundError, derive_stream
 from metasgld.joint_sgld import (GradBoundTracker, JointConfig, joint_bound,
                                  joint_closed_form, joint_loss_grad,
@@ -190,6 +191,15 @@ class TestRunJointSgld:
         a = run_joint_sgld(self.cfg(), small_env(), sigma_sg=1.0)
         b = run_joint_sgld(self.cfg(), small_env(), sigma_sg=1.0)
         assert a == b
+
+    def test_mi_sum_adds_left_to_right(self):
+        # a chain of += over the step terms, bit for bit: builtin sum()
+        # compensates its rounding on Python 3.12 and later
+        cfg = load_config_file(preset_path("joint_demo"))
+        total = 0.0
+        for r in run_joint_sgld(cfg.joint, cfg.env, sigma_sg=1.0):
+            total += r.mi_step_term
+            assert r.mi_sum == total
 
     def test_fixed_l_mode(self):
         records = run_joint_sgld(self.cfg(fixed_l=5.0), small_env(), sigma_sg=1.0)
