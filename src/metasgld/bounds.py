@@ -36,11 +36,14 @@ def subgaussian_mean_estimation(env: EnvironmentSpec, inner_lr: float) -> Subgau
     if inner_lr <= 0:
         raise ValueError("inner_lr must be positive")
     two_beta = 2.0 * inner_lr
-    sigma_l_sq = env.task_cov_scale * (1.0 + two_beta ** 2)
     # worst-case squared norm of a task mean inside the box
     mu_sq_max = float(np.sum(np.maximum(env.trunc_lo ** 2, env.trunc_hi ** 2)))
-    k = (1.0 - two_beta) ** 2 * mu_sq_max
-    sigma_sq = 2.0 * (2.0 * k + env.dim) * sigma_l_sq ** 2
+    try:
+        sigma_l_sq = env.task_cov_scale * (1.0 + two_beta ** 2)
+        k = (1.0 - two_beta) ** 2 * mu_sq_max
+        sigma_sq = 2.0 * (2.0 * k + env.dim) * sigma_l_sq ** 2
+    except OverflowError:
+        raise OverflowError(f"sub-gaussian constant overflows for beta = {inner_lr:g}") from None
     return SubgaussianSpec(sigma_sq=sigma_sq)
 
 

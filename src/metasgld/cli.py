@@ -7,7 +7,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -62,12 +62,10 @@ def _vector(raw: str) -> Tuple[float, ...]:
 
 
 def _bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
 
 
 # One table per section: INI key -> (dataclass field, parser). A key is
@@ -258,11 +256,8 @@ def render_plot(csv_path: str, series: Sequence[str], out_path: str) -> int:
     if unknown:
         raise ValueError(f"unknown columns {unknown}; available: {names}")
 
-    points = {}
-    for s in series:
-        xy = [(x, y) for x, y in zip(cols[x_name], cols[s])
-              if x is not None and y is not None]
-        points[s] = xy
+    points = {s: [(x, y) for x, y in zip(cols[x_name], cols[s])
+                  if x is not None and y is not None] for s in series}
     all_pts = [p for xy in points.values() for p in xy]
     if not all_pts:
         raise ValueError("no plottable data points in the selected series")
@@ -364,7 +359,7 @@ def compare_splits(configs: Sequence[ExperimentConfig]) -> List[dict]:
     return rows
 
 
-def _print_comparison(rows: List[dict], out=sys.stdout) -> None:
+def _print_comparison(rows: List[dict]) -> None:
     headers = ["preset", "split", "Train-Test gap", "Lipschitz", "G_norm", "G_inco"]
     table = [[r["name"], r["split"], format_value(r["train_test_gap"]),
               format_value(r["lipschitz"]), format_value(r["g_norm"]),
@@ -373,23 +368,20 @@ def _print_comparison(rows: List[dict], out=sys.stdout) -> None:
               for i, h in enumerate(headers)]
     def fmt(row):
         return "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
-    print(fmt(headers), file=out)
-    print(fmt(["-" * w for w in widths]), file=out)
+    print(fmt(headers))
+    print(fmt(["-" * w for w in widths]))
     for row in table:
-        print(fmt(row), file=out)
+        print(fmt(row))
 
 
 # --------------------------------------------------------------- entry point
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    from dataclasses import replace
     if args.eval_cadence is not None:
         cfg = replace(cfg, outputs=replace(cfg.outputs, eval_cadence=args.eval_cadence))
     if args.seed is not None:
-        if cfg.mode == MODE_ALTERNATE:
-            cfg = replace(cfg, run=replace(cfg.run, seed=args.seed))
-        else:
-            cfg = replace(cfg, joint=replace(cfg.joint, seed=args.seed))
+        trainer = "run" if cfg.mode == MODE_ALTERNATE else "joint"
+        cfg = replace(cfg, **{trainer: replace(getattr(cfg, trainer), seed=args.seed)})
     return cfg
 
 
@@ -425,8 +417,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            cfg = _apply_overrides(_load(args.config), args)
-            return run_experiment(cfg)
+            return run_experiment(_apply_overrides(_load(args.config), args))
         if args.command == "plot":
             series = [s.strip() for s in args.series.split(",") if s.strip()]
             return render_plot(args.csv, series, args.out)

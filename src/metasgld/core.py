@@ -28,6 +28,11 @@ def as_vector(v, dim: Optional[int] = None) -> np.ndarray:
     return arr
 
 
+def stopped_at(exc: Exception, unit: str, t: int) -> Exception:
+    """exc's type and message, naming where a run stopped: `` at epoch t``."""
+    return type(exc)(f"{exc} at {unit} {t}")
+
+
 def ordered_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Sum over ``axis`` bit for bit as ``total = 0.0; for v in x: total += v``
     (np.sum adds pairwise; ``+ 0.0`` makes cumsum's all -0.0 sum +0.0)."""
@@ -69,12 +74,8 @@ class Schedules:
         for name in ("eta0", "beta0", "decay_c", "decay_rate", "decay_period"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("eta0", "beta0"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("gamma_outer", "gamma_inner"):
-            g = getattr(self, name)
-            if not (g > 0):  # allows math.inf (joint mode leaves them unused)
+        for name in ("eta0", "beta0", "gamma_outer", "gamma_inner"):
+            if not getattr(self, name) > 0:  # a gamma may be inf (joint mode)
                 raise ValueError(f"{name} must be positive")
         if self.decay_rule not in (DECAY_CONSTANT, DECAY_INVERSE_T, DECAY_EXPONENTIAL):
             raise ValueError(f"unknown decay rule {self.decay_rule!r}")
@@ -102,8 +103,7 @@ class Schedules:
         try:
             return base * self.decay_rate ** (t / self.decay_period)
         except OverflowError:
-            raise OverflowError(
-                f"decay_rate ** (t / decay_period) overflows at t = {t}") from None
+            raise OverflowError("decay_rate ** (t / decay_period) overflows") from None
 
 
 def noise_std(lr: float, gamma: float) -> float:

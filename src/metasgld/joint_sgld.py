@@ -15,7 +15,7 @@ from typing import List, Optional
 import numpy as np
 
 from .core import (DECAY_INVERSE_T, P_NOISE_U, P_TASK, Schedules,
-                   UndefinedBoundError, derive_stream, ordered_sum)
+                   UndefinedBoundError, derive_stream, ordered_sum, stopped_at)
 from .model import stacked_grad, stacked_risk
 from .task_env import EnvironmentSpec, sample_datasets, sample_task_means
 
@@ -95,7 +95,10 @@ def mi_step_term(eta_t: float, sigma_t: float, l_hat: float,
         raise UndefinedBoundError(
             f"mutual-information step term is undefined: sigma_t = {sigma_t} "
             f"squares to {sigma_sq:g} in floating point")
-    x = (eta_t * l_hat) ** 2 / (stacked_dim * sigma_sq)
+    try:
+        x = (eta_t * l_hat) ** 2 / (stacked_dim * sigma_sq)
+    except OverflowError:
+        x = math.inf
     if math.isinf(x):
         raise OverflowError("mutual-information step term overflowed")
     return 0.5 * stacked_dim * math.log1p(x)
@@ -179,24 +182,22 @@ def run_joint_sgld(cfg: JointConfig, env: EnvironmentSpec,
 
     records, mi_sum = [], 0.0
     for t in range(1, cfg.T + 1):
-        eta = s.outer_lr(t)
-        sigma = math.sqrt(eta) if cfg.sigma_rule == SIGMA_SQRT_ETA else cfg.sigma0
-        grad = joint_loss_grad(phi, data, cfg.coupling)
-        l_hat = tracker.observe(np.linalg.norm(grad))
         try:
+            eta = s.outer_lr(t)
+            sigma = math.sqrt(eta) if cfg.sigma_rule == SIGMA_SQRT_ETA else cfg.sigma0
+            grad = joint_loss_grad(phi, data, cfg.coupling)
+            l_hat = tracker.observe(np.linalg.norm(grad))
             term = mi_step_term(eta, sigma, l_hat, phi.size)
-        except OverflowError:
-            raise FloatingPointError(
-                f"information step term overflowed at step {t}") from None
-        mi_sum += term
-        phi = joint_sgld_step(phi, grad, eta, sigma, noise_rng)
-        if not np.all(np.isfinite(phi)):
-            raise FloatingPointError(f"joint parameter became non-finite at step {t}")
-
-        bound = joint_bound(mi_sum, sigma_sg, cfg.n, cfg.m)
-        cf = (joint_closed_form(sigma_sg, l_hat, cfg.n, cfg.m, s.decay_c, t)
-              if closed_form_available else float("nan"))
-        train = float(np.mean(stacked_risk(phi[1:], data)))
+            mi_sum += term
+            phi = joint_sgld_step(phi, grad, eta, sigma, noise_rng)
+            if not np.all(np.isfinite(phi)):
+                raise FloatingPointError("joint parameter became non-finite")
+            bound = joint_bound(mi_sum, sigma_sg, cfg.n, cfg.m)
+            cf = (joint_closed_form(sigma_sg, l_hat, cfg.n, cfg.m, s.decay_c, t)
+                  if closed_form_available else float("nan"))
+            train = float(np.mean(stacked_risk(phi[1:], data)))
+        except (ValueError, ArithmeticError) as exc:
+            raise stopped_at(exc, "step", t) from None
         records.append(JointRecord(t=t, l_hat=l_hat, mi_step_term=term,
                                    mi_sum=mi_sum, joint_bound=bound,
                                    closed_form=cf, train_risk=train))

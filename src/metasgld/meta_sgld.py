@@ -22,7 +22,8 @@ import numpy as np
 
 from .core import (ConfigurationError, P_BATCH, P_NOISE_U, P_NOISE_W,
                    P_TASK, P_TEST, P_TRAIN_PROBE, RunConfig, UndefinedBoundError,
-                   as_vector, derive_stream, noise_std, ordered_sum, sq_norm)
+                   as_vector, derive_stream, noise_std, ordered_sum, sq_norm,
+                   stopped_at)
 from .model import LossModel, descend, stacked_risk
 from .task_env import (EnvironmentSpec, TaskDataset, minibatch_mean_var,
                        sample_datasets, sample_minibatch, sample_task_means)
@@ -43,13 +44,13 @@ class BoundAccumulators:
     lipschitz_max: float = 0.0
 
 
-# n epochs ts of B tasks, K inner steps, dimension d: meta rates eta (n,);
+# n epochs of B tasks, K inner steps, dimension d: meta rates eta (n,);
 # inner rates beta and noise stds std (n, K); the tr and union (all m
 # samples) means tr_mean, un_mean and the variance batch_var of a live
 # minibatch mean (n, B, d); a union probe mean's 4 sum Var, probe_var (n,
 # B); va (n, B, m_va, d); for live steps the minibatch means centre and the
 # noise std_k xi_k (n, K, B, d), and the meta noise z_u (n, d) before its std.
-_Epochs = namedtuple("_Epochs", "ts eta beta std tr_mean un_mean batch_var "
+_Epochs = namedtuple("_Epochs", "eta beta std tr_mean un_mean batch_var "
                                 "probe_var va centre noise z_u")
 
 
@@ -80,8 +81,8 @@ def _live_draws(cfg: RunConfig, t: int, dim: int, cols=slice(None)):
     return derive_stream(cfg.seed, (P_NOISE_W, t)).standard_normal(shape + (dim,))[:, cols], pos
 
 
-def _epochs(cfg: RunConfig, t0: int, samples, tr_idx, va_idx, rates, z, pos, z_u) -> _Epochs:
-    """Pass 1's array ops on the draws of epochs t0, t0 + 1, ...: samples,
+def _epochs(cfg: RunConfig, samples, tr_idx, va_idx, rates, z, pos, z_u) -> _Epochs:
+    """Pass 1's array ops on the draws of consecutive epochs: samples,
     splits, rates, live noise and positions, meta noise (the last three may
     be None), each with a leading epoch axis."""
     beta = rates[:, :-1]
@@ -94,9 +95,8 @@ def _epochs(cfg: RunConfig, t0: int, samples, tr_idx, va_idx, rates, z, pos, z_u
                     np.arange(tr.shape[1])[:, None], pos].mean(axis=-2)
     elif z is not None:
         centre = np.broadcast_to(tr_mean[:, None], z.shape)
-    return _Epochs(list(range(t0, t0 + len(tr))), rates[:, -1], beta, std, tr_mean,
-                   samples.mean(axis=-2), minibatch_mean_var(tr, b),
-                   4.0 * minibatch_mean_var(samples, b).sum(axis=-1),
+    return _Epochs(rates[:, -1], beta, std, tr_mean, samples.mean(axis=-2),
+                   minibatch_mean_var(tr, b), 4.0 * minibatch_mean_var(samples, b).sum(axis=-1),
                    np.take_along_axis(samples, va_idx[..., None], axis=-2), centre,
                    None if z is None else std[..., None, None] * z, z_u)
 
@@ -107,7 +107,7 @@ def _one_epoch(cfg: RunConfig, t: int, task_batch: Sequence[TaskDataset], dim: i
     live = (None, None) if cols is None else _live_draws(cfg, t, dim, cols)
     epoch = (*(np.stack([getattr(ds, name) for ds in task_batch])
                for name in ("samples", "tr_indices", "va_indices")), _rates(cfg, t), *live, z_u)
-    return _epochs(cfg, t, *(None if x is None else np.asarray(x)[None] for x in epoch))
+    return _epochs(cfg, *(None if x is None else np.asarray(x)[None] for x in epoch))
 
 
 def _step_live(w: np.ndarray, betas, ep: _Epochs, i: int, path: np.ndarray) -> np.ndarray:
@@ -124,7 +124,10 @@ def _step_live(w: np.ndarray, betas, ep: _Epochs, i: int, path: np.ndarray) -> n
 
 def _variance_rates(betas: Sequence[float], stds: Sequence[float]) -> List[tuple]:
     """Per step (1 - 2 beta)^2, std^2, 4 beta^2 by float ** (not x * x)."""
-    return [((1.0 - 2.0 * b) ** 2, s ** 2, 4.0 * b ** 2) for b, s in zip(betas, stds)]
+    try:
+        return [((1.0 - 2.0 * b) ** 2, s ** 2, 4.0 * b ** 2) for b, s in zip(betas, stds)]
+    except OverflowError:
+        raise OverflowError(f"(1 - 2 beta)^2 overflows for beta = {max(betas):g}") from None
 
 
 def _u_loop(u: np.ndarray, ep: _Epochs, cfg: RunConfig):
@@ -132,18 +135,18 @@ def _u_loop(u: np.ndarray, ep: _Epochs, cfg: RunConfig):
     Returns U_0..U_n, the live paths (n, K+1, B, d), the variance rates and
     the failure that stopped it after n epochs."""
     (B, d), g = ep.tr_mean.shape[1:], cfg.schedules.gamma_outer
-    us, paths = np.empty((len(ep.ts) + 1, d)), np.empty((len(ep.ts), cfg.K + 1, B, d))
+    us, paths = np.empty((len(ep.eta) + 1, d)), np.empty((len(ep.eta), cfg.K + 1, B, d))
     us[0], va_mean, rates, i = u, ep.va.mean(axis=-2), [], 0
     try:
-        for i, (t, eta, betas, stds) in enumerate(zip(
-                ep.ts, ep.eta.tolist(), ep.beta.tolist(), ep.std.tolist())):
+        for i, (eta, betas, stds) in enumerate(zip(
+                ep.eta.tolist(), ep.beta.tolist(), ep.std.tolist())):
             w = _step_live(u, betas, ep, i, paths[i])
             rates.append(_variance_rates(betas, stds))
             xi = (noise_std(eta, g) if cfg.noise else 0.0) * ep.z_u[i]
             u = us[i + 1] = u - eta * (ordered_sum(2.0 * (w - va_mean[i]), -2) / B) + xi
             if not np.isfinite(u).all():
-                raise FloatingPointError(f"meta parameter became non-finite at epoch {t}")
-    except (ValueError, OverflowError, FloatingPointError) as exc:
+                raise FloatingPointError("meta parameter became non-finite")
+    except (ValueError, ArithmeticError) as exc:
         return us[:i + 1], paths[:i], rates, exc
     return us, paths, rates, None
 
@@ -203,7 +206,7 @@ def _post_pass(ep: _Epochs, us, paths, rates, failure, acc: BoundAccumulators,
     where the former loop stopped.  Returns the running values as a
     BoundAccumulators of (n,) arrays, the train risks and the failure."""
     n, B = len(paths), ep.tr_mean.shape[1]
-    w_mean = _mean_rows(us[:len(ep.ts)], ep)
+    w_mean = _mean_rows(us[:len(ep.eta)], ep)
     bad = np.flatnonzero(~np.isfinite(w_mean).all(axis=(1, 2)))
     if bad.size:
         n, failure = bad[0], ValueError("vector contains NaN/Inf")
@@ -211,7 +214,7 @@ def _post_pass(ep: _Epochs, us, paths, rates, failure, acc: BoundAccumulators,
     bad = np.flatnonzero(~np.isfinite(risk))
     if bad.size:
         n, failure = bad[0], FloatingPointError(
-            f"meta parameter became non-finite at epoch {ep.ts[bad[0]]}")
+            "va risk of the adapted parameters is not finite")
     eps_w, gn_w, norms = _task_terms(paths[:n, :-1], ep, cfg)
     g_full = ordered_sum(2.0 * (paths[:n, -1] - ep.un_mean[:n]), -2) / B
     # task-level terms add task by task, step by step, then / B
@@ -279,7 +282,7 @@ def outer_step(u: np.ndarray, model: LossModel,
     us, *walk = _u_loop(as_vector(u, model.dim), ep, cfg)
     _, risk, failure = _post_pass(ep, us, *walk, acc, cfg)
     if failure is not None:
-        raise failure
+        raise stopped_at(failure, "epoch", t) from None
     return us[-1], float(risk[0])
 
 
@@ -327,27 +330,27 @@ def run_meta_sgld(cfg: RunConfig, env: EnvironmentSpec,
         n = t
     if not n:                                   # T = 0, or epoch 1 failed
         if failure is not None:
-            raise failure
+            raise stopped_at(failure, "epoch", 1) from None
         return [], u
-    ep = _epochs(cfg, 1, *(None if x is None else x[:n] for x in draws))
+    ep = _epochs(cfg, *(None if x is None else x[:n] for x in draws))
     del draws
     us, paths, rates, loop_failure = _u_loop(u, ep, cfg)
     run, _, failure = _post_pass(ep, us, paths, rates, loop_failure or failure,
                                  BoundAccumulators(), cfg)
     ab = bounds_mod.assemble_alt_bound(run, sg, cfg.n, cfg.m_va)
-    gaps = {}
-    for t in ep.ts[:len(run.eps_u_sum)]:
+    gaps, ts = {}, range(1, len(run.eps_u_sum) + 1)   # the epochs before a failure
+    for t in ts:
         if eval_cadence > 0 and (t % eval_cadence == 0 or t == cfg.T):
             try:
                 rep = evaluate_mod.observed_gap(
                     us[t], env, cfg, n_train_probe, n_test,
                     test_stream=derive_stream(cfg.seed, (P_TEST, t)),
                     train_stream=derive_stream(cfg.seed, (P_TRAIN_PROBE, t)))
-            except FloatingPointError as exc:
-                raise FloatingPointError(f"{exc} at epoch {t}") from None
+            except (ValueError, ArithmeticError) as exc:
+                raise stopped_at(exc, "epoch", t) from None
             gaps[t] = (rep.train_loss, rep.test_loss, rep.gap)
     if failure is not None:
-        raise failure
+        raise stopped_at(failure, "epoch", len(ts) + 1) from None
     columns = [getattr(x, f.name).tolist() for x in (run, ab) for f in fields(x)]
     return ([RunRecord(t, *row, *gaps.get(t, (None,) * 3))
-             for t, *row in zip(ep.ts, *columns)], us[-1])
+             for t, *row in zip(ts, *columns)], us[-1])

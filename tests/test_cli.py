@@ -472,6 +472,54 @@ class TestMain:
                    str(tmp_path / "pm.svg")])
         assert rc == 0 and (tmp_path / "pm.svg").exists()
 
+    def test_compare_prints_one_table_row_per_preset(self, tmp_path, capsys):
+        files = []
+        for name in ("a", "b"):
+            files.append(tmp_path / f"{name}.ini")
+            files[-1].write_text(tiny_config(tmp_path, T=2, name=f"{name}.csv"))
+        assert main(["compare", *map(str, files), "--seed", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["preset", "split", "Train-Test", "gap", "Lipschitz",
+                                    "G_norm", "G_inco"]
+        assert set(lines[1]) == {"-", " "} and len(lines) == 4
+        cfg = parse_config(files[0].read_text())
+        cfg = replace(cfg, run=replace(cfg.run, seed=3))
+        row = compare_splits([cfg, cfg])[0]
+        assert lines[2].split() == ["tiny", "8/8"] + [records_mod.format_value(row[k]) for k in
+                                                      ("train_test_gap", "lipschitz",
+                                                       "g_norm", "g_inco")]
+        assert lines[3] == lines[2]
+
+    def test_compare_rejects_a_joint_preset(self, tmp_path, capsys):
+        assert main(["compare", "joint_demo", "toy_8_8"]) == 1
+        assert capsys.readouterr().err == \
+            "error: compare supports alternate-mode presets only\n"
+
+    def test_seed_override_of_a_joint_preset_is_in_the_header(self, tmp_path):
+        cfg_file = tmp_path / "joint.ini"
+        cfg_file.write_text(joint_config(tmp_path, T=2, name="js.csv"))
+        assert main(["run", str(cfg_file), "--seed", "3"]) == 0
+        header = [line for line in (tmp_path / "js.csv").read_text().splitlines()
+                  if line.startswith("# run.seed")]
+        assert header == ["# run.seed = 3"]
+
+    def test_plot_key_writes_the_svg_and_one_dat_per_series(self, tmp_path):
+        cfg_file = tmp_path / "tiny.ini"
+        cfg_file.write_text(tiny_config(tmp_path, T=3, name="pk.csv",
+                                        extra=f"plot = {tmp_path / 'pk.svg'}\n"))
+        assert main(["run", str(cfg_file)]) == 0
+        assert (tmp_path / "pk.svg").read_text().count("<polyline") == 2
+        for series in ("bound_total", "gnorm_bound_total"):
+            assert len((tmp_path / f"pk_{series}.dat").read_text().splitlines()) == 3
+
+    def test_unwritable_csv_is_an_io_error(self, tmp_path, capsys):
+        (tmp_path / "dir.csv").mkdir()
+        cfg_file = tmp_path / "tiny.ini"
+        cfg_file.write_text(tiny_config(tmp_path, T=1, name="dir.csv"))
+        assert main(["run", str(cfg_file)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("I/O error: ")
+
     def test_diverging_joint_run_reports_the_step(self, tmp_path, capsys):
         # eta = 1000 makes every W step multiply W by -1999; the tracked L
         # grows with it until the information step term overflows
@@ -495,24 +543,56 @@ class TestMain:
         with np.errstate(all="ignore"):
             assert main(["run", str(cfg_file)]) == 0
 
-    @pytest.mark.parametrize("edits,message", [
+    @pytest.mark.parametrize("preset,edits,message", [
         # the exponential decay overflows the float range at epoch 4
-        pytest.param((("T = 200", "T = 5"), ("K = 4", "K = 0"),
-                      ("eta = 0.2", "eta = 1e-300\ndecay_rule = exponential\n"
-                                    "decay_rate = 1e100")),
-                     r"decay_rate \*\* \(t / decay_period\) overflows at t = 4$",
+        pytest.param("toy_8_8", (("T = 200", "T = 5"), ("K = 4", "K = 0"),
+                                 ("eta = 0.2", "eta = 1e-300\ndecay_rule = exponential\n"
+                                               "decay_rate = 1e100")),
+                     r"decay_rate \*\* \(t / decay_period\) overflows at epoch 4$",
                      id="decay_rate"),
         # U overflows the squared losses of the first gap evaluation, at epoch 2
-        pytest.param((("T = 200", "T = 12"), ("beta = 0.4", "beta = 1e-3"),
-                      ("eta = 0.2", "eta = 1e30\ndecay_rule = exponential\n"
-                                    "decay_rate = 1e10"),
-                      ("eval_cadence = 20", "eval_cadence = 2")),
+        pytest.param("toy_8_8", (("T = 200", "T = 12"), ("beta = 0.4", "beta = 1e-3"),
+                                 ("eta = 0.2", "eta = 1e30\ndecay_rule = exponential\n"
+                                               "decay_rate = 1e10"),
+                                 ("eval_cadence = 20", "eval_cadence = 2")),
                      r"gap evaluation overflowed: va loss is inf at epoch 2$",
                      id="gap_overflow"),
+        # a short decay period overflows the rates of epoch 1 already
+        pytest.param("toy_8_8", (("eta = 0.2", "eta = 0.2\ndecay_rule = exponential\n"
+                                               "decay_rate = 1e10\ndecay_period = 0.01"),),
+                     r"decay_rate \*\* \(t / decay_period\) overflows at epoch 1$",
+                     id="decay_period"),
+        # the inner rate of epoch 2 underflows to 0, whose noise std is undefined
+        pytest.param("toy_8_8", (("eta = 0.2", "eta = 0.2\ndecay_rule = exponential\n"
+                                               "decay_rate = 1e-200"),),
+                     r"^error: lr must be positive, got 0\.0 at epoch 2$", id="rate_underflow"),
+        # the live inner paths of epoch 4 overflow
+        pytest.param("toy_8_8", (("T = 200", "T = 6"), ("beta = 0.4", "beta = 1e-60"),
+                                 ("eta = 0.2", "eta = 1e-90\ndecay_rule = exponential\n"
+                                               "decay_rate = 1e30")),
+                     r"^error: vector contains NaN/Inf at epoch 4$", id="inner_paths"),
+        pytest.param("toy_8_8", (("init_u = -4, -4", "init_u = -4, -4, -4"),),
+                     r"^error: init_u must have length 2$", id="init_u_length"),
+        # beta enters the sub-gaussian constant before epoch 1
+        pytest.param("toy_8_8", (("T = 200", "T = 3"), ("K = 4", "K = 1"),
+                                 ("beta = 0.4", "beta = 1e200")),
+                     r"^error: sub-gaussian constant overflows for beta = 1e\+200$",
+                     id="subgaussian_beta"),
+        # the mean row's variance rates square 1 - 2 beta_1 = 1 - 8e154
+        pytest.param("toy_8_8", (("T = 200", "T = 3"), ("K = 4", "K = 1"),
+                                 ("eta = 0.2", "eta = 0.2\ndecay_rule = exponential\n"
+                                               "decay_rate = 1e155")),
+                     r"^error: \(1 - 2 beta\)\^2 overflows for beta = 4e\+154 at epoch 1$",
+                     id="variance_rates_beta"),
+        pytest.param("joint_demo", (("T = 500", "T = 10\neta = 1e-300\ndecay_rate = 1e100"),
+                                    ("decay_rule = inverse_t", "decay_rule = exponential")),
+                     r"^error: decay_rate \*\* \(t / decay_period\) overflows at step 4$",
+                     id="joint_decay_rate"),
     ])
-    def test_float_overflow_is_one_error_line(self, tmp_path, capsys, edits, message):
-        text = load_text(preset_path("toy_8_8")).replace(
-            "csv = toy_8_8.csv", f"csv = {tmp_path / 'o.csv'}")
+    def test_float_overflow_is_one_error_line(self, tmp_path, capsys, preset, edits,
+                                              message):
+        text = load_text(preset_path(preset)).replace(
+            f"csv = {preset}.csv", f"csv = {tmp_path / 'o.csv'}")
         for old, repl in edits:
             text = text.replace(old, repl)
         cfg_file = tmp_path / "overflow.ini"

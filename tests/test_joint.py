@@ -116,6 +116,11 @@ class TestMiStepTerm:
         with pytest.raises(OverflowError):
             mi_step_term(0.1, 1e-160, 10.0, 4)
 
+    def test_overflowing_square_is_named(self):
+        # (eta L)^2 leaves the float range as a Python float power
+        with pytest.raises(OverflowError, match="^mutual-information step term overflowed$"):
+            mi_step_term(1e200, 1.0, 1.0, 4)
+
     @given(eta=st.floats(1e-3, 5), sigma=st.floats(1e-3, 5),
            l=st.floats(0, 50), dim=st.integers(1, 500))
     @settings(max_examples=100, deadline=None)

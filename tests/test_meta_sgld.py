@@ -139,6 +139,19 @@ class TestEstimateEpsU:
         eps_term, _ = estimate_eps_u(np.array([3.0, 3.0]), MODEL, [ds], cfg, 1)
         assert eps_term == 0.0
 
+    def test_empty_task_batch_rejected(self):
+        with pytest.raises(ValueError, match="^task_batch must be non-empty$"):
+            estimate_eps_u(np.zeros(2), MODEL, [], small_cfg(), 1)
+
+    def test_non_finite_mean_row_rejected(self):
+        # beta0 = 1e200: the second of the K = 4 noise-free steps overflows
+        cfg = small_cfg(schedules=Schedules(eta0=0.2, beta0=1e200, gamma_outer=1e4,
+                                            gamma_inner=1e4))
+        batch = draw_task_batch(paper_env(), cfg, 1)
+        with np.errstate(all="ignore"), pytest.raises(ValueError,
+                                                      match="^vector contains NaN/Inf$"):
+            estimate_eps_u(np.zeros(2), MODEL, batch, cfg, 1)
+
 
 class TestOuterStep:
     def test_fixed_point_without_gradient_or_noise(self):

@@ -1,7 +1,7 @@
 """Quadratic loss model: analytic values, gradients vs finite differences."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metasgld.model import LossModel, batch_grad, batch_risk, finite_diff_grad
@@ -84,12 +84,13 @@ class TestBatchGrad:
         assert np.allclose(g1 - g0, -2 * s, atol=1e-12)
 
     @given(wx=st.floats(-5, 5), wy=st.floats(-5, 5))
+    @example(wx=1.0, wy=0.99999)    # 1e-5 from the mean, so the gradient is not 0
     @settings(max_examples=30, deadline=None)
     def test_zero_grad_iff_mean(self, wx, wy):
         batch = np.array([[1.0, -1.0], [2.0, 3.0], [0.0, 1.0]])
         w = np.array([wx, wy])
         g = batch_grad(MODEL, w, batch)
-        at_mean = np.allclose(w, batch.mean(axis=0), atol=1e-12)
+        at_mean = np.allclose(w, batch.mean(axis=0), rtol=0.0, atol=1e-12)
         assert (np.linalg.norm(g) < 1e-11) == at_mean
 
 
