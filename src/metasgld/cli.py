@@ -257,7 +257,8 @@ def render_plot(csv_path: str, series: Sequence[str], out_path: str) -> int:
         raise ValueError(f"unknown columns {unknown}; available: {names}")
 
     points = {s: [(x, y) for x, y in zip(cols[x_name], cols[s])
-                  if x is not None and y is not None] for s in series}
+                  if all(v is not None and math.isfinite(v) for v in (x, y))]
+              for s in series}
     all_pts = [p for xy in points.values() for p in xy]
     if not all_pts:
         raise ValueError("no plottable data points in the selected series")
@@ -327,7 +328,7 @@ def render_plot(csv_path: str, series: Sequence[str], out_path: str) -> int:
 # --------------------------------------------------------------- comparison
 
 def compare_splits(configs: Sequence[ExperimentConfig]) -> List[dict]:
-    """Run each alternate-mode preset and summarize final-epoch table rows."""
+    """Run each alternate-mode preset and summarize epoch T, the one it evaluates."""
     if len(configs) < 2:
         raise ValueError("need at least two presets to compare")
     ref = configs[0]
@@ -341,17 +342,15 @@ def compare_splits(configs: Sequence[ExperimentConfig]) -> List[dict]:
         if not all(np.array_equal(getattr(c.env, f.name), getattr(ref.env, f.name))
                    for f in fields(EnvironmentSpec)):
             raise ValueError(f"presets must share the environment ({c.name} differs)")
+    if ref.run.T < 1:
+        raise ValueError(f"compare needs T >= 1, got T={ref.run.T}")
     rows = []
     for c in configs:
-        records, _ = meta_mod.run_meta_sgld(c.run, c.env,
-                                            eval_cadence=c.outputs.eval_cadence)
-        last = records[-1]
-        gaps = [r.gap for r in records if r.gap is not None]
+        last = meta_mod.run_meta_sgld(c.run, c.env, eval_cadence=c.run.T)[0][-1]
         rows.append({
             "name": c.name,
             "split": f"{c.run.m_tr}/{c.run.m_va}",
-            "train_test_gap": last.gap if last.gap is not None else float("nan"),
-            "mean_abs_gap": float(np.mean(np.abs(gaps))) if gaps else float("nan"),
+            "train_test_gap": last.gap,
             "lipschitz": last.lipschitz,
             "g_norm": last.gnorm_bound_total,
             "g_inco": last.bound_total,
@@ -376,19 +375,20 @@ def _print_comparison(rows: List[dict]) -> None:
 
 # --------------------------------------------------------------- entry point
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if args.eval_cadence is not None:
-        cfg = replace(cfg, outputs=replace(cfg.outputs, eval_cadence=args.eval_cadence))
-    if args.seed is not None:
+def _apply_overrides(cfg: ExperimentConfig, seed, eval_cadence=None) -> ExperimentConfig:
+    if eval_cadence is not None:
+        cfg = replace(cfg, outputs=replace(cfg.outputs, eval_cadence=eval_cadence))
+    if seed is not None:
         trainer = "run" if cfg.mode == MODE_ALTERNATE else "joint"
-        cfg = replace(cfg, **{trainer: replace(getattr(cfg, trainer), seed=args.seed)})
+        cfg = replace(cfg, **{trainer: replace(getattr(cfg, trainer), seed=seed)})
     return cfg
 
 
-def _load(path_or_preset: str) -> ExperimentConfig:
-    if os.path.exists(path_or_preset):
-        return load_config_file(path_or_preset)
-    return load_config_file(preset_path(path_or_preset))
+def _load(name: str) -> ExperimentConfig:
+    # a name with a directory or an .ini suffix is a file path, never a preset
+    if os.path.exists(name) or name.endswith(".ini") or os.path.dirname(name):
+        return load_config_file(name)
+    return load_config_file(preset_path(name))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -397,12 +397,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Meta-learning Langevin trainers with online "
                     "generalization-bound tracking")
     sub = parser.add_subparsers(dest="command", required=True)
-    overrides = argparse.ArgumentParser(add_help=False)   # run and compare
-    overrides.add_argument("--seed", type=int, default=None)
-    overrides.add_argument("--eval-cadence", type=int, default=None)
+    seed = argparse.ArgumentParser(add_help=False)   # run and compare
+    seed.add_argument("--seed", type=int, default=None)
 
-    p_run = sub.add_parser("run", parents=[overrides], help="run one experiment config")
+    p_run = sub.add_parser("run", parents=[seed], help="run one experiment config")
     p_run.add_argument("config", help="config file path or shipped preset name")
+    p_run.add_argument("--eval-cadence", type=int, default=None)
 
     p_plot = sub.add_parser("plot", help="render CSV columns to SVG")
     p_plot.add_argument("csv")
@@ -410,21 +410,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="comma-separated column names")
     p_plot.add_argument("--out", required=True)
 
-    p_cmp = sub.add_parser("compare", parents=[overrides],
+    p_cmp = sub.add_parser("compare", parents=[seed],
                            help="run several presets and summarize")
     p_cmp.add_argument("configs", nargs="+")
 
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return run_experiment(_apply_overrides(_load(args.config), args))
+            return run_experiment(_apply_overrides(_load(args.config), args.seed,
+                                                   args.eval_cadence))
         if args.command == "plot":
             series = [s.strip() for s in args.series.split(",") if s.strip()]
             return render_plot(args.csv, series, args.out)
-        cfgs = [_apply_overrides(_load(c), args) for c in args.configs]
+        cfgs = [_apply_overrides(_load(c), args.seed) for c in args.configs]
         _print_comparison(compare_splits(cfgs))
         return 0
-    except (ValueError, ArithmeticError, FileNotFoundError) as exc:
+    except (ValueError, ArithmeticError, FileNotFoundError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

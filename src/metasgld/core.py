@@ -139,9 +139,15 @@ def derive_stream(master_seed: int, path: Sequence[int]) -> np.random.Generator:
     path = tuple(int(p) for p in path)
     if len(path) == 0:
         raise ValueError("stream path must be non-empty")
-    ss = np.random.SeedSequence(entropy=int(master_seed) & 0xFFFFFFFFFFFFFFFF,
-                                spawn_key=path)
+    ss = np.random.SeedSequence(entropy=check_seed(int(master_seed)), spawn_key=path)
     return np.random.Generator(np.random.PCG64(ss))
+
+
+def check_seed(seed: int) -> int:
+    """seed, if it is in [0, 2**64); a seed outside would alias one inside."""
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 # ---------------------------------------------------------------- run config
@@ -178,6 +184,7 @@ class RunConfig:
             raise ValueError("task_batch must satisfy 1 <= task_batch <= n")
         if self.T < 0 or self.K < 0:
             raise ValueError("T and K must be non-negative")
+        check_seed(self.seed)
         if self.mc_replicas < 1:
             raise ValueError("mc_replicas must be >= 1")
         if self.test_adapt_steps < 0:

@@ -14,8 +14,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import (DECAY_INVERSE_T, P_NOISE_U, P_TASK, Schedules,
-                   UndefinedBoundError, derive_stream, ordered_sum, stopped_at)
+from .core import (DECAY_INVERSE_T, P_NOISE_U, P_TASK, Schedules, UndefinedBoundError,
+                   check_seed, derive_stream, ordered_sum, stopped_at)
 from .model import stacked_grad, stacked_risk
 from .task_env import EnvironmentSpec, sample_datasets, sample_task_means
 
@@ -141,6 +141,7 @@ class JointConfig:
     def __post_init__(self):
         if self.n < 1 or self.m < 1 or self.T < 0:
             raise ValueError("n, m must be >= 1 and T >= 0")
+        check_seed(self.seed)
         if not math.isfinite(self.coupling):
             raise ValueError(f"coupling must be finite, got {self.coupling}")
         if self.coupling < 0:
@@ -173,6 +174,7 @@ def run_joint_sgld(cfg: JointConfig, env: EnvironmentSpec,
     rng = derive_stream(cfg.seed, (P_TASK, 0))
     data, _, _ = sample_datasets(sample_task_means(env, cfg.n, rng), env,
                                  cfg.m, cfg.m, rng)
+    means = data.mean(axis=1, keepdims=True)   # the square loss's gradient reads only these
 
     phi = np.zeros((cfg.n + 1, env.dim))
     tracker = GradBoundTracker(fixed_l=cfg.fixed_l)
@@ -185,7 +187,7 @@ def run_joint_sgld(cfg: JointConfig, env: EnvironmentSpec,
         try:
             eta = s.outer_lr(t)
             sigma = math.sqrt(eta) if cfg.sigma_rule == SIGMA_SQRT_ETA else cfg.sigma0
-            grad = joint_loss_grad(phi, data, cfg.coupling)
+            grad = joint_loss_grad(phi, means, cfg.coupling)
             l_hat = tracker.observe(np.linalg.norm(grad))
             term = mi_step_term(eta, sigma, l_hat, phi.size)
             mi_sum += term

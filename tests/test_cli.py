@@ -391,6 +391,27 @@ class TestRenderPlot:
         assert svg.count("<polyline") == 2 and ">t</text>" in svg
         assert len((tmp_path / "j_closed_form.dat").read_text().splitlines()) == 20
 
+    def test_non_finite_points_are_skipped(self, tmp_path):
+        # closed_form is NaN on every row of a joint run without inverse_t decay
+        run_experiment(parse_config(joint_config(tmp_path).replace(
+            "decay_rule = inverse_t", "decay_rule = constant")))
+        out = tmp_path / "j.svg"
+        assert render_plot(tmp_path / "j.csv", ["closed_form", "joint_bound"], out) == 0
+        svg = out.read_text()
+        assert svg.count("<polyline") == 1 and not re.search(r"\b(nan|inf)\b", svg)
+        assert (tmp_path / "j_closed_form.dat").read_text() == ""
+        assert len((tmp_path / "j_joint_bound.dat").read_text().splitlines()) == 20
+
+    def test_inf_and_nan_cells_are_skipped(self, tmp_path):
+        csv_path = tmp_path / "gap.csv"
+        csv_path.write_text("epoch,gap,test_loss\n1,1.0,nan\n2,inf,nan\n"
+                            "3,2.0,-inf\n4,nan,nan\n")
+        render_plot(csv_path, ["gap"], tmp_path / "g.svg")
+        assert (tmp_path / "g_gap.dat").read_text() == "1 1\n3 2\n"
+        assert not re.search(r"\b(nan|inf)\b", (tmp_path / "g.svg").read_text())
+        with pytest.raises(ValueError, match="no plottable data points"):
+            render_plot(csv_path, ["test_loss"], tmp_path / "t.svg")
+
     @pytest.mark.parametrize("text", ["# mode = alternate\n", "\nepoch,gap\n1,2\n"])
     def test_headerless_csv_rejected(self, tmp_path, text):
         csv_path = tmp_path / "empty.csv"
@@ -439,6 +460,33 @@ class TestCompareSplits:
         with pytest.raises(ValueError):
             compare_splits([a])
 
+    def test_output_ignores_eval_cadence(self, tmp_path, capsys):
+        # the table shows epoch T only, so only epoch T is evaluated
+        outs = []
+        for cadence in (1, 2):
+            files = []
+            for seed in (5, 6):
+                files.append(tmp_path / f"s{seed}c{cadence}.ini")
+                files[-1].write_text(tiny_config(tmp_path, T=3).replace(
+                    "eval_cadence = 2", f"eval_cadence = {cadence}").replace(
+                    "seed = 5", f"seed = {seed}"))
+            assert main(["compare", *map(str, files)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and len(outs[0].splitlines()) == 4
+
+    def test_zero_t_is_one_error_line(self, tmp_path, capsys):
+        cfg_file = tmp_path / "t0.ini"
+        cfg_file.write_text(tiny_config(tmp_path, T=0))
+        with pytest.raises(ValueError, match="T >= 1"):
+            compare_splits([parse_config(cfg_file.read_text())] * 2)
+        assert main(["compare", str(cfg_file), str(cfg_file)]) == 1
+        assert capsys.readouterr().err == "error: compare needs T >= 1, got T=0\n"
+
+    def test_eval_cadence_is_not_a_compare_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "toy_8_8", "toy_15_1", "--eval-cadence", "2"])
+        assert exc.value.code == 2
+
 
 class TestMain:
     def test_run_subcommand(self, tmp_path):
@@ -462,6 +510,44 @@ class TestMain:
 
     def test_missing_preset_returns_nonzero(self):
         assert main(["run", "no_such_preset"]) == 1
+
+    @pytest.mark.parametrize("arg", ["configs/typo.ini", "typo.ini",
+                                     os.path.join("configs", "typo")])
+    def test_missing_config_file_is_named(self, tmp_path, monkeypatch, capsys, arg):
+        # a path or an .ini name can never name a shipped preset
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", arg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file" in err
+        assert repr(arg) in err and "preset" not in err
+
+    @pytest.mark.parametrize("mode", ["alternate", "joint"])
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), str(2 ** 64 + 1)])
+    def test_seed_outside_64_bits_is_one_error_line(self, tmp_path, capsys, mode, seed):
+        # masked to 64 bits, 2**64 + 1 ran seed 1 and -1 ran seed 2**64 - 1
+        text = (tiny_config(tmp_path, T=1, name="sd.csv") if mode == "alternate"
+                else joint_config(tmp_path, T=1, name="sd.csv"))
+        cfg_file = tmp_path / "sd.ini"
+        cfg_file.write_text(text)
+        message = f"seed must be in [0, 2**64), got {seed}\n"
+        assert main(["run", str(cfg_file), "--seed", seed]) == 1
+        assert capsys.readouterr().err == "error: " + message
+        cfg_file.write_text(re.sub(r"^seed = \d+$", f"seed = {seed}", text, flags=re.M))
+        assert main(["run", str(cfg_file)]) == 1
+        assert capsys.readouterr().err == "error: invalid [run] section: " + message
+        assert not (tmp_path / "sd.csv").exists()
+
+    def test_unallocatable_run_is_one_error_line(self, tmp_path, capsys):
+        # 10**12 epochs of toy_8_8 draws are 1.14 PiB, beyond the user address
+        # space of a 64-bit process (128 TiB on x86-64 Linux): this fails at once
+        cfg_file = tmp_path / "big.ini"
+        cfg_file.write_text(load_text(preset_path("toy_8_8")).replace(
+            "T = 200", f"T = {10 ** 12}").replace("csv = toy_8_8.csv",
+                                                  f"csv = {tmp_path / 'big.csv'}"))
+        assert main(["run", str(cfg_file)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+        assert not (tmp_path / "big.csv").exists()
 
     def test_plot_subcommand(self, tmp_path):
         cfg_file = tmp_path / "tiny.ini"

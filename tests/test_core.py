@@ -112,6 +112,19 @@ class TestDeriveStream:
         with pytest.raises(ValueError):
             derive_stream(7, [])
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 1])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # masking to 64 bits made 2**64 + 1 the stream of 1 and -1 that of 2**64 - 1
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            derive_stream(seed, [1, 2])
+
+    def test_seed_range_ends_accepted(self):
+        for seed in (0, 2 ** 64 - 1):
+            want = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(entropy=seed, spawn_key=(1, 2))))
+            assert np.array_equal(derive_stream(seed, [1, 2]).standard_normal(8),
+                                  want.standard_normal(8))
+
     def test_sibling_streams_uncorrelated(self):
         x = derive_stream(123, [5, 1]).standard_normal(10_000)
         y = derive_stream(123, [5, 2]).standard_normal(10_000)
@@ -129,6 +142,12 @@ class TestRunConfig:
     def test_valid(self):
         cfg = self.base()
         assert cfg.mc_replicas == 10 and cfg.test_adapt_steps == 10
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be in"):
+            self.base(seed=seed)
+        assert self.base(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
     def test_split_must_sum(self):
         with pytest.raises(ValueError):

@@ -567,3 +567,14 @@ def test_joint_loss_grad_matches_loop(coupling, n, start):
     got = joint_loss_grad(phi, data, coupling).ravel()
     want = ref_joint_grad(phi[0], list(phi[1:]), list(data), coupling)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("coupling,n,start", itertools.product(
+    (0.0, 1.0), (1, 3, 12), ("zero", "random")))
+def test_joint_loss_grad_reads_only_the_means(coupling, n, start):
+    # run_joint_sgld passes each dataset's mean as a one-point dataset
+    rng = np.random.default_rng(n)
+    phi = np.zeros((n + 1, 2)) if start == "zero" else rng.normal(size=(n + 1, 2))
+    data = rng.normal(size=(n, 5, 2))
+    got = joint_loss_grad(phi, data.mean(axis=1, keepdims=True), coupling)
+    assert got.tobytes() == joint_loss_grad(phi, data, coupling).tobytes()

@@ -216,6 +216,12 @@ class TestRunJointSgld:
         with pytest.raises(ValueError):
             self.cfg(coupling=-1.0)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be in"):
+            self.cfg(seed=seed)
+        assert self.cfg(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
     def test_w_overflow_names_the_step(self):
         # with no tether U moves only by the small fixed noise and stays
         # finite, while eta = 1e3 makes every W step multiply W by -1999;
