@@ -377,6 +377,9 @@ def _print_comparison(rows: List[dict]) -> None:
 
 def _apply_overrides(cfg: ExperimentConfig, seed, eval_cadence=None) -> ExperimentConfig:
     if eval_cadence is not None:
+        if cfg.mode == MODE_JOINT:
+            raise ValueError("--eval-cadence sets the gap evaluations of an alternate "
+                             "run; a joint run evaluates none")
         cfg = replace(cfg, outputs=replace(cfg.outputs, eval_cadence=eval_cadence))
     if seed is not None:
         trainer = "run" if cfg.mode == MODE_ALTERNATE else "joint"

@@ -22,8 +22,8 @@ import numpy as np
 
 from .core import (ConfigurationError, P_BATCH, P_NOISE_U, P_NOISE_W,
                    P_TASK, P_TEST, P_TRAIN_PROBE, RunConfig, UndefinedBoundError,
-                   as_vector, derive_stream, noise_std, ordered_sum, sq_norm,
-                   stopped_at)
+                   as_vector, derive_stream, epoch_streams, noise_std, ordered_sum,
+                   sq_norm, stopped_at)
 from .model import LossModel, descend, stacked_risk
 from .task_env import (EnvironmentSpec, TaskDataset, minibatch_mean_var,
                        sample_datasets, sample_minibatch, sample_task_means)
@@ -54,9 +54,9 @@ _Epochs = namedtuple("_Epochs", "eta beta std tr_mean un_mean batch_var "
                                 "probe_var va centre noise z_u")
 
 
-def _draw(env: EnvironmentSpec, cfg: RunConfig, t: int):
-    """Epoch t's samples (B, m, d) and sorted tr and va indices, (P_TASK, t)."""
-    rng = derive_stream(cfg.seed, (P_TASK, t))
+def _draw(env: EnvironmentSpec, cfg: RunConfig, rng: np.random.Generator):
+    """An epoch's samples (B, m, d) and sorted tr and va indices, from its
+    (P_TASK, t) stream rng."""
     return sample_datasets(sample_task_means(env, cfg.task_batch, rng),
                            env, cfg.m, cfg.m_tr, rng)
 
@@ -71,14 +71,14 @@ def _rates(cfg: RunConfig, t: int) -> List[float]:
     return rates
 
 
-def _live_draws(cfg: RunConfig, t: int, dim: int, cols=slice(None)):
-    """Slots ``cols`` of epoch t's live noise (K, B, dim), from (P_NOISE_W,
-    t), and live minibatch tr positions (K, B, b) or None, from (P_BATCH, t)."""
+def _live_draws(cfg: RunConfig, rngs: dict, dim: int, cols=slice(None)):
+    """Slots ``cols`` of an epoch's live noise (K, B, dim), from rngs[P_NOISE_W],
+    and live minibatch tr positions (K, B, b) or None, from rngs[P_BATCH]."""
     shape = (cfg.K, cfg.task_batch)
     pos = (sample_minibatch(np.broadcast_to(np.arange(cfg.m_tr), shape + (cfg.m_tr,)),
-                            cfg.inner_batch, derive_stream(cfg.seed, (P_BATCH, t)))[:, cols]
+                            cfg.inner_batch, rngs[P_BATCH])[:, cols]
            if cfg.inner_batch else None)
-    return derive_stream(cfg.seed, (P_NOISE_W, t)).standard_normal(shape + (dim,))[:, cols], pos
+    return rngs[P_NOISE_W].standard_normal(shape + (dim,))[:, cols], pos
 
 
 def _epochs(cfg: RunConfig, samples, tr_idx, va_idx, rates, z, pos, z_u) -> _Epochs:
@@ -104,7 +104,8 @@ def _epochs(cfg: RunConfig, samples, tr_idx, va_idx, rates, z, pos, z_u) -> _Epo
 def _one_epoch(cfg: RunConfig, t: int, task_batch: Sequence[TaskDataset], dim: int,
                cols=None, z_u=None) -> _Epochs:
     """Epoch t on the datasets task_batch, with live draws if cols is set."""
-    live = (None, None) if cols is None else _live_draws(cfg, t, dim, cols)
+    live = (None, None) if cols is None else _live_draws(
+        cfg, next(epoch_streams(cfg.seed, (P_NOISE_W, P_BATCH), [t]))[1], dim, cols)
     epoch = (*(np.stack([getattr(ds, name) for ds in task_batch])
                for name in ("samples", "tr_indices", "va_indices")), _rates(cfg, t), *live, z_u)
     return _epochs(cfg, *(None if x is None else np.asarray(x)[None] for x in epoch))
@@ -288,7 +289,8 @@ def outer_step(u: np.ndarray, model: LossModel,
 
 def draw_task_batch(env: EnvironmentSpec, cfg: RunConfig, t: int) -> List[TaskDataset]:
     """Fresh tasks and datasets for outer iteration t, all from (P_TASK, t)."""
-    return [TaskDataset(*task) for task in zip(*_draw(env, cfg, t))]
+    rng = derive_stream(cfg.seed, (P_TASK, t))
+    return [TaskDataset(*task) for task in zip(*_draw(env, cfg, rng))]
 
 
 def run_meta_sgld(cfg: RunConfig, env: EnvironmentSpec,
@@ -314,10 +316,11 @@ def run_meta_sgld(cfg: RunConfig, env: EnvironmentSpec,
         raise ConfigurationError(f"init_u must have length {env.dim}")
 
     draws, failure, n = [], None, 0
-    for t in range(1, cfg.T + 1):
+    purposes = (P_TASK, P_NOISE_W, P_NOISE_U) + ((P_BATCH,) if cfg.inner_batch else ())
+    for t, rngs in epoch_streams(cfg.seed, purposes, range(1, cfg.T + 1)):
         try:
-            epoch = (*_draw(env, cfg, t), _rates(cfg, t), *_live_draws(cfg, t, env.dim),
-                     derive_stream(cfg.seed, (P_NOISE_U, t)).standard_normal(env.dim))
+            epoch = (*_draw(env, cfg, rngs[P_TASK]), _rates(cfg, t),
+                     *_live_draws(cfg, rngs, env.dim), rngs[P_NOISE_U].standard_normal(env.dim))
         except (ValueError, OverflowError) as exc:
             failure = exc
             break
@@ -339,16 +342,15 @@ def run_meta_sgld(cfg: RunConfig, env: EnvironmentSpec,
                                  BoundAccumulators(), cfg)
     ab = bounds_mod.assemble_alt_bound(run, sg, cfg.n, cfg.m_va)
     gaps, ts = {}, range(1, len(run.eps_u_sum) + 1)   # the epochs before a failure
-    for t in ts:
-        if eval_cadence > 0 and (t % eval_cadence == 0 or t == cfg.T):
-            try:
-                rep = evaluate_mod.observed_gap(
-                    us[t], env, cfg, n_train_probe, n_test,
-                    test_stream=derive_stream(cfg.seed, (P_TEST, t)),
-                    train_stream=derive_stream(cfg.seed, (P_TRAIN_PROBE, t)))
-            except (ValueError, ArithmeticError) as exc:
-                raise stopped_at(exc, "epoch", t) from None
-            gaps[t] = (rep.train_loss, rep.test_loss, rep.gap)
+    evals = [t for t in ts if eval_cadence > 0 and (t % eval_cadence == 0 or t == cfg.T)]
+    for t, rngs in epoch_streams(cfg.seed, (P_TEST, P_TRAIN_PROBE), evals):
+        try:
+            rep = evaluate_mod.observed_gap(us[t], env, cfg, n_train_probe, n_test,
+                                            test_stream=rngs[P_TEST],
+                                            train_stream=rngs[P_TRAIN_PROBE])
+        except (ValueError, ArithmeticError) as exc:
+            raise stopped_at(exc, "epoch", t) from None
+        gaps[t] = (rep.train_loss, rep.test_loss, rep.gap)
     if failure is not None:
         raise stopped_at(failure, "epoch", len(ts) + 1) from None
     columns = [getattr(x, f.name).tolist() for x in (run, ab) for f in fields(x)]

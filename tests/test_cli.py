@@ -549,6 +549,32 @@ class TestMain:
         assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
         assert not (tmp_path / "big.csv").exists()
 
+    def test_epoch_one_failure_wins_over_unallocatable_run(self, tmp_path, capsys):
+        # the run's arrays are allocated after epoch 1 is drawn, and epoch
+        # 1's streams are derived with a block of epochs, never all T at once
+        cfg_file = tmp_path / "big.ini"
+        cfg_file.write_text(load_text(preset_path("toy_8_8")).replace(
+            "T = 200", f"T = {10 ** 12}").replace("csv = toy_8_8.csv",
+                                                  f"csv = {tmp_path / 'big.csv'}").replace(
+            "trunc_lo = -12, -12", "trunc_lo = -4, -4").replace(
+            "trunc_hi = 4, 4", "trunc_hi = -3.999999999, -3.999999999"))
+        assert main(["run", str(cfg_file)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: rejection sampling acceptance rate")
+        assert err[0].endswith("carries too little mass at epoch 1")
+        assert not (tmp_path / "big.csv").exists()
+
+    def test_eval_cadence_on_a_joint_run_is_one_error_line(self, tmp_path, capsys):
+        # a joint run evaluates no gap, so the flag would change only a header line
+        cfg_file = tmp_path / "j.ini"
+        cfg_file.write_text(joint_config(tmp_path, T=2, name="jc.csv"))
+        assert main(["run", str(cfg_file), "--eval-cadence", "5"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --eval-cadence sets the gap evaluations of an alternate run; "
+            "a joint run evaluates none\n")
+        assert not (tmp_path / "jc.csv").exists()
+        assert main(["run", str(cfg_file)]) == 0     # its INI key still loads
+
     def test_plot_subcommand(self, tmp_path):
         cfg_file = tmp_path / "tiny.ini"
         cfg_file.write_text(tiny_config(tmp_path, T=2, name="pm.csv"))

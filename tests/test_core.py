@@ -4,11 +4,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metasgld.core import (DECAY_CONSTANT, DECAY_EXPONENTIAL, DECAY_INVERSE_T,
-                           RunConfig, Schedules, derive_stream, noise_std)
+                           P_BATCH, P_NOISE_U, P_NOISE_W, P_TASK, P_TEST,
+                           P_TRAIN_PROBE, RunConfig, Schedules, derive_stream,
+                           noise_std, stream_states)
 
 
 def sched(**kw):
@@ -92,6 +94,40 @@ class TestScheduleValidation:
             sched(gamma_inner=-1)
 
 
+EDGE_SEEDS = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1)    # one and two entropy words
+SEEDS = st.sampled_from(EDGE_SEEDS) | st.integers(0, 2 ** 64 - 1)
+ENTRIES = (st.sampled_from([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
+           | st.integers(0, 2 ** 64 - 1))
+PURPOSES = (P_TASK, P_BATCH, P_NOISE_U, P_NOISE_W, P_TEST, P_TRAIN_PROBE)
+
+
+def seed_sequence_state(seed, path):
+    state = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=tuple(path))).state
+    return state["state"]["state"], state["state"]["inc"]
+
+
+class TestStreamStates:
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    @settings(max_examples=25, deadline=None)
+    @given(ts=st.lists(st.integers(0, 10 ** 5), min_size=1, max_size=30))
+    @example(ts=[0, 1, 200, 10 ** 5])
+    def test_run_addresses_equal_seed_sequence_pcg64(self, seed, ts):
+        paths = [(p, t) for t in ts for p in PURPOSES]
+        assert stream_states(seed, paths) == [seed_sequence_state(seed, x) for x in paths]
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=SEEDS, paths=st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(ENTRIES, min_size=n, max_size=n), min_size=1, max_size=6)))
+    def test_paths_of_one_and_two_word_entries(self, seed, paths):
+        # rows of one call may differ in how many of their entries take two words
+        assert stream_states(seed, paths) == [seed_sequence_state(seed, x) for x in paths]
+
+    @pytest.mark.parametrize("paths", [[], [[]], [[1, -1]], [[2 ** 64]], [[1], [1, 2]]])
+    def test_malformed_paths_rejected(self, paths):
+        with pytest.raises(ValueError):
+            stream_states(7, paths)
+
+
 class TestDeriveStream:
     def test_determinism(self):
         a = derive_stream(7, [1, 2]).standard_normal(100)
@@ -124,6 +160,23 @@ class TestDeriveStream:
                 np.random.SeedSequence(entropy=seed, spawn_key=(1, 2))))
             assert np.array_equal(derive_stream(seed, [1, 2]).standard_normal(8),
                                   want.standard_normal(8))
+
+    def test_negative_path_entry_rejected(self):
+        with pytest.raises(ValueError):
+            derive_stream(7, [1, -1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=SEEDS, path=st.lists(ENTRIES, min_size=1, max_size=4))
+    def test_draws_equal_seed_sequence_pcg64(self, seed, path):
+        # lengths 1-4 cover [t], [m, m_tr], [P, t] and the oracles' 4-tuples;
+        # an entry of 2**32 or more is two words of the entropy
+        want = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(seed, spawn_key=tuple(path))))
+        got = derive_stream(seed, path)
+        for draw in ("standard_normal", "random"):
+            assert getattr(got, draw)(9).tobytes() == getattr(want, draw)(9).tobytes()
+        assert np.array_equal(got.integers(0, 2 ** 32, 9, dtype=np.uint32),
+                              want.integers(0, 2 ** 32, 9, dtype=np.uint32))
 
     def test_sibling_streams_uncorrelated(self):
         x = derive_stream(123, [5, 1]).standard_normal(10_000)

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from metasgld import __version__
-from metasgld.cli import load_config_file, preset_path, run_experiment
+from metasgld.cli import (OUTPUT_DIR_ENV_VAR, load_config_file, main, preset_path,
+                          run_experiment)
 from metasgld.core import (DECAY_CONSTANT, DECAY_EXPONENTIAL, DECAY_INVERSE_T,
                            RunConfig, Schedules)
 from metasgld.meta_sgld import run_meta_sgld
@@ -65,6 +66,23 @@ def test_rows_match_pinned_layout(preset, tmp_path):
 def test_minibatch_rows_match_pinned_layout(tmp_path):
     csv = b"".join(short_run("toy_8_8", tmp_path, inner_batch=3))
     assert hashlib.sha256(csv).hexdigest() == MINIBATCH_DIGEST
+
+
+# SHA-256 of the CSVs of ``metasgld run <preset> --seed S``, S = 1-10, for
+# each preset in this order, concatenated: whole preset runs, and what a
+# NumPy upgrade that changed its seeding algorithm would move
+PRESET_RUNS = ("toy_8_8", "toy_1_15", "toy_15_1", "joint_demo")
+PRESET_RUNS_DIGEST = "057f35aff13087065f441066ce9a8c58d071c647c73cdd175c9238e69b1a36f5"
+
+
+def test_preset_runs_match_pinned_digest(tmp_path, monkeypatch):
+    monkeypatch.setenv(OUTPUT_DIR_ENV_VAR, str(tmp_path))
+    digest = hashlib.sha256()
+    for preset in PRESET_RUNS:
+        for seed in range(1, 11):
+            assert main(["run", preset, "--seed", str(seed)]) == 0
+            digest.update((tmp_path / f"{preset}.csv").read_bytes())
+    assert digest.hexdigest() == PRESET_RUNS_DIGEST
 
 
 @pytest.mark.parametrize("preset", sorted(DIGESTS))
