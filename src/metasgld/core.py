@@ -1,9 +1,9 @@
 """Shared primitives: schedules, hierarchical RNG streams, run configuration."""
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -138,9 +138,11 @@ def derive_stream(master_seed: int, path: Sequence[int]) -> np.random.Generator:
     Same (master_seed, path) always yields the same generator state; distinct
     paths (or seeds) give statistically independent streams.
     """
-    bit_gen = np.random.PCG64(0)                         # its state is replaced
-    _set_state(bit_gen, stream_states(master_seed, [list(path)])[0])
-    return np.random.Generator(bit_gen)
+    seed = check_seed(master_seed)
+    key = tuple(check_seed(x, "stream path entry") for x in path)
+    if not key:
+        raise ValueError("stream path must be non-empty")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def epoch_streams(seed: int, purposes: Sequence[int], ts: Iterable[int]
@@ -150,96 +152,73 @@ def epoch_streams(seed: int, purposes: Sequence[int], ts: Iterable[int]
     States are derived for blocks of 256 epochs, so a huge T costs nothing
     up front."""
     rngs = {p: np.random.Generator(np.random.PCG64(0)) for p in purposes}
-    bit_gens, ts = [rng.bit_generator for rng in rngs.values()], iter(ts)
+    ts = iter(ts)
     while block := list(itertools.islice(ts, 256)):
-        states = iter(stream_states(seed, [(p, t) for t in block for p in rngs]))
-        for t in block:
-            for bit_gen in bit_gens:
-                _set_state(bit_gen, next(states))
+        for t, *states in zip(block, *(stream_states(seed, p, block) for p in rngs)):
+            for rng, state in zip(rngs.values(), states):
+                rng.bit_generator.state = state
             yield t, rngs
 
 
-# NumPy's SeedSequence constants (a pool of 4 uint32 words) and PCG64's multiplier
-_MASK32, _INIT_A, _MULT_A, _INIT_B, _MULT_B = (
-    0xFFFFFFFF, 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED)
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# SeedSequence's hash multipliers before and after each hash of t's words
+# (the pool of (seed, purpose) took 20: 4 for the seed words, 12 to mix
+# them, 4 for the purpose word) and of generate_state's 8 words
+_HASH_T = np.array([0x43B0D7E5 * 0x931E8875 ** k & 0xFFFFFFFF for k in range(20, 29)],
+                   dtype=np.uint32)[:, None]
+_HASH_OUT = np.array([0x8B51F9DD * 0x58F38DED ** k & 0xFFFFFFFF for k in range(9)],
+                     dtype=np.uint32)[:, None]
+# PCG64's multiplier
 _PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 
 
-@functools.lru_cache(maxsize=None)
-def _hash_consts(init: int, mult: int, n: int) -> Tuple[int, ...]:
-    """The hash multiplier before and after each of n successive calls."""
-    c = [init]
-    for _ in range(n):
-        c.append(c[-1] * mult & _MASK32)
-    return tuple(c)
-
-
-# SeedSequence's hashmix and mix, on Python ints or uint32 arrays
+# SeedSequence's hashmix and mix, on uint32 arrays
 def _hash(v, before, after):
-    v = (v ^ before) * after & _MASK32
+    v = (v ^ before) * after
     return v ^ v >> 16
 
 
 def _mix(x, y):
-    v = (x * _MIX_L - y * _MIX_R) & _MASK32
+    v = x * 0xCA01F9DD - y * 0x4973F715
     return v ^ v >> 16
 
 
-@functools.lru_cache(maxsize=64)
-def _seed_pool(seed: int) -> Tuple[int, ...]:
-    c = _hash_consts(_INIT_A, _MULT_A, 16)
-    pool = [_hash(w, c[i], c[i + 1]) for i, w in enumerate((seed & _MASK32, seed >> 32, 0, 0))]
-    for k, (src, dst) in enumerate(itertools.permutations(range(4), 2), 4):
-        pool[dst] = _mix(pool[dst], _hash(pool[src], c[k], c[k + 1]))
-    return tuple(pool)
+def stream_states(seed: int, purpose: int, ts: Sequence[int]) -> List[dict]:
+    """The state of ``PCG64(SeedSequence(seed, spawn_key=(purpose, t)))``
+    for each t of ts, purpose a one-word tag and t in [0, 2**64).
 
-
-def stream_states(seed: int, paths) -> List[Tuple[int, int]]:
-    """The PCG64 (state, inc) of ``PCG64(SeedSequence(seed, spawn_key=path))``
-    for each of n equal-length paths (n, L) of integers in [0, 2**64).
-
-    SeedSequence hashes into a pool of 4 words the seed's two words and two
-    zeros (_seed_pool, shared by all paths), then each path's words, here as
-    uint32 array ops over all paths at once; PCG64's set_seed steps follow."""
-    seed, rows = check_seed(int(seed)), [[int(x) for x in path] for path in paths]
-    if not (rows and all(rows) and min(map(min, rows)) >= 0 and max(map(max, rows)) < 2 ** 64):
-        raise ValueError("stream paths must be non-empty rows of integers in [0, 2**64)")
-    p = np.array(rows, dtype=np.uint64).T          # (L, n); rows of unequal L raise
-    c = _hash_consts(_INIT_A, _MULT_A, 16 + 8 * len(p))
-    # each entry's low word, then its high word if nonzero, the unused high
-    # words moved to the end: (2L, n), the first length[i] of column i in use
-    words = np.empty((2 * len(p), p.shape[1]), dtype=np.uint32)
-    words[0::2], words[1::2] = p & _MASK32, p >> 32
-    used = words != 0
-    used[0::2] = True
-    words = words[np.argsort(~used, axis=0, kind="stable"), np.arange(words.shape[1])]
-    length, c, k = used.sum(axis=0), np.array(c, dtype=np.uint32)[:, None], 16
-    pool = np.array(_seed_pool(seed), dtype=np.uint32)[:, None]
-    for j in range(length.max()):          # word j hashed into each pool word
-        mixed = _mix(pool, _hash(words[j], c[k:k + 4], c[k + 1:k + 5]))
-        pool, k = np.where(length > j, mixed, pool), k + 4
-    c = np.array(_hash_consts(_INIT_B, _MULT_B, 8), dtype=np.uint32)[:, None]
-    out = _hash(np.concatenate([pool, pool]), c[:-1], c[1:])   # generate_state's 8 words
+    NumPy hashes the seed and purpose into SeedSequence's pool of 4 words;
+    t's low word, then its high word if nonzero, are hashed onto it here as
+    uint32 array ops over all of ts, then generate_state's 8 words and
+    PCG64's set_seed steps follow."""
+    if not 0 <= purpose < 2 ** 32:
+        raise ValueError(f"purpose must be in [0, 2**32), got {purpose}")
+    t = np.array([check_seed(t, "t") for t in ts], dtype=np.uint64)
+    pool = np.random.SeedSequence(check_seed(seed), spawn_key=(purpose,)).pool[:, None]
+    lo, hi = (t & 0xFFFFFFFF).astype(np.uint32), (t >> 32).astype(np.uint32)
+    pool = _mix(pool, _hash(lo, _HASH_T[:4], _HASH_T[1:5]))
+    pool = np.where(hi != 0, _mix(pool, _hash(hi, _HASH_T[4:8], _HASH_T[5:])), pool)
+    out = _hash(np.concatenate([pool, pool]), _HASH_OUT[:-1], _HASH_OUT[1:])
     # as uint64, the halves of PCG64's seed s and stream i: inc = 2i + 1, and
     # the state steps x -> x * mult + inc from 0, adds s and steps again
     states = []
     for s_hi, s_lo, i_hi, i_lo in (out[0::2].astype(np.uint64)
                                    | out[1::2].astype(np.uint64) << 32).T.tolist():
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        states.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
+        state = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
     return states
 
 
-def _set_state(bit_gen: np.random.PCG64, state: Tuple[int, int]) -> None:
-    bit_gen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                     "state": {"state": state[0], "inc": state[1]}}
-
-
-def check_seed(seed: int) -> int:
-    """seed, if it is in [0, 2**64); a seed outside would alias one inside."""
+def check_seed(seed: int, name: str = "seed") -> int:
+    """seed as an int, if it is an integer in [0, 2**64); any other value
+    would alias one inside (1.7 as 1, 2**64 as 0).  Path entries alike."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {seed!r}") from None
     if not 0 <= seed < 2 ** 64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        raise ValueError(f"{name} must be in [0, 2**64), got {seed}")
     return seed
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from metasgld.core import (DECAY_CONSTANT, DECAY_EXPONENTIAL, DECAY_INVERSE_T,
                            P_BATCH, P_NOISE_U, P_NOISE_W, P_TASK, P_TEST,
                            P_TRAIN_PROBE, RunConfig, Schedules, derive_stream,
-                           noise_std, stream_states)
+                           epoch_streams, noise_std, stream_states)
 
 
 def sched(**kw):
@@ -102,8 +102,7 @@ PURPOSES = (P_TASK, P_BATCH, P_NOISE_U, P_NOISE_W, P_TEST, P_TRAIN_PROBE)
 
 
 def seed_sequence_state(seed, path):
-    state = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=tuple(path))).state
-    return state["state"]["state"], state["state"]["inc"]
+    return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=tuple(path))).state
 
 
 class TestStreamStates:
@@ -112,20 +111,38 @@ class TestStreamStates:
     @given(ts=st.lists(st.integers(0, 10 ** 5), min_size=1, max_size=30))
     @example(ts=[0, 1, 200, 10 ** 5])
     def test_run_addresses_equal_seed_sequence_pcg64(self, seed, ts):
-        paths = [(p, t) for t in ts for p in PURPOSES]
-        assert stream_states(seed, paths) == [seed_sequence_state(seed, x) for x in paths]
+        for p in PURPOSES:
+            assert stream_states(seed, p, ts) == [seed_sequence_state(seed, (p, t)) for t in ts]
 
     @settings(max_examples=100, deadline=None)
-    @given(seed=SEEDS, paths=st.integers(1, 4).flatmap(lambda n: st.lists(
-        st.lists(ENTRIES, min_size=n, max_size=n), min_size=1, max_size=6)))
-    def test_paths_of_one_and_two_word_entries(self, seed, paths):
-        # rows of one call may differ in how many of their entries take two words
-        assert stream_states(seed, paths) == [seed_sequence_state(seed, x) for x in paths]
+    @given(seed=SEEDS, purpose=st.sampled_from(PURPOSES),
+           ts=st.lists(ENTRIES, min_size=1, max_size=8))
+    def test_paths_of_one_and_two_word_entries(self, seed, purpose, ts):
+        # t of 2**32 or more is two words of the entropy, in one call with one-word t
+        assert stream_states(seed, purpose, ts) == [seed_sequence_state(seed, (purpose, t))
+                                                    for t in ts]
 
-    @pytest.mark.parametrize("paths", [[], [[]], [[1, -1]], [[2 ** 64]], [[1], [1, 2]]])
+    @pytest.mark.parametrize("paths", [[(P_TASK, -1)], [(P_TASK, 2 ** 64)], [(P_TASK, 1.7)],
+                                       [(-1, 1)], [(2 ** 32, 1)]])
     def test_malformed_paths_rejected(self, paths):
-        with pytest.raises(ValueError):
-            stream_states(7, paths)
+        # t is an integer in [0, 2**64), the purpose one word
+        for purpose, t in paths:
+            with pytest.raises(ValueError):
+                stream_states(7, purpose, [1, t])
+
+
+class TestEpochStreams:
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_reused_generators_equal_derive_stream(self, seed):
+        # 300 epochs cross the 256-epoch block; each t reuses the generators
+        ts = range(1, 301)
+        for t, rngs in epoch_streams(seed, PURPOSES, ts):
+            assert list(rngs) == list(PURPOSES)
+            for p, rng in rngs.items():
+                want = derive_stream(seed, (p, t))
+                for draw in ("standard_normal", "random"):
+                    assert getattr(rng, draw)(4).tobytes() == getattr(want, draw)(4).tobytes()
+        assert t == 300
 
 
 class TestDeriveStream:
@@ -165,6 +182,22 @@ class TestDeriveStream:
         with pytest.raises(ValueError):
             derive_stream(7, [1, -1])
 
+    @pytest.mark.parametrize("path", [[2 ** 64], [1, 2 ** 64]])
+    def test_path_entry_outside_64_bits_rejected(self, path):
+        with pytest.raises(ValueError, match=r"stream path entry must be in \[0, 2\*\*64\)"):
+            derive_stream(7, path)
+
+    @pytest.mark.parametrize("path", [[1.7], [1, 2.0]])
+    def test_non_integer_path_entry_rejected(self, path):
+        # int() made [1.7] the stream of [1]
+        with pytest.raises(ValueError, match="stream path entry must be an integer"):
+            derive_stream(0, path)
+
+    @pytest.mark.parametrize("seed", [1.7, 1.0, "1"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+            derive_stream(seed, [1, 2])
+
     @settings(max_examples=200, deadline=None)
     @given(seed=SEEDS, path=st.lists(ENTRIES, min_size=1, max_size=4))
     def test_draws_equal_seed_sequence_pcg64(self, seed, path):
@@ -201,6 +234,11 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="seed must be in"):
             self.base(seed=seed)
         assert self.base(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
+    def test_non_integer_seed_rejected(self):
+        # 1.7 passed the range check and ran seed 1's streams
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.7"):
+            self.base(seed=1.7)
 
     def test_split_must_sum(self):
         with pytest.raises(ValueError):

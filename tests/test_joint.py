@@ -222,6 +222,11 @@ class TestRunJointSgld:
             self.cfg(seed=seed)
         assert self.cfg(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
+    def test_non_integer_seed_rejected(self):
+        # 1.9 passed the range check and ran seed 1's streams
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.9"):
+            self.cfg(seed=1.9)
+
     def test_w_overflow_names_the_step(self):
         # with no tether U moves only by the small fixed noise and stays
         # finite, while eta = 1e3 makes every W step multiply W by -1999;
