@@ -30,9 +30,13 @@ def batch_grad(model: LossModel, w, batch) -> np.ndarray:
 
 
 def stacked_risk(w: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """Unvalidated batch_risk, bitwise, of w (..., dim) on batch (..., n, dim)."""
-    d = w[..., None, :] - batch
-    return np.mean(np.sum(d * d, axis=-1), axis=-1)
+    """Unvalidated batch_risk, bitwise, of w (..., dim) on batch (..., n, dim);
+    each ||w - z||^2 adds its coordinates left to right (np.sum pairs from dim 8 on)."""
+    for k in range(w.shape[-1]):
+        d = w[..., None, k] - batch[..., k]
+        d *= d      # in place: a pass holds two arrays of the risk's size
+        sq = d if k == 0 else np.add(sq, d, out=sq)
+    return np.mean(sq, axis=-1)
 
 
 def stacked_grad(w: np.ndarray, batch: np.ndarray) -> np.ndarray:

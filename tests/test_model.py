@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metasgld.model import LossModel, batch_grad, batch_risk, finite_diff_grad
+from metasgld.model import (LossModel, batch_grad, batch_risk, finite_diff_grad,
+                            stacked_risk)
 
 MODEL = LossModel(dim=2)
 
@@ -53,6 +54,47 @@ class TestBatchRisk:
             rhs = (lam * batch_risk(MODEL, w1, batch)
                    + (1 - lam) * batch_risk(MODEL, w2, batch))
             assert lhs <= rhs + 1e-12
+
+
+def numpy_sum_risk(w, batch):
+    """stacked_risk's former expression: NumPy's sum over the coordinates."""
+    d = w[..., None, :] - batch
+    return np.mean(np.sum(d * d, axis=-1), axis=-1)
+
+
+def heavy_tailed(rng, shape):
+    return rng.normal(size=shape) * rng.lognormal(sigma=4.0, size=shape)
+
+
+class TestStackedRisk:
+    """The squared distance sums its coordinates left to right."""
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    @pytest.mark.parametrize("w_lead,batch_lead", [
+        ((), ()), ((40,), (40,)), ((6, 5), (5,)), ((6, 5), (6, 5))])
+    def test_numpy_sum_below_8_coordinates(self, dim, w_lead, batch_lead):
+        # NumPy adds fewer than 8 terms left to right too, so the bytes of
+        # every risk from before the explicit order stay
+        rng = np.random.default_rng(dim)
+        w = heavy_tailed(rng, w_lead + (dim,))
+        batch = heavy_tailed(rng, batch_lead + (30, dim))
+        got = stacked_risk(w, batch)
+        assert got.shape == np.broadcast_shapes(w_lead, batch_lead)
+        assert got.tobytes() == numpy_sum_risk(w, batch).tobytes()
+
+    @pytest.mark.parametrize("dim", (8, 9, 16))
+    @pytest.mark.parametrize("lead", [(), (40,)])
+    def test_left_to_right_from_8_coordinates(self, dim, lead):
+        rng = np.random.default_rng(dim)
+        w = heavy_tailed(rng, lead + (dim,))
+        batch = heavy_tailed(rng, lead + (30, dim))
+        sq = np.empty(lead + (30,))
+        for i in np.ndindex(sq.shape):
+            total = 0.0
+            for wk, zk in zip(w[i[:-1]].tolist(), batch[i].tolist()):
+                total += (wk - zk) * (wk - zk)
+            sq[i] = total
+        assert stacked_risk(w, batch).tobytes() == np.mean(sq, axis=-1).tobytes()
 
 
 class TestBatchGrad:
