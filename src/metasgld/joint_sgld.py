@@ -21,7 +21,6 @@ from .task_env import EnvironmentSpec, sample_datasets, sample_task_means
 
 SIGMA_SQRT_ETA = "sqrt_eta"
 SIGMA_FIXED = "fixed"
-_RISK_ELEMENTS = 2 ** 15  # steps * n * m * dim per train-risk pass (>= 1 step)
 
 
 @dataclass
@@ -171,8 +170,7 @@ class JointRecord:
 
 def run_joint_sgld(cfg: JointConfig, env: EnvironmentSpec,
                    sigma_sg: float) -> List[JointRecord]:
-    """Full joint-training run on n fixed datasets sampled once up front; the
-    train risks of each block of steps come from one stacked_risk call."""
+    """Full joint-training run on n fixed datasets sampled once up front."""
     rng = derive_stream(cfg.seed, (P_TASK, 0))
     data, _, _ = sample_datasets(sample_task_means(env, cfg.n, rng), env,
                                  cfg.m, cfg.m, rng)
@@ -184,8 +182,7 @@ def run_joint_sgld(cfg: JointConfig, env: EnvironmentSpec,
     s = cfg.schedules
     closed_form_available = s.decay_rule == DECAY_INVERSE_T and cfg.sigma_rule == SIGMA_SQRT_ETA
 
-    phis = np.empty((max(1, _RISK_ELEMENTS // data.size), cfg.n + 1, env.dim))
-    records, rows, mi_sum = [], [], 0.0
+    records, mi_sum = [], 0.0
     for t in range(1, cfg.T + 1):
         try:
             eta = s.outer_lr(t)
@@ -200,27 +197,10 @@ def run_joint_sgld(cfg: JointConfig, env: EnvironmentSpec,
             bound = joint_bound(mi_sum, sigma_sg, cfg.n, cfg.m)
             cf = (joint_closed_form(sigma_sg, l_hat, cfg.n, cfg.m, s.decay_c, t)
                   if closed_form_available else float("nan"))
+            train = float(np.mean(stacked_risk(phi[1:], data)))
         except (ValueError, ArithmeticError) as exc:
-            _add_records(records, rows, phis, data)   # an earlier step's risk fails first
             raise stopped_at(exc, "step", t) from None
-        phis[len(rows)] = phi
-        rows.append((t, l_hat, term, mi_sum, bound, cf))
-        if len(rows) == len(phis) or t == cfg.T:
-            _add_records(records, rows, phis, data)
+        records.append(JointRecord(t=t, l_hat=l_hat, mi_step_term=term,
+                                   mi_sum=mi_sum, joint_bound=bound,
+                                   closed_form=cf, train_risk=train))
     return records
-
-
-def _add_records(records, rows, phis, data) -> None:
-    """Move rows into records with the train risks of their phis; a failing
-    risk names its step, as a per-step pass would."""
-    try:
-        risks = np.mean(stacked_risk(phis[:len(rows), 1:], data), axis=-1)
-    except (ValueError, ArithmeticError):
-        for row, phi in zip(rows, phis):
-            try:
-                stacked_risk(phi[1:], data).mean()
-            except (ValueError, ArithmeticError) as exc:
-                raise stopped_at(exc, "step", row[0]) from None
-        raise
-    records.extend(JointRecord(*row, train_risk=float(r)) for row, r in zip(rows, risks))
-    rows.clear()

@@ -30,8 +30,12 @@ def batch_grad(model: LossModel, w, batch) -> np.ndarray:
 
 
 def stacked_risk(w: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """Unvalidated batch_risk, bitwise, of w (..., dim) on batch (..., n, dim);
-    each ||w - z||^2 adds its coordinates left to right (np.sum pairs from dim 8 on)."""
+    """Unvalidated batch_risk, bitwise, of w (..., dim) on batch (..., n, dim).
+    Below 8 coordinates np.sum adds them left to right, as the loop does without
+    NumPy's slow short-axis reduction; from 8 on np.sum pairs them."""
+    if w.shape[-1] >= 8:
+        d = w[..., None, :] - batch
+        return np.mean(np.sum(d * d, axis=-1), axis=-1)
     for k in range(w.shape[-1]):
         d = w[..., None, k] - batch[..., k]
         d *= d      # in place: a pass holds two arrays of the risk's size

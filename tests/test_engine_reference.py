@@ -13,13 +13,11 @@ replicas, on streams of their own, are their Monte-Carlo oracle.
 """
 import itertools
 import math
-import re
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from metasgld import joint_sgld
 from metasgld.bounds import assemble_alt_bound, subgaussian_mean_estimation
 from metasgld.core import (P_BATCH, P_NOISE_U, P_NOISE_W, P_TASK, P_TEST,
                            P_TRAIN_PROBE, DECAY_CONSTANT, DECAY_EXPONENTIAL,
@@ -557,77 +555,6 @@ def test_run_joint_matches_loop(coupling, sigma_rule, fixed_l, n):
     # compare the bits, so NaN closed forms and the sign of zero count too
     for a, b in zip(got, want):
         assert np.array(astuple(a)).tobytes() == np.array(astuple(b)).tobytes()
-
-
-def joint_block(cfg):
-    """Steps per train-risk pass of run_joint_sgld at cfg (ENV is 2-D)."""
-    return max(1, joint_sgld._RISK_ELEMENTS // (cfg.n * cfg.m * 2))
-
-
-def joint_cfg(n, T, sigma_rule="sqrt_eta", **kw):
-    return JointConfig(n=n, m=30, T=T,
-                       schedules=Schedules(eta0=1.0, beta0=1.0, gamma_outer=1.0,
-                                           gamma_inner=1.0,
-                                           decay_rule=DECAY_INVERSE_T,
-                                           decay_c=0.3),
-                       seed=6, coupling=0.7, sigma_rule=sigma_rule, sigma0=0.05,
-                       **kw)
-
-
-@pytest.mark.parametrize("n,sigma_rule,edge", itertools.product(
-    (1, 12), ("sqrt_eta", "fixed"), ("1", "b-1", "b", "b+1", "2b+1")))
-def test_run_joint_matches_loop_at_block_edges(n, sigma_rule, edge):
-    b = joint_block(joint_cfg(n, 1))
-    assert b > 2
-    T = {"1": 1, "b-1": b - 1, "b": b, "b+1": b + 1, "2b+1": 2 * b + 1}[edge]
-    cfg = joint_cfg(n, T, sigma_rule)
-    got = run_joint_sgld(cfg, ENV, sigma_sg=1.2)
-    want = ref_run_joint(cfg, sigma_sg=1.2)
-    assert len(got) == len(want) == T
-    assert (np.array([astuple(r) for r in got]).tobytes()
-            == np.array([astuple(r) for r in want]).tobytes())
-
-
-def diverging_joint_cfg(n, T):
-    # no tether and eta = 1e3: every W step multiplies W by 1 - 2e3/n, so
-    # W's train risk overflows (n = 1: step 47, n = 12: step 69) well before
-    # W itself does (steps 94 and 139)
-    return replace(joint_cfg(n, T, "fixed", fixed_l=5.0), coupling=0.0,
-                   schedules=Schedules(eta0=1e3, beta0=1.0, gamma_outer=1e4,
-                                       gamma_inner=1e4))
-
-
-def joint_failure(cfg, monkeypatch, per_step):
-    """The exception run_joint_sgld raises at cfg, with one step per
-    train-risk pass (the per-step pass) or with its own blocks."""
-    with monkeypatch.context() as mp:
-        if per_step:
-            mp.setattr(joint_sgld, "_RISK_ELEMENTS", 1)
-        with pytest.raises(ArithmeticError) as exc:
-            run_joint_sgld(cfg, ENV, sigma_sg=1.0)
-    return exc.value
-
-
-@pytest.mark.parametrize("n", (1, 12))
-@pytest.mark.parametrize("errstate", ("ignore", "raise"))
-def test_diverging_joint_run_stops_where_the_per_step_pass_did(n, errstate, monkeypatch):
-    # "ignore": W becomes non-finite in the step loop; "raise": its train
-    # risk overflows first, and a block's train-risk pass finds that only
-    # after later steps have run
-    cfg = diverging_joint_cfg(n, 200)
-    with np.errstate(all="ignore", over=errstate):
-        got = joint_failure(cfg, monkeypatch, per_step=False)
-        want = joint_failure(cfg, monkeypatch, per_step=True)
-    assert type(got) is type(want) is FloatingPointError
-    assert str(got) == str(want)
-    step = int(re.search(r" at step (\d+)$", str(got)).group(1))
-    assert 40 < step < 150 and (step - 1) % joint_block(cfg) != 0
-    with np.errstate(all="ignore"):
-        records = run_joint_sgld(replace(cfg, T=step - 1), ENV, sigma_sg=1.0)
-        want = ref_run_joint(replace(cfg, T=step - 1), sigma_sg=1.0)
-    assert len(records) == step - 1
-    assert (np.array([astuple(r) for r in records]).tobytes()
-            == np.array([astuple(r) for r in want]).tobytes())
 
 
 @pytest.mark.parametrize("coupling,n,start", itertools.product(
