@@ -54,13 +54,6 @@ _Epochs = namedtuple("_Epochs", "eta beta std tr_mean un_mean batch_var "
                                 "probe_var va centre noise z_u")
 
 
-def _draw(env: EnvironmentSpec, cfg: RunConfig, rng: np.random.Generator):
-    """An epoch's samples (B, m, d) and sorted tr and va indices, from its
-    (P_TASK, t) stream rng."""
-    return sample_datasets(sample_task_means(env, cfg.task_batch, rng),
-                           env, cfg.m, cfg.m_tr, rng)
-
-
 def _rates(cfg: RunConfig, t: int) -> List[float]:
     """Epoch t's K inner rates, then its meta rate; with noise, an inner rate
     that is not positive fails as its noise_std call does."""
@@ -105,7 +98,7 @@ def _one_epoch(cfg: RunConfig, t: int, task_batch: Sequence[TaskDataset], dim: i
                cols=None, z_u=None) -> _Epochs:
     """Epoch t on the datasets task_batch, with live draws if cols is set."""
     live = (None, None) if cols is None else _live_draws(
-        cfg, next(epoch_streams(cfg.seed, (P_NOISE_W, P_BATCH), [t]))[1], dim, cols)
+        cfg, {p: derive_stream(cfg.seed, (p, t)) for p in (P_NOISE_W, P_BATCH)}, dim, cols)
     epoch = (*(np.stack([getattr(ds, name) for ds in task_batch])
                for name in ("samples", "tr_indices", "va_indices")), _rates(cfg, t), *live, z_u)
     return _epochs(cfg, *(None if x is None else np.asarray(x)[None] for x in epoch))
@@ -290,7 +283,8 @@ def outer_step(u: np.ndarray, model: LossModel,
 def draw_task_batch(env: EnvironmentSpec, cfg: RunConfig, t: int) -> List[TaskDataset]:
     """Fresh tasks and datasets for outer iteration t, all from (P_TASK, t)."""
     rng = derive_stream(cfg.seed, (P_TASK, t))
-    return [TaskDataset(*task) for task in zip(*_draw(env, cfg, rng))]
+    return [TaskDataset(*task) for task in zip(*sample_datasets(
+        sample_task_means(env, cfg.task_batch, rng), env, cfg.m, cfg.m_tr, rng))]
 
 
 def run_meta_sgld(cfg: RunConfig, env: EnvironmentSpec,
@@ -318,8 +312,10 @@ def run_meta_sgld(cfg: RunConfig, env: EnvironmentSpec,
     draws, failure, n = [], None, 0
     purposes = (P_TASK, P_NOISE_W, P_NOISE_U) + ((P_BATCH,) if cfg.inner_batch else ())
     for t, rngs in epoch_streams(cfg.seed, purposes, range(1, cfg.T + 1)):
+        rng = rngs[P_TASK]
         try:
-            epoch = (*_draw(env, cfg, rngs[P_TASK]), _rates(cfg, t),
+            epoch = (*sample_datasets(sample_task_means(env, cfg.task_batch, rng),
+                                      env, cfg.m, cfg.m_tr, rng), _rates(cfg, t),
                      *_live_draws(cfg, rngs, env.dim), rngs[P_NOISE_U].standard_normal(env.dim))
         except (ValueError, OverflowError) as exc:
             failure = exc

@@ -25,6 +25,8 @@ class EnvironmentSpec:
     dim: int
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"dim must be positive, got {self.dim}")
         object.__setattr__(self, "env_mean", as_vector(self.env_mean, self.dim))
         object.__setattr__(self, "trunc_lo", as_vector(self.trunc_lo, self.dim))
         object.__setattr__(self, "trunc_hi", as_vector(self.trunc_hi, self.dim))

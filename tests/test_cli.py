@@ -537,6 +537,15 @@ class TestMain:
         assert capsys.readouterr().err == "error: invalid [run] section: " + message
         assert not (tmp_path / "sd.csv").exists()
 
+    def test_non_positive_dim_is_one_error_line(self, tmp_path, capsys):
+        cfg_file = tmp_path / "dim.ini"
+        cfg_file.write_text(tiny_config(tmp_path, T=1, name="dim.csv").replace(
+            "dim = 2", "dim = 0"))
+        assert main(["run", str(cfg_file)]) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid [env] section: dim must be positive, got 0\n")
+        assert not (tmp_path / "dim.csv").exists()
+
     def test_unallocatable_run_is_one_error_line(self, tmp_path, capsys):
         # 10**12 epochs of toy_8_8 draws are 1.14 PiB, beyond the user address
         # space of a 64-bit process (128 TiB on x86-64 Linux): this fails at once

@@ -35,6 +35,13 @@ class TestEnvironmentSpec:
                             trunc_hi=np.array([1.0, 1.0]),
                             task_cov_scale=0.1, dim=2)
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dim_must_be_positive(self, dim):
+        with pytest.raises(ValueError, match=f"dim must be positive, got {dim}"):
+            EnvironmentSpec(env_mean=np.zeros(0), env_cov_scale=1.0,
+                            trunc_lo=np.zeros(0), trunc_hi=np.zeros(0),
+                            task_cov_scale=0.1, dim=dim)
+
 
 def box_env(half=1.0):
     # acceptance ~ (2 Phi(half / sqrt 5) - 1)^2: 0.12 at half = 1
