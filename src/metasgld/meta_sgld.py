@@ -55,13 +55,12 @@ _Epochs = namedtuple("_Epochs", "eta beta std tr_mean un_mean batch_var "
 
 
 def _rates(cfg: RunConfig, t: int) -> List[float]:
-    """Epoch t's K inner rates, then its meta rate; with noise, an inner rate
-    that is not positive fails as its noise_std call does."""
+    """Epoch t's K inner rates, then its meta rate, then the K inner noise
+    stds (0.0 without noise)."""
     s = cfg.schedules
-    rates = [s.inner_lr(t, k) for k in range(1, cfg.K + 1)] + [s.outer_lr(t)]
-    if cfg.noise and min(rates[:-1], default=1.0) <= 0:
-        noise_std(min(rates[:-1]), s.gamma_inner)
-    return rates
+    betas = [s.inner_lr(t, k) for k in range(1, cfg.K + 1)]
+    return betas + [s.outer_lr(t)] + [noise_std(b, s.gamma_inner) if cfg.noise else 0.0
+                                      for b in betas]
 
 
 def _live_draws(cfg: RunConfig, rngs: dict, dim: int, cols=slice(None)):
@@ -78,9 +77,7 @@ def _epochs(cfg: RunConfig, samples, tr_idx, va_idx, rates, z, pos, z_u) -> _Epo
     """Pass 1's array ops on the draws of consecutive epochs: samples,
     splits, rates, live noise and positions, meta noise (the last three may
     be None), each with a leading epoch axis."""
-    beta = rates[:, :-1]
-    std = (np.sqrt(2.0 * beta / cfg.schedules.gamma_inner) if cfg.noise
-           else np.zeros_like(beta))
+    beta, eta, std = rates[:, :cfg.K], rates[:, cfg.K], rates[:, cfg.K + 1:]
     tr = np.take_along_axis(samples, tr_idx[..., None], axis=-2)
     tr_mean, centre, b = tr.mean(axis=-2), None, cfg.inner_batch
     if pos is not None:     # the gradient on a batch is 2 (w - its mean)
@@ -88,7 +85,7 @@ def _epochs(cfg: RunConfig, samples, tr_idx, va_idx, rates, z, pos, z_u) -> _Epo
                     np.arange(tr.shape[1])[:, None], pos].mean(axis=-2)
     elif z is not None:
         centre = np.broadcast_to(tr_mean[:, None], z.shape)
-    return _Epochs(rates[:, -1], beta, std, tr_mean, samples.mean(axis=-2),
+    return _Epochs(eta, beta, std, tr_mean, samples.mean(axis=-2),
                    minibatch_mean_var(tr, b), 4.0 * minibatch_mean_var(samples, b).sum(axis=-1),
                    np.take_along_axis(samples, va_idx[..., None], axis=-2), centre,
                    None if z is None else std[..., None, None] * z, z_u)

@@ -65,7 +65,11 @@ def read_csv(path) -> Dict[str, List[Optional[float]]]:
     if not rows or not rows[0]:
         raise ValueError(f"{path} has no header row")
     cols: Dict[str, List[Optional[float]]] = {name: [] for name in rows[0]}
+    if len(cols) < len(rows[0]):
+        raise ValueError(f"{path} repeats the column name {max(cols, key=rows[0].count)!r}")
     for row in rows[1:]:
+        if row and len(row) != len(cols):
+            raise ValueError(f"{path}: the line {','.join(row)!r} does not match the header")
         for name, v in zip(rows[0], row):
             cols[name].append(None if v == "" else float(v))
     return cols

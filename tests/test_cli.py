@@ -113,7 +113,7 @@ def rewrite(path, out, record_type):
     """Read a CSV through records.read_csv and write it again."""
     cols = records_mod.read_csv(path)
     recs = [record_type(**dict(zip(cols, row))) for row in zip(*cols.values())]
-    comments = [line[2:].rstrip("\n") for line in open(path) if line.startswith("# ")]
+    comments = [line[2:] for line in path.read_text().splitlines() if line.startswith("# ")]
     records_mod.write_csv(recs, out, comments, record_type)
 
 
@@ -347,6 +347,33 @@ class TestRunExperiment:
 def load_text(path):
     with open(path) as fh:
         return fh.read()
+
+
+# CSVs whose rows do not line up with their header names, each with the
+# message read_csv refuses it with
+MISALIGNED_CSVS = [
+    pytest.param("epoch,a\n1,2\n2\n3,4,5\n", "the line '2' does not match the header",
+                 id="short_row"),
+    pytest.param("epoch,a\n1,2,9\n", "the line '1,2,9' does not match the header",
+                 id="long_row"),
+    pytest.param("epoch,a,a\n1,2,3\n2,4,5\n", "repeats the column name 'a'",
+                 id="repeated_name"),
+]
+
+
+class TestReadCsv:
+    @pytest.mark.parametrize("text,message", MISALIGNED_CSVS)
+    def test_rows_must_match_the_header(self, tmp_path, text, message):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(message)) as exc:
+            records_mod.read_csv(csv_path)
+        assert str(csv_path) in str(exc.value)
+
+    def test_blank_lines_hold_no_row(self, tmp_path):
+        (tmp_path / "blank.csv").write_text("epoch,a\n1,2\n\n2,\n")
+        assert records_mod.read_csv(tmp_path / "blank.csv") == {"epoch": [1.0, 2.0],
+                                                                "a": [2.0, None]}
 
 
 class TestRenderPlot:
@@ -592,6 +619,17 @@ class TestMain:
                    "bound_total,gnorm_bound_total", "--out",
                    str(tmp_path / "pm.svg")])
         assert rc == 0 and (tmp_path / "pm.svg").exists()
+
+    @pytest.mark.parametrize("text,message", MISALIGNED_CSVS)
+    def test_plot_of_a_misaligned_csv_is_one_error_line(self, tmp_path, capsys, text,
+                                                         message):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(text)
+        assert main(["plot", str(csv_path), "--series", "a", "--out",
+                     str(tmp_path / "bad.svg")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(csv_path) in err[0]
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.csv"]   # no .svg, no .dat
 
     def test_compare_prints_one_table_row_per_preset(self, tmp_path, capsys):
         files = []
