@@ -92,8 +92,8 @@ _ALT_RUN_KEYS = {**_SCHEDULE_KEYS,
                  "init_u": ("init_u", _vector)}
 _JOINT_RUN_KEYS = {**_SCHEDULE_KEYS,
                    **{k: (k, int) for k in ("n", "m", "T", "seed")},
-                   "coupling": ("coupling", float), "sigma_rule": ("sigma_rule", str),
-                   "sigma0": ("sigma0", float), "fixed_l": ("fixed_l", float)}
+                   "coupling": ("coupling", float), "sigma0": ("sigma0", float),
+                   "fixed_l": ("fixed_l", float)}
 # beta and the gammas belong to alternate mode only, so joint mode rejects
 # their keys and fills the Schedules fields with these; eta may override eta0
 _JOINT_SCHEDULES = {"eta0": 1.0, "beta0": 1.0,
@@ -204,9 +204,9 @@ def _resolve_out(path: Optional[str]) -> Optional[str]:
 
 
 def _provenance(cfg: ExperimentConfig) -> List[str]:
-    # stream_layout 4: every stream, live minibatches included, is drawn
-    # whole from one address per (purpose, t)
-    lines = [f"mode = {cfg.mode}", f"name = {cfg.name}", "stream_layout = 4",
+    # stream_layout 5: layout 4's streams, each drawn whole from one address
+    # per (purpose, t); the joint header records one optional sigma0
+    lines = [f"mode = {cfg.mode}", f"name = {cfg.name}", "stream_layout = 5",
              f"version = {__version__}"]
     for key, (name, _) in _ENV_KEYS.items():    # vectors as plain-float tuples
         value = getattr(cfg.env, name)
@@ -418,16 +418,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_cmp.add_argument("configs", nargs="+")
 
     args = parser.parse_args(argv)
+    # the run's own finite checks name where it overflowed; NumPy's warnings add nothing
     try:
-        if args.command == "run":
-            return run_experiment(_apply_overrides(_load(args.config), args.seed,
-                                                   args.eval_cadence))
-        if args.command == "plot":
-            series = [s.strip() for s in args.series.split(",") if s.strip()]
-            return render_plot(args.csv, series, args.out)
-        cfgs = [_apply_overrides(_load(c), args.seed) for c in args.configs]
-        _print_comparison(compare_splits(cfgs))
-        return 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "run":
+                return run_experiment(_apply_overrides(_load(args.config), args.seed,
+                                                       args.eval_cadence))
+            if args.command == "plot":
+                series = [s.strip() for s in args.series.split(",") if s.strip()]
+                return render_plot(args.csv, series, args.out)
+            cfgs = [_apply_overrides(_load(c), args.seed) for c in args.configs]
+            _print_comparison(compare_splits(cfgs))
+            return 0
     except (ValueError, ArithmeticError, FileNotFoundError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,9 +19,6 @@ from .core import (DECAY_INVERSE_T, P_NOISE_U, P_TASK, Schedules, UndefinedBound
 from .model import stacked_grad, stacked_risk
 from .task_env import EnvironmentSpec, sample_datasets, sample_task_means
 
-SIGMA_SQRT_ETA = "sqrt_eta"
-SIGMA_FIXED = "fixed"
-
 
 @dataclass
 class GradBoundTracker:
@@ -29,13 +26,9 @@ class GradBoundTracker:
 
     l_hat: float = 0.0
     per_step_terms: List[float] = field(default_factory=list)
-    fixed_l: Optional[float] = None     # set to pin L instead of tracking the max
 
     def observe(self, grad_norm: float) -> float:
-        if self.fixed_l is not None:
-            self.l_hat = self.fixed_l
-        else:
-            self.l_hat = max(self.l_hat, float(grad_norm))
+        self.l_hat = max(self.l_hat, float(grad_norm))
         return self.l_hat
 
     @property
@@ -134,9 +127,8 @@ class JointConfig:
     schedules: Schedules
     seed: int
     coupling: float = 1.0
-    sigma_rule: str = SIGMA_SQRT_ETA
-    sigma0: float = 0.0          # used when sigma_rule == "fixed"
-    fixed_l: Optional[float] = None
+    sigma0: Optional[float] = None   # None: sigma_t = sqrt(eta_t); a value pins it
+    fixed_l: Optional[float] = None  # None: L is the running max of the gradient norm
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1 or self.T < 0:
@@ -146,12 +138,8 @@ class JointConfig:
             raise ValueError(f"coupling must be finite, got {self.coupling}")
         if self.coupling < 0:
             raise ValueError("coupling must be non-negative")
-        if self.sigma_rule not in (SIGMA_SQRT_ETA, SIGMA_FIXED):
-            raise ValueError(f"unknown sigma rule {self.sigma_rule!r}")
-        if not math.isfinite(self.sigma0):
-            raise ValueError(f"sigma0 must be finite, got {self.sigma0}")
-        if self.sigma_rule == SIGMA_FIXED and self.sigma0 <= 0:
-            raise ValueError("fixed sigma rule needs sigma0 > 0")
+        if self.sigma0 is not None and not (math.isfinite(self.sigma0) and self.sigma0 > 0):
+            raise ValueError(f"sigma0 must be finite and > 0, got {self.sigma0}")
         if self.fixed_l is not None and not (math.isfinite(self.fixed_l)
                                              and self.fixed_l >= 0):
             raise ValueError(f"fixed_l must be finite and >= 0, got {self.fixed_l}")
@@ -177,18 +165,17 @@ def run_joint_sgld(cfg: JointConfig, env: EnvironmentSpec,
     means = data.mean(axis=1, keepdims=True)   # the square loss's gradient reads only these
 
     phi = np.zeros((cfg.n + 1, env.dim))
-    tracker = GradBoundTracker(fixed_l=cfg.fixed_l)
     noise_rng = derive_stream(cfg.seed, (P_NOISE_U, 0))
     s = cfg.schedules
-    closed_form_available = s.decay_rule == DECAY_INVERSE_T and cfg.sigma_rule == SIGMA_SQRT_ETA
+    closed_form_available = s.decay_rule == DECAY_INVERSE_T and cfg.sigma0 is None
 
-    records, mi_sum = [], 0.0
+    records, mi_sum, l_hat = [], 0.0, 0.0
     for t in range(1, cfg.T + 1):
         try:
             eta = s.outer_lr(t)
-            sigma = math.sqrt(eta) if cfg.sigma_rule == SIGMA_SQRT_ETA else cfg.sigma0
+            sigma = math.sqrt(eta) if cfg.sigma0 is None else cfg.sigma0
             grad = joint_loss_grad(phi, means, cfg.coupling)
-            l_hat = tracker.observe(np.linalg.norm(grad))
+            l_hat = max(l_hat, float(np.linalg.norm(grad))) if cfg.fixed_l is None else cfg.fixed_l
             term = mi_step_term(eta, sigma, l_hat, phi.size)
             mi_sum += term
             phi = joint_sgld_step(phi, grad, eta, sigma, noise_rng)

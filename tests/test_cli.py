@@ -3,7 +3,7 @@ import configparser
 import math
 import os
 import re
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import astuple, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -15,8 +15,9 @@ from metasgld import records as records_mod
 from metasgld.cli import (ConfigParseError, ExperimentConfig, Outputs,
                           compare_splits, load_config_file, main, parse_config,
                           preset_path, render_plot, run_experiment)
+from metasgld.bounds import subgaussian_mean_estimation
 from metasgld.core import RunConfig, Schedules
-from metasgld.joint_sgld import JointConfig, JointRecord
+from metasgld.joint_sgld import JointConfig, JointRecord, run_joint_sgld
 from metasgld.records import RunRecord
 from metasgld.task_env import EnvironmentSpec
 
@@ -686,21 +687,19 @@ class TestMain:
         for old, repl in (("n = 50", "n = 1"), ("coupling = 1.0", "coupling = 0"),
                           ("T = 500", "T = 500\neta = 1000"),
                           ("decay_rule = inverse_t", "decay_rule = constant"),
-                          ("sigma_rule = sqrt_eta", "sigma_rule = fixed\nsigma0 = 0.001"),
+                          ("seed = 1", "seed = 1\nsigma0 = 0.001"),
                           ("csv = joint_demo.csv", f"csv = {tmp_path / 'd.csv'}")):
             text = text.replace(old, repl)
         cfg_file = tmp_path / "diverge.ini"
         cfg_file.write_text(text)
-        with np.errstate(all="ignore"):
-            assert main(["run", str(cfg_file)]) == 1
+        assert main(["run", str(cfg_file)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         step = int(re.search(r"at step (\d+)", err).group(1))
         assert 1 < step < 500
         # the step named is the first one that fails
         cfg_file.write_text(text.replace("T = 500", f"T = {step - 1}"))
-        with np.errstate(all="ignore"):
-            assert main(["run", str(cfg_file)]) == 0
+        assert main(["run", str(cfg_file)]) == 0
 
     @pytest.mark.parametrize("preset,edits,message", [
         # the exponential decay overflows the float range at epoch 4
@@ -756,23 +755,24 @@ class TestMain:
             text = text.replace(old, repl)
         cfg_file = tmp_path / "overflow.ini"
         cfg_file.write_text(text)
-        with np.errstate(all="ignore"):
-            assert main(["run", str(cfg_file)]) == 1
+        assert main(["run", str(cfg_file)]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert re.search(message, lines[0])
 
     @pytest.mark.parametrize("setting,message", [
-        pytest.param("sigma_rule = fixed\nsigma0 = 1e-200",
-                     "sigma_t = 1e-200 squares to 0", id="sigma0_1e-200"),
-        pytest.param("sigma_rule = fixed\nsigma0 = 1e200",
-                     "sigma_t = 1e+200 squares to inf", id="sigma0_1e200"),
-        pytest.param("sigma_rule = fixed\nsigma0 = 1e-160",
-                     "overflowed at step 1", id="sigma0_1e-160"),
-        pytest.param("sigma_rule = fixed\nsigma0 = nan",
-                     "invalid [run] section: sigma0", id="sigma0_nan"),
-        pytest.param("sigma_rule = fixed\nsigma0 = inf",
-                     "invalid [run] section: sigma0", id="sigma0_inf"),
+        pytest.param("sigma0 = 1e-200", "sigma_t = 1e-200 squares to 0", id="sigma0_1e-200"),
+        pytest.param("sigma0 = 1e200", "sigma_t = 1e+200 squares to inf", id="sigma0_1e200"),
+        pytest.param("sigma0 = 1e-160", "overflowed at step 1", id="sigma0_1e-160"),
+        pytest.param("sigma0 = nan", "invalid [run] section: sigma0", id="sigma0_nan"),
+        pytest.param("sigma0 = inf", "invalid [run] section: sigma0", id="sigma0_inf"),
+        pytest.param("sigma0 = 0", "invalid [run] section: sigma0 must be finite and > 0, "
+                                   "got 0.0", id="sigma0_0"),
+        pytest.param("sigma0 = -1", "invalid [run] section: sigma0 must be finite and > 0, "
+                                    "got -1.0", id="sigma0_-1"),
+        # sigma0 alone states the noise; there is no rule key
+        pytest.param("sigma_rule = fixed", "unknown keys in [run]: run.sigma_rule",
+                     id="sigma_rule"),
         pytest.param("fixed_l = inf", "invalid [run] section: fixed_l", id="fixed_l_inf"),
         pytest.param("fixed_l = nan", "invalid [run] section: fixed_l", id="fixed_l_nan"),
         pytest.param("fixed_l = -1", "invalid [run] section: fixed_l", id="fixed_l_-1"),
@@ -783,14 +783,62 @@ class TestMain:
         for old, repl in (("n = 50", "n = 1"), ("m = 16", "m = 4"),
                           ("coupling = 1.0", "coupling = 0"),
                           ("decay_rule = inverse_t", "decay_rule = constant\neta = 0.1"),
-                          ("sigma_rule = sqrt_eta", setting)):
+                          ("seed = 1", f"seed = 1\n{setting}")):
             text = text.replace(old, repl)
         cfg_file = tmp_path / "bad.ini"
         cfg_file.write_text(text)
         assert main(["run", str(cfg_file)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
-        assert message in err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert not (tmp_path / "bad.csv").exists()
+
+    def test_sigma0_alone_pins_the_joint_noise(self, tmp_path):
+        default = joint_config(tmp_path, T=5, name="s.csv")
+        cfg_file = tmp_path / "s.ini"
+        cfg_file.write_text(default.replace("seed = 1", "seed = 1\nsigma0 = 0.05"))
+        assert main(["run", str(cfg_file)]) == 0
+        lines = [line for line in (tmp_path / "s.csv").read_text().splitlines()
+                 if not line.startswith("#")]
+        column = lines[0].split(",").index("closed_form")
+        assert [row.split(",")[column] for row in lines[1:]] == ["nan"] * 5
+        cfg = parse_config(default)
+        records = run_joint_sgld(replace(cfg.joint, sigma0=0.05), cfg.env,
+                                 sigma_sg=subgaussian_mean_estimation(cfg.env, 0.4).sigma)
+        assert lines[1:] == [",".join(records_mod.format_value(v) for v in astuple(r))
+                             for r in records]
+
+    @pytest.mark.parametrize("preset,old,new,message", [
+        pytest.param("toy_8_8", "eta = 0.2", "eta = 0.2\ndecay_rule = inverse_t\ndecay_c = 0",
+                     "inverse_t decay needs c > 0", id="inverse_t_c_0"),
+        pytest.param("toy_8_8", "eta = 0.2",
+                     "eta = 0.2\ndecay_rule = exponential\ndecay_rate = 0",
+                     "exponential decay needs rate > 0 and period > 0", id="decay_rate_0"),
+        pytest.param("toy_8_8", "eta = 0.2",
+                     "eta = 0.2\ndecay_rule = exponential\ndecay_period = -1",
+                     "exponential decay needs rate > 0 and period > 0", id="decay_period_-1"),
+        pytest.param("toy_8_8", "n = 20000", "n = 0", "n and m must be positive", id="n_0"),
+        pytest.param("toy_8_8", "T = 200", "T = -1", "T and K must be non-negative",
+                     id="T_-1"),
+        pytest.param("toy_8_8", "K = 4", "K = -1", "T and K must be non-negative",
+                     id="K_-1"),
+        pytest.param("toy_8_8", "test_adapt_steps = 10", "test_adapt_steps = -1",
+                     "test_adapt_steps must be >= 0", id="test_adapt_steps_-1"),
+        pytest.param("joint_demo", "n = 50", "n = 0", "n, m must be >= 1 and T >= 0",
+                     id="joint_n_0"),
+        pytest.param("joint_demo", "T = 500", "T = -1", "n, m must be >= 1 and T >= 0",
+                     id="joint_T_-1"),
+    ])
+    def test_out_of_range_run_value_is_one_error_line(self, tmp_path, capsys, preset,
+                                                      old, new, message):
+        text = load_text(preset_path(preset)).replace(
+            f"csv = {preset}.csv", f"csv = {tmp_path / 'r.csv'}")
+        assert text.count(old) == 1
+        cfg_file = tmp_path / "r.ini"
+        cfg_file.write_text(text.replace(old, new))
+        assert main(["run", str(cfg_file)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(message)
+        assert not (tmp_path / "r.csv").exists()
 
     def test_mc_replicas_is_an_unknown_key(self, tmp_path, capsys):
         # every increment is exact: no code reads a replica count

@@ -24,9 +24,9 @@ from metasgld.core import (P_BATCH, P_NOISE_U, P_NOISE_W, P_TASK, P_TEST,
                            DECAY_INVERSE_T, RunConfig, Schedules, derive_stream,
                            noise_std)
 from metasgld.evaluate import adapt_eval, observed_gap
-from metasgld.joint_sgld import (GradBoundTracker, JointConfig, JointRecord,
-                                 joint_bound, joint_closed_form,
-                                 joint_loss_grad, mi_step_term, run_joint_sgld)
+from metasgld.joint_sgld import (JointConfig, JointRecord, joint_bound,
+                                 joint_closed_form, joint_loss_grad,
+                                 mi_step_term, run_joint_sgld)
 from metasgld.meta_sgld import (BoundAccumulators, draw_task_batch,
                                 estimate_eps_u, inner_adapt, outer_step,
                                 run_meta_sgld)
@@ -510,15 +510,17 @@ def ref_run_joint(cfg, sigma_sg):
     datasets = list(sample_datasets(sample_task_means(ENV, cfg.n, rng), ENV,
                                     cfg.m, cfg.m, rng)[0])
     u, ws = np.zeros(2), [np.zeros(2) for _ in range(cfg.n)]
-    tracker = GradBoundTracker(fixed_l=cfg.fixed_l)
     noise_rng = derive_stream(cfg.seed, (P_NOISE_U, 0))
     s = cfg.schedules
-    records, mi_sum = [], 0.0
+    records, mi_sum, l_hat = [], 0.0, 0.0
     for t in range(1, cfg.T + 1):
         eta = s.outer_lr(t)
-        sigma = math.sqrt(eta) if cfg.sigma_rule == "sqrt_eta" else cfg.sigma0
+        sigma = math.sqrt(eta) if cfg.sigma0 is None else cfg.sigma0
         grad = ref_joint_grad(u, ws, datasets, cfg.coupling)
-        l_hat = tracker.observe(np.linalg.norm(grad))
+        if cfg.fixed_l is None:
+            l_hat = max(l_hat, float(np.linalg.norm(grad)))
+        else:
+            l_hat = cfg.fixed_l
         term = mi_step_term(eta, sigma, l_hat, grad.size)
         mi_sum += term      # left to right, as the trainer adds
         flat = np.concatenate([u] + ws) - eta * grad
@@ -527,7 +529,7 @@ def ref_run_joint(cfg, sigma_sg):
         u, ws = flat[:2].copy(), [flat[2 * i:2 * i + 2].copy()
                                   for i in range(1, cfg.n + 1)]
         cf = (joint_closed_form(sigma_sg, l_hat, cfg.n, cfg.m, s.decay_c, t)
-              if cfg.sigma_rule == "sqrt_eta" else float("nan"))
+              if cfg.sigma0 is None else float("nan"))
         train = float(np.mean([ref_risk(w, b) for w, b in zip(ws, datasets)]))
         records.append(JointRecord(
             t=t, l_hat=l_hat, mi_step_term=term, mi_sum=mi_sum,
@@ -536,19 +538,19 @@ def ref_run_joint(cfg, sigma_sg):
     return records
 
 
-JOINT_GRID = list(itertools.product((0.0, 0.7), ("sqrt_eta", "fixed"),
-                                    (None, 5.0), (1, 3, 12)))
+JOINT_GRID = list(itertools.product((0.0, 0.7), (None, 0.05), (None, 5.0), (1, 3, 12)))
 
 
-@pytest.mark.parametrize("coupling,sigma_rule,fixed_l,n", JOINT_GRID)
-def test_run_joint_matches_loop(coupling, sigma_rule, fixed_l, n):
+@pytest.mark.parametrize("coupling,sigma0,fixed_l,n", JOINT_GRID,
+                         ids=[f"{c}-{'sqrt_eta' if s is None else 'fixed'}-{l}-{n}"
+                              for c, s, l, n in JOINT_GRID])
+def test_run_joint_matches_loop(coupling, sigma0, fixed_l, n):
     cfg = JointConfig(n=n, m=5, T=25,
                       schedules=Schedules(eta0=1.0, beta0=1.0, gamma_outer=1.0,
                                           gamma_inner=1.0,
                                           decay_rule=DECAY_INVERSE_T,
                                           decay_c=0.3),
-                      seed=4, coupling=coupling, sigma_rule=sigma_rule,
-                      sigma0=0.05, fixed_l=fixed_l)
+                      seed=4, coupling=coupling, sigma0=sigma0, fixed_l=fixed_l)
     got = run_joint_sgld(cfg, ENV, sigma_sg=1.2)
     want = ref_run_joint(cfg, sigma_sg=1.2)
     assert len(got) == len(want) == cfg.T

@@ -212,7 +212,7 @@ class TestRunJointSgld:
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
-            self.cfg(sigma_rule="fixed", sigma0=0.0)
+            self.cfg(sigma0=0.0)
         with pytest.raises(ValueError):
             self.cfg(coupling=-1.0)
 
@@ -231,8 +231,7 @@ class TestRunJointSgld:
         # with no tether U moves only by the small fixed noise and stays
         # finite, while eta = 1e3 makes every W step multiply W by -1999;
         # a fixed L keeps the bound terms finite meanwhile
-        cfg = self.cfg(n=1, coupling=0.0, T=200, sigma_rule="fixed", sigma0=1e-3,
-                       fixed_l=5.0,
+        cfg = self.cfg(n=1, coupling=0.0, T=200, sigma0=1e-3, fixed_l=5.0,
                        schedules=Schedules(eta0=1e3, beta0=1.0, gamma_outer=1e4,
                                            gamma_inner=1e4))
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as exc:

@@ -3,13 +3,15 @@
 Every number a run prints follows from the addresses of its random streams
 and from the order in which each stream is read.  The digests below cover
 the whole file, the ``#`` provenance header included: the header is a pure
-function of the config and names the layout version, ``stream_layout = 4``,
-and the package version.  Layout 4 draws each epoch's task batch (means,
+function of the config and names the layout version, ``stream_layout = 5``,
+and the package version.  Layout 5 draws each epoch's task batch (means,
 data, split keys) from one ``(P_TASK, t)`` stream, the live inner noise as
 one ``(K, B, dim)`` array from ``(P_NOISE_W, t)`` and, with ``inner_batch >
 0``, the live minibatch keys as one ``(K, B, m_tr)`` array from ``(P_BATCH,
 t)``; the evaluation draws its tasks the same way from ``(P_TEST, t)`` and
 ``(P_TRAIN_PROBE, t)``, and the joint datasets come from ``(P_TASK, 0)``.
+These are layout 4's streams: layout 5 changed only the joint header, which
+records one optional ``sigma0`` and no sigma rule.
 """
 import hashlib
 import itertools
@@ -28,14 +30,14 @@ from metasgld.task_env import EnvironmentSpec
 
 # preset -> SHA-256 of the CSV of a T = 6, eval_cadence = 3 run
 DIGESTS = {
-    "toy_8_8": "2ff33bb5a7e2e4aa14307cbe30674b29fad93ee5ce0aae9635e2f8e0aa2287cc",
-    "toy_1_15": "780d95426c410d34bf5b592f2c3c8cb6be0f6ea3203228796cae03735893b9e6",
-    "toy_15_1": "bcdeb3c2d9feb52d943e3c0928e9018a3471653c851ebf6cd1f389b5a0173a6c",
-    "joint_demo": "dd41aaf878362af72e6ab58aa9a0c080e6bf5eb3d464cb2aa348c91f460bc092",
+    "toy_8_8": "fbe483e1368db8b10bbad2d423c07a284b5a5f8fd694be2ef17e4b1ca6a5e066",
+    "toy_1_15": "a170ca201cabb85dc0b49d66a03a2733e2d4e21cb08e4617d3e31378e548b90b",
+    "toy_15_1": "1ab841f65ac76fb404052b8f6ae13e311f8476a6cc8b2146c5ba785d4f1f01b6",
+    "joint_demo": "428256b2d909cca2e5fed64f41193e6c0a174f38bdb8c2d2175f2b124fbb1e6c",
 }
 # SHA-256 of the same run of toy_8_8 with inner_batch = 3: the live
-# minibatches of layout 4
-MINIBATCH_DIGEST = "e89f0fa8e38215bbf0cb2798d1c1e4a25a2bb16b90442f1ed1e20b8e7b19f25f"
+# minibatches of layout 4, unchanged in layout 5
+MINIBATCH_DIGEST = "e7ff82470115da5f1807d48f4b39c63536696f7eb725ffb0f0a2a92fd5ddb49b"
 
 
 def short_run(preset, tmp_path, **run):
@@ -72,7 +74,7 @@ def test_minibatch_rows_match_pinned_layout(tmp_path):
 # each preset in this order, concatenated: whole preset runs, and what a
 # NumPy upgrade that changed its seeding algorithm would move
 PRESET_RUNS = ("toy_8_8", "toy_1_15", "toy_15_1", "joint_demo")
-PRESET_RUNS_DIGEST = "057f35aff13087065f441066ce9a8c58d071c647c73cdd175c9238e69b1a36f5"
+PRESET_RUNS_DIGEST = "5ca99c45a092e3d6ac7061b79f053969370c355fd0643ad4b026df2f398275f2"
 
 
 def test_preset_runs_match_pinned_digest(tmp_path, monkeypatch):
@@ -88,7 +90,7 @@ def test_preset_runs_match_pinned_digest(tmp_path, monkeypatch):
 @pytest.mark.parametrize("preset", sorted(DIGESTS))
 def test_header_names_the_layout_and_no_numpy_repr(preset, tmp_path):
     header = [line for line in short_run(preset, tmp_path) if line.startswith(b"#")]
-    assert b"# stream_layout = 4\n" in header
+    assert b"# stream_layout = 5\n" in header
     assert f"# version = {__version__}\n".encode() in header
     assert b"# env.mean = (-4.0, -4.0)\n" in header
     assert not [line for line in header if b"np." in line]
