@@ -77,8 +77,8 @@ _ENV_KEYS = {"dim": ("dim", int), "mean": ("env_mean", _vector),
              "cov_scale": ("env_cov_scale", float),
              "trunc_lo": ("trunc_lo", _vector), "trunc_hi": ("trunc_hi", _vector),
              "task_cov_scale": ("task_cov_scale", float)}
-_OUTPUT_KEYS = {"csv": ("csv_path", str), "plot": ("plot_path", str),
-                "eval_cadence": ("eval_cadence", int)}
+_OUTPUT_KEYS = {"csv": ("csv_path", str), "plot": ("plot_path", str)}
+_ALT_OUTPUT_KEYS = {**_OUTPUT_KEYS, "eval_cadence": ("eval_cadence", int)}
 _SCHEDULE_KEYS = {"eta": ("eta0", float), "decay_rule": ("decay_rule", str),
                   "decay_c": ("decay_c", float), "decay_rate": ("decay_rate", float),
                   "decay_period": ("decay_period", float)}
@@ -96,11 +96,11 @@ _JOINT_RUN_KEYS = {**_SCHEDULE_KEYS,
                    "fixed_l": ("fixed_l", float)}
 # beta and the gammas belong to alternate mode only, so joint mode rejects
 # their keys and fills the Schedules fields with these; eta may override eta0
-_JOINT_SCHEDULES = {"eta0": 1.0, "beta0": 1.0,
-                    "gamma_outer": math.inf, "gamma_inner": math.inf}
-# mode -> ([run] table, trainer config, Schedules values the table cannot set)
-_RUN_SCHEMA = {MODE_ALTERNATE: (_ALT_RUN_KEYS, RunConfig, {}),
-               MODE_JOINT: (_JOINT_RUN_KEYS, joint_mod.JointConfig, _JOINT_SCHEDULES)}
+_JOINT_SCHEDULES = dict.fromkeys(("eta0", "beta0", "gamma_outer", "gamma_inner"), 1.0)
+# mode -> ([run] table, trainer config, Schedules placeholders, [outputs] table)
+_RUN_SCHEMA = {MODE_ALTERNATE: (_ALT_RUN_KEYS, RunConfig, {}, _ALT_OUTPUT_KEYS),
+               MODE_JOINT: (_JOINT_RUN_KEYS, joint_mod.JointConfig, _JOINT_SCHEDULES,
+                            _OUTPUT_KEYS)}
 
 
 def _section(cp: configparser.ConfigParser, section: str,
@@ -160,12 +160,12 @@ def parse_config(text: str) -> ExperimentConfig:
     if mode not in _RUN_SCHEMA:
         raise ConfigParseError(
             f"experiment.mode must be {MODE_ALTERNATE!r} or {MODE_JOINT!r}, got {mode!r}")
+    keys, trainer_cls, placeholders, output_keys = _RUN_SCHEMA[mode]
     env = _build(EnvironmentSpec, "[env] section",
                  _section(cp, "env", _ENV_KEYS, EnvironmentSpec))
     outputs = _build(Outputs, "[outputs] section",
-                     _section(cp, "outputs", _OUTPUT_KEYS, Outputs))
+                     _section(cp, "outputs", output_keys, Outputs))
 
-    keys, trainer_cls, placeholders = _RUN_SCHEMA[mode]
     values = _section(cp, "run", keys, Schedules, trainer_cls, **placeholders)
     schedules = _build(Schedules, "schedule in [run]", values)
     if mode == MODE_ALTERNATE and values["m_tr"] + values["m_va"] != values["m"]:
@@ -204,17 +204,17 @@ def _resolve_out(path: Optional[str]) -> Optional[str]:
 
 
 def _provenance(cfg: ExperimentConfig) -> List[str]:
-    # stream_layout 5: layout 4's streams, each drawn whole from one address
-    # per (purpose, t); the joint header records one optional sigma0
-    lines = [f"mode = {cfg.mode}", f"name = {cfg.name}", "stream_layout = 5",
+    # stream_layout 6: layout 4's streams; each setting is named by its INI key
+    lines = [f"mode = {cfg.mode}", f"name = {cfg.name}", "stream_layout = 6",
              f"version = {__version__}"]
-    for key, (name, _) in _ENV_KEYS.items():    # vectors as plain-float tuples
-        value = getattr(cfg.env, name)
-        lines.append(f"env.{key} = {tuple(value.tolist()) if np.ndim(value) else value}")
-    rc = cfg.run if cfg.mode == MODE_ALTERNATE else cfg.joint
-    for field_name, value in sorted(vars(rc).items()):
-        lines.append(f"run.{field_name} = {value}")
-    lines.append(f"outputs.eval_cadence = {cfg.outputs.eval_cadence}")
+    trainer = cfg.run or cfg.joint      # it, its Schedules and env share no field name
+    values = {**vars(cfg.env), **vars(trainer.schedules), **vars(trainer)}
+    for section, keys in (("env", _ENV_KEYS), ("run", _RUN_SCHEMA[cfg.mode][0])):
+        for key, (name, _) in keys.items():     # vectors as plain-float tuples
+            v = values[name]
+            lines.append(f"{section}.{key} = {tuple(map(float, v)) if np.ndim(v) else v}")
+    if cfg.mode == MODE_ALTERNATE:              # a joint run evaluates no gap
+        lines.append(f"outputs.eval_cadence = {cfg.outputs.eval_cadence}")
     return lines
 
 
@@ -247,6 +247,7 @@ _SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 def render_plot(csv_path: str, series: Sequence[str], out_path: str) -> int:
     """Render the named CSV columns as an SVG line chart, plus one two-column
     .dat text file per series next to the SVG."""
+    from html import escape    # here, so that a run without a plot skips the import
     if not series:
         raise ValueError("series list must be non-empty")
     cols = read_csv(csv_path)
@@ -294,7 +295,7 @@ def render_plot(csv_path: str, series: Sequence[str], out_path: str) -> int:
         parts.append(f'<text x="{margin - 6}" y="{sy(yv):.1f}" font-size="11" '
                      f'text-anchor="end" dominant-baseline="middle">{yv:.6g}</text>')
     parts.append(f'<text x="{width / 2:.0f}" y="{height - 12}" font-size="13" '
-                 f'text-anchor="middle">{x_name}</text>')
+                 f'text-anchor="middle">{escape(x_name)}</text>')
 
     for idx, s in enumerate(series):
         color = _SVG_COLORS[idx % len(_SVG_COLORS)]
@@ -311,7 +312,7 @@ def render_plot(csv_path: str, series: Sequence[str], out_path: str) -> int:
                      f'x2="{width - margin - 116}" y2="{ly}" stroke="{color}" '
                      f'stroke-width="2"/>')
         parts.append(f'<text x="{width - margin - 110}" y="{ly + 4}" '
-                     f'font-size="12">{s}</text>')
+                     f'font-size="12">{escape(s)}</text>')
     parts.append("</svg>")
 
     with open(out_path, "w") as fh:

@@ -73,11 +73,11 @@ class Schedules:
     decay_period: float = 1.0
 
     def __post_init__(self):
-        for name in ("eta0", "beta0", "decay_c", "decay_rate", "decay_period"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name, value in vars(self).items():     # every field but the rule is a float
+            if name != "decay_rule" and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name in ("eta0", "beta0", "gamma_outer", "gamma_inner"):
-            if not getattr(self, name) > 0:  # a gamma may be inf (joint mode)
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.decay_rule not in (DECAY_CONSTANT, DECAY_INVERSE_T, DECAY_EXPONENTIAL):
             raise ValueError(f"unknown decay rule {self.decay_rule!r}")

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (ConfigurationError, P_BATCH, P_NOISE_U, P_NOISE_W,
-                   P_TASK, P_TEST, P_TRAIN_PROBE, RunConfig, UndefinedBoundError,
+                   P_TASK, P_TEST, P_TRAIN_PROBE, RunConfig,
                    as_vector, derive_stream, epoch_streams, noise_std, ordered_sum,
                    sq_norm, stopped_at)
 from .model import LossModel, descend, stacked_risk
@@ -296,10 +296,6 @@ def run_meta_sgld(cfg: RunConfig, env: EnvironmentSpec,
     """
     if cfg.m_va < 1:
         raise ConfigurationError("alternate training requires m_va >= 1")
-    for name in ("gamma_outer", "gamma_inner"):
-        if np.isinf(getattr(cfg.schedules, name)):
-            raise UndefinedBoundError(f"{name} = inf weights every bound increment by "
-                                      "inf; set noise = false to run without noise")
     sg = bounds_mod.subgaussian_mean_estimation(env, cfg.schedules.beta0)
     u = (np.array(cfg.init_u, dtype=float) if cfg.init_u is not None
          else np.zeros(env.dim))

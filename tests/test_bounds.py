@@ -88,6 +88,11 @@ class TestStepTermConsistency:
     def test_zero_eps(self):
         assert step_term_consistency(0.1, 10.0, [0.0, 0.0]) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("eta,gamma", [(0.0, 1.0), (-0.1, 1.0), (0.1, 0.0)])
+    def test_nonpositive_eta_or_gamma_rejected(self, eta, gamma):
+        with pytest.raises(ValueError, match="^eta and gamma must be positive$"):
+            step_term_consistency(eta, gamma, [1.0, 0.0])
+
     def test_reference_values(self):
         term, kl = step_term_consistency(0.4, 10000.0, [1.0, 0.0])
         assert term == pytest.approx(2000.0, rel=1e-12)
@@ -146,6 +151,17 @@ class TestAssembleAltBound:
     def test_zero_m_va_is_undefined(self):
         with pytest.raises(UndefinedBoundError):
             assemble_alt_bound(acc(eu=1.0), self.SG, 100, 0)
+
+    def test_zero_n_rejected(self):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            assemble_alt_bound(acc(eu=1.0), self.SG, 0, 8)
+
+    @pytest.mark.parametrize("sums", [dict(eu=-1.0), dict(ew=-1.0), dict(gu=-1.0),
+                                      dict(gw=-1.0), dict(eu=np.array([1.0, -1e-300]))])
+    def test_negative_sum_rejected(self, sums):
+        # one negative entry of a per-epoch array is enough
+        with pytest.raises(ValueError, match="^accumulator sums must be non-negative$"):
+            assemble_alt_bound(acc(**sums), self.SG, 100, 8)
 
     @given(eu=st.floats(0, 100), ew=st.floats(0, 100), bump=st.floats(0.1, 10))
     @settings(max_examples=50, deadline=None)

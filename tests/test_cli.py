@@ -3,6 +3,7 @@ import configparser
 import math
 import os
 import re
+import xml.etree.ElementTree as ET
 from dataclasses import astuple, fields, is_dataclass, replace
 
 import numpy as np
@@ -81,7 +82,7 @@ K = 2
 eta = 0.2
 beta = 0.4
 gamma_outer = 10000
-gamma_inner = inf
+gamma_inner = 1000
 seed = 5
 
 [outputs]
@@ -188,7 +189,7 @@ class TestParseConfig:
 
     def test_absent_keys_take_the_dataclass_defaults(self):
         cfg = parse_config(MINIMAL_ALT)
-        schedules = Schedules(eta0=0.2, beta0=0.4, gamma_outer=1e4, gamma_inner=math.inf)
+        schedules = Schedules(eta0=0.2, beta0=0.4, gamma_outer=1e4, gamma_inner=1e3)
         expected = ExperimentConfig(
             mode="alternate", env=ENV, joint=None, outputs=Outputs(csv_path="out.csv"),
             run=RunConfig(n=100, m=16, m_tr=8, m_va=8, task_batch=2, T=3, K=2,
@@ -199,8 +200,7 @@ class TestParseConfig:
     def test_absent_joint_keys_take_the_dataclass_defaults(self):
         cfg = parse_config(MINIMAL_JOINT)
         # joint mode fills the alternate-only Schedules fields with placeholders
-        schedules = Schedules(eta0=1.0, beta0=1.0, gamma_outer=math.inf,
-                              gamma_inner=math.inf)
+        schedules = Schedules(eta0=1.0, beta0=1.0, gamma_outer=1.0, gamma_inner=1.0)
         expected = ExperimentConfig(
             mode="joint", env=ENV, run=None, outputs=Outputs(csv_path="j.csv"),
             joint=JointConfig(n=3, m=4, T=2, schedules=schedules, seed=7))
@@ -256,7 +256,7 @@ def fuzzed_ini(draw):
     doc = _sections(load_text(preset_path(
         "toy_8_8" if mode == cli.MODE_ALTERNATE else "joint_demo")))
     schema = {"experiment": cli._EXPERIMENT_KEYS, "env": cli._ENV_KEYS,
-              "outputs": cli._OUTPUT_KEYS, "run": cli._RUN_SCHEMA[mode][0]}
+              "outputs": cli._RUN_SCHEMA[mode][3], "run": cli._RUN_SCHEMA[mode][0]}
     pairs = [(section, key) for section, keys in schema.items() for key in keys]
     pairs += [("run", "warp"), ("run", "t"), ("env", "[run]")]
     for _ in range(rnd.randint(1, 3)):
@@ -282,9 +282,7 @@ class TestConfigFuzz:
             return
         assert isinstance(cfg, ExperimentConfig)
         for name, value in _floats(cfg):
-            # gamma = inf is the noise-off limit
-            assert math.isfinite(value) or (name.startswith("gamma_") and value == math.inf), \
-                (name, value)
+            assert math.isfinite(value), (name, value)
 
 
 class TestRunExperiment:
@@ -311,6 +309,31 @@ class TestRunExperiment:
         head = (tmp_path / "p.csv").read_text().splitlines()
         assert head[0].startswith("# mode = alternate")
         assert any("run.seed = 5" in line for line in head if line.startswith("#"))
+
+    @pytest.mark.parametrize("mode", [cli.MODE_ALTERNATE, cli.MODE_JOINT])
+    def test_header_names_each_setting_by_its_ini_key(self, tmp_path, mode):
+        text = (tiny_config(tmp_path, T=1, name="h.csv") if mode == cli.MODE_ALTERNATE
+                else joint_config(tmp_path, T=1, name="h.csv"))
+        cfg = parse_config(text)
+        run_experiment(cfg)
+        head = [line[2:] for line in (tmp_path / "h.csv").read_text().splitlines()
+                if line.startswith("# ")]
+        # the header looks each value up by field name on these three
+        trainer = cfg.run or cfg.joint
+        names = [f.name for obj in (cfg.env, trainer.schedules, trainer) for f in fields(obj)]
+        assert len(names) == len(set(names))
+        # a joint run evaluates no gap, so it has no cadence to record
+        outputs = ["outputs.eval_cadence"] if mode == cli.MODE_ALTERNATE else []
+        assert [line.split(" = ")[0] for line in head] == [
+            "mode", "name", "stream_layout", "version",
+            *(f"env.{key}" for key in cli._ENV_KEYS),
+            *(f"run.{key}" for key in cli._RUN_SCHEMA[mode][0]), *outputs]
+        if mode == cli.MODE_JOINT:
+            assert head[10:] == [
+                "run.eta = 1.0", "run.decay_rule = inverse_t", "run.decay_c = 0.1",
+                "run.decay_rate = 0.96", "run.decay_period = 1.0", "run.n = 50",
+                "run.m = 16", "run.T = 1", "run.seed = 1", "run.coupling = 1.0",
+                "run.sigma0 = None", "run.fixed_l = None"]
 
     def test_csv_round_trip_preserves_values(self, tmp_path):
         cfg = parse_config(tiny_config(tmp_path, T=3, name="rt.csv"))
@@ -429,6 +452,14 @@ class TestRenderPlot:
         assert svg.count("<polyline") == 1 and not re.search(r"\b(nan|inf)\b", svg)
         assert (tmp_path / "j_closed_form.dat").read_text() == ""
         assert len((tmp_path / "j_joint_bound.dat").read_text().splitlines()) == 20
+
+    def test_column_names_are_escaped_in_the_svg(self, tmp_path):
+        csv_path = tmp_path / "f.csv"
+        csv_path.write_text("t>0,a&b<c\n1,2\n2,3\n")
+        out = tmp_path / "x.svg"
+        assert main(["plot", str(csv_path), "--series", "a&b<c", "--out", str(out)]) == 0
+        texts = [el.text for el in ET.parse(out).iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[-1] == "a&b<c" and "t>0" in texts    # the legend and the x label
 
     def test_inf_and_nan_cells_are_skipped(self, tmp_path):
         csv_path = tmp_path / "gap.csv"
@@ -610,7 +641,15 @@ class TestMain:
             "error: --eval-cadence sets the gap evaluations of an alternate run; "
             "a joint run evaluates none\n")
         assert not (tmp_path / "jc.csv").exists()
-        assert main(["run", str(cfg_file)]) == 0     # its INI key still loads
+        assert main(["run", str(cfg_file)]) == 0
+
+    def test_eval_cadence_in_a_joint_ini_is_an_unknown_key(self, tmp_path, capsys):
+        cfg_file = tmp_path / "j.ini"
+        cfg_file.write_text(joint_config(tmp_path, T=2, name="jc.csv") + "eval_cadence = 20\n")
+        assert main(["run", str(cfg_file)]) == 1
+        assert capsys.readouterr().err == (
+            "error: unknown keys in [outputs]: outputs.eval_cadence\n")
+        assert not (tmp_path / "jc.csv").exists()
 
     def test_plot_subcommand(self, tmp_path):
         cfg_file = tmp_path / "tiny.ini"
@@ -890,14 +929,14 @@ class TestMain:
     @pytest.mark.parametrize("noise", ["true", "false"])
     def test_infinite_gamma_is_an_error_before_epoch_1(self, tmp_path, capsys,
                                                        key, noise):
-        # inf weights every accumulator and bound increment by inf
+        # inf would weight every accumulator and bound increment by inf
         text = tiny_config(tmp_path, name="inf.csv").replace(
             f"{key} = 10000", f"{key} = inf\nnoise = {noise}")
         cfg_file = tmp_path / "inf.ini"
         cfg_file.write_text(text)
         assert main(["run", str(cfg_file)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {key} = inf ") and "noise = false" in err
+        assert capsys.readouterr().err == (
+            f"error: invalid schedule in [run]: {key} must be finite, got inf\n")
         assert not (tmp_path / "inf.csv").exists()
 
     def test_percent_in_a_value_is_literal(self, tmp_path):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from metasgld.core import (DECAY_CONSTANT, DECAY_EXPONENTIAL, DECAY_INVERSE_T,
                            P_BATCH, P_NOISE_U, P_NOISE_W, P_TASK, P_TEST,
-                           P_TRAIN_PROBE, RunConfig, Schedules, derive_stream,
-                           epoch_streams, noise_std, stream_states)
+                           P_TRAIN_PROBE, RunConfig, Schedules, as_vector,
+                           derive_stream, epoch_streams, noise_std, stream_states)
 
 
 def sched(**kw):
@@ -92,6 +92,19 @@ class TestScheduleValidation:
             sched(eta0=0)
         with pytest.raises(ValueError):
             sched(gamma_inner=-1)
+
+    @pytest.mark.parametrize("name", ["gamma_outer", "gamma_inner"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_gamma_rejected(self, name, value):
+        # an infinite gamma would weight every bound increment by inf
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            sched(**{name: value})
+
+
+class TestAsVector:
+    def test_two_dimensional_array_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected 1-D vector, got shape \(2, 2\)$"):
+            as_vector(np.zeros((2, 2)))
 
 
 EDGE_SEEDS = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1)    # one and two entropy words
@@ -247,6 +260,15 @@ class TestRunConfig:
     def test_m_tr_zero_rejected(self):
         with pytest.raises(ValueError):
             self.base(m_tr=0, m_va=16)
+
+    def test_negative_m_va_rejected(self):
+        # the split sums to m, so only the sign check can reject it
+        with pytest.raises(ValueError, match="^m_va must be >= 0$"):
+            self.base(m=4, m_tr=5, m_va=-1)
+
+    def test_mc_replicas_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^mc_replicas must be >= 1$"):
+            self.base(mc_replicas=0)
 
     def test_task_batch_bounds(self):
         with pytest.raises(ValueError):

@@ -75,6 +75,14 @@ class TestAdaptation:
             adapt_eval(np.zeros(2), env(), cfg(), 5,
                        derive_stream(1, [9]), eval_source="nope")
 
+    def test_va_evaluation_needs_a_va_split(self):
+        c = cfg(m_tr=16, m_va=0)
+        with pytest.raises(ValueError, match="^va evaluation needs m_va >= 1$"):
+            adapt_eval(np.zeros(2), env(), c, 5, derive_stream(1, [9]), eval_source="va")
+        # the tr side needs no va split
+        assert math.isfinite(adapt_eval(np.zeros(2), env(), c, 5, derive_stream(1, [9]),
+                                        eval_source="tr"))
+
 
 class TestObservedGap:
     def test_gap_is_exact_difference(self):

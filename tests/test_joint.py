@@ -73,6 +73,11 @@ class TestJointLossGrad:
         with pytest.raises(ValueError, match="one dataset per task"):
             joint_loss_grad(phi, np.zeros((0, 1, 2)), coupling=0.0)
 
+    def test_negative_coupling_rejected(self):
+        phi = phi_of([0.0, 0.0], [[0.0, 0.0]])
+        with pytest.raises(ValueError, match="^coupling must be non-negative$"):
+            joint_loss_grad(phi, np.zeros((1, 1, 2)), coupling=-0.1)
+
 
 class TestJointSgldStep:
     def test_fixed_point(self):
@@ -94,6 +99,16 @@ class TestJointSgldStep:
         var = draws.var(axis=0)
         assert np.all(np.abs(var - sigma ** 2) < 0.05 * sigma ** 2)
 
+    def test_mismatched_gradient_rejected(self):
+        phi = phi_of([0.0, 0.0], [[0.0, 0.0]])
+        with pytest.raises(ValueError, match="^gradient shape does not match"):
+            joint_sgld_step(phi, np.zeros((1, 2)), 0.1, 0.0, derive_stream(0, [1]))
+
+    def test_negative_sigma_rejected(self):
+        phi = phi_of([0.0, 0.0], [[0.0, 0.0]])
+        with pytest.raises(ValueError, match="^sigma_t must be non-negative$"):
+            joint_sgld_step(phi, np.zeros_like(phi), 0.1, -0.1, derive_stream(0, [1]))
+
 
 class TestMiStepTerm:
     def test_zero_l(self):
@@ -106,6 +121,14 @@ class TestMiStepTerm:
     def test_zero_sigma_undefined(self):
         with pytest.raises(UndefinedBoundError):
             mi_step_term(0.1, 0.0, 1.0, 4)
+
+    def test_zero_stacked_dim_rejected(self):
+        with pytest.raises(ValueError, match="^stacked_dim must be positive$"):
+            mi_step_term(0.1, 0.2, 1.0, 0)
+
+    def test_negative_l_rejected(self):
+        with pytest.raises(ValueError, match="^l_hat must be non-negative$"):
+            mi_step_term(0.1, 0.2, -1.0, 4)
 
     def test_sigma_squaring_to_zero_undefined(self):
         with pytest.raises(UndefinedBoundError):
@@ -151,6 +174,22 @@ class TestJointBoundForms:
     def test_closed_form_bad_t(self):
         with pytest.raises(ValueError):
             joint_closed_form(1.0, 1.0, 1, 1, 1.0, 0)
+
+    def test_negative_mi_sum_rejected(self):
+        with pytest.raises(ValueError, match="^mi_sum must be non-negative$"):
+            joint_bound(-1.0, 1.0, 10, 4)
+
+    def test_zero_sigma_sg_rejected(self):
+        with pytest.raises(ValueError, match=r"^need sigma_sg > 0 and n, m >= 1$"):
+            joint_bound(1.0, 0.0, 10, 4)
+
+    def test_closed_form_zero_c_rejected(self):
+        with pytest.raises(ValueError, match="^c must be positive$"):
+            joint_closed_form(1.0, 1.0, 1, 1, 0.0, 2)
+
+    def test_closed_form_negative_l_rejected(self):
+        with pytest.raises(ValueError, match="^invalid bound inputs$"):
+            joint_closed_form(1.0, -1.0, 1, 1, 1.0, 2)
 
     def test_running_bound_dominated_by_closed_form_to_1e4(self):
         # eta_t = c/t, sigma_t = sqrt(eta_t), with a drifting running-max L

@@ -26,6 +26,18 @@ class TestLoss:
         with pytest.raises(ValueError):
             batch_risk(MODEL, [1, 2, 3], [[0, 0]])
 
+    def test_nonpositive_dim_rejected(self):
+        with pytest.raises(ValueError, match="^dim must be positive$"):
+            LossModel(dim=0)
+
+    def test_one_sample_as_a_vector(self):
+        assert batch_risk(MODEL, [1, 2], [0, 0]) == batch_risk(MODEL, [1, 2], [[0, 0]]) == 5.0
+
+    def test_batch_of_the_wrong_width_rejected(self):
+        message = r"^batch must have shape \(n, 2\), got \(1, 3\)$"
+        with pytest.raises(ValueError, match=message):
+            batch_risk(MODEL, [0, 0], [[0, 0, 0]])
+
 
 class TestBatchRisk:
     def test_singleton_is_loss(self):

@@ -3,15 +3,16 @@
 Every number a run prints follows from the addresses of its random streams
 and from the order in which each stream is read.  The digests below cover
 the whole file, the ``#`` provenance header included: the header is a pure
-function of the config and names the layout version, ``stream_layout = 5``,
-and the package version.  Layout 5 draws each epoch's task batch (means,
+function of the config and names the layout version, ``stream_layout = 6``,
+and the package version.  Layout 6 draws each epoch's task batch (means,
 data, split keys) from one ``(P_TASK, t)`` stream, the live inner noise as
 one ``(K, B, dim)`` array from ``(P_NOISE_W, t)`` and, with ``inner_batch >
 0``, the live minibatch keys as one ``(K, B, m_tr)`` array from ``(P_BATCH,
 t)``; the evaluation draws its tasks the same way from ``(P_TEST, t)`` and
 ``(P_TRAIN_PROBE, t)``, and the joint datasets come from ``(P_TASK, 0)``.
-These are layout 4's streams: layout 5 changed only the joint header, which
-records one optional ``sigma0`` and no sigma rule.
+These are layout 4's streams: layouts 5 and 6 changed only the header.
+Layout 5's joint header records one optional ``sigma0`` and no sigma rule;
+layout 6's header names each ``[env]`` and ``[run]`` setting by its INI key.
 """
 import hashlib
 import itertools
@@ -30,14 +31,14 @@ from metasgld.task_env import EnvironmentSpec
 
 # preset -> SHA-256 of the CSV of a T = 6, eval_cadence = 3 run
 DIGESTS = {
-    "toy_8_8": "fbe483e1368db8b10bbad2d423c07a284b5a5f8fd694be2ef17e4b1ca6a5e066",
-    "toy_1_15": "a170ca201cabb85dc0b49d66a03a2733e2d4e21cb08e4617d3e31378e548b90b",
-    "toy_15_1": "1ab841f65ac76fb404052b8f6ae13e311f8476a6cc8b2146c5ba785d4f1f01b6",
-    "joint_demo": "428256b2d909cca2e5fed64f41193e6c0a174f38bdb8c2d2175f2b124fbb1e6c",
+    "toy_8_8": "84c3741626f05e26518b66611b4ecd1d9d110b1afab51c1d23c5605017faa43c",
+    "toy_1_15": "814debe7569fcb04300d67a8859ea32885bb7e9a4f34d6e41cabb7b01bf8e685",
+    "toy_15_1": "e8e8f0e5409212a879242b5fe259d6ce8c13dcd19c55e748121f12a7b94b4884",
+    "joint_demo": "ce3035e77f7fa64a08b02a59182abf075eee4657abf6b8c6bc5f009499f08b5a",
 }
 # SHA-256 of the same run of toy_8_8 with inner_batch = 3: the live
-# minibatches of layout 4, unchanged in layout 5
-MINIBATCH_DIGEST = "e7ff82470115da5f1807d48f4b39c63536696f7eb725ffb0f0a2a92fd5ddb49b"
+# minibatches of layout 4, unchanged in layouts 5 and 6
+MINIBATCH_DIGEST = "7737c712985e0aac4651ee975e7ea0c0ffaaf8da4727b49fde843fd5d811a788"
 
 
 def short_run(preset, tmp_path, **run):
@@ -74,7 +75,7 @@ def test_minibatch_rows_match_pinned_layout(tmp_path):
 # each preset in this order, concatenated: whole preset runs, and what a
 # NumPy upgrade that changed its seeding algorithm would move
 PRESET_RUNS = ("toy_8_8", "toy_1_15", "toy_15_1", "joint_demo")
-PRESET_RUNS_DIGEST = "5ca99c45a092e3d6ac7061b79f053969370c355fd0643ad4b026df2f398275f2"
+PRESET_RUNS_DIGEST = "ff9a821d0c9ac520bf63a407cd3a34586fb5a557b561d3c8d96ee85c3211c8d6"
 
 
 def test_preset_runs_match_pinned_digest(tmp_path, monkeypatch):
@@ -90,7 +91,7 @@ def test_preset_runs_match_pinned_digest(tmp_path, monkeypatch):
 @pytest.mark.parametrize("preset", sorted(DIGESTS))
 def test_header_names_the_layout_and_no_numpy_repr(preset, tmp_path):
     header = [line for line in short_run(preset, tmp_path) if line.startswith(b"#")]
-    assert b"# stream_layout = 5\n" in header
+    assert b"# stream_layout = 6\n" in header
     assert f"# version = {__version__}\n".encode() in header
     assert b"# env.mean = (-4.0, -4.0)\n" in header
     assert not [line for line in header if b"np." in line]

@@ -155,6 +155,10 @@ class TestSampleDataset:
             sample_dataset(TaskSpec(mu=np.zeros(2)), paper_env(), 0, 0,
                            derive_stream(0, [2]))
 
+    def test_tr_split_larger_than_the_dataset_rejected(self):
+        with pytest.raises(ValueError, match=r"^m_tr must be in \[0, m\], got 17$"):
+            sample_datasets(np.zeros((1, 2)), paper_env(), 16, 17, derive_stream(0, [2]))
+
     def test_sample_variance_matches_law_of_large_numbers(self):
         env = paper_env()
         ds = sample_dataset(TaskSpec(mu=np.zeros(2)), env, 1_000_000, 0,
