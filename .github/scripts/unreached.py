@@ -2,9 +2,11 @@
 
 Runs pytest in this process under ``sys.settrace``, tracing only code that
 lives under src/metasgld, then prints each statement line (by the ``ast``)
-that no test reached, as ``path:line  source``, and their count.  It gates
-nothing: it exits with pytest's own status.  The perfbench smoke test is
-deselected, since its runs happen in worker processes, out of the trace.
+that no test reached, as ``path:line  source``, and their count.  The body of
+an ``if __name__ == "__main__":`` block runs only as a script, so it is not
+counted.  It exits with pytest's status if the tests failed, else 1 if any
+statement is unreached, else 0.  The perfbench smoke test is deselected,
+since its runs happen in worker processes, out of the trace.
 
     python .github/scripts/unreached.py [extra pytest arguments]
 
@@ -23,14 +25,18 @@ SMOKE = "tests/test_perfbench_smoke.py::test_perfbench_selftest_passes"
 
 
 def statement_lines(path: Path) -> set:
-    """The first line of every statement that compiles to code: a function's
-    docstring compiles to none."""
+    """The first line of every statement that compiles to code and runs on
+    import or call: a function's docstring compiles to none, and the body of
+    an ``if __name__ == "__main__":`` block runs only as a script."""
     tree = ast.parse(path.read_text(), str(path))
-    docstrings = {id(node.body[0]) for node in ast.walk(tree)
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                  and ast.get_docstring(node, clean=False) is not None}
+    skipped = {id(node.body[0]) for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and ast.get_docstring(node, clean=False) is not None}
+    skipped |= {id(inner) for node in ast.walk(tree)
+                if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+                for stmt in node.body for inner in ast.walk(stmt)}
     return {node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.stmt) and id(node) not in docstrings}
+            if isinstance(node, ast.stmt) and id(node) not in skipped}
 
 
 def main(argv) -> int:
@@ -63,7 +69,7 @@ def main(argv) -> int:
             unreached.append(f"{path.relative_to(ROOT)}:{line}  {source[line - 1].strip()}")
     print(*unreached, sep="\n")
     print(f"statements under {SRC.relative_to(ROOT)} that no test executed: {len(unreached)}")
-    return int(status)
+    return int(status) or int(bool(unreached))
 
 
 if __name__ == "__main__":

@@ -256,6 +256,8 @@ def render_plot(csv_path: str, series: Sequence[str], out_path: str) -> int:
     unknown = [s for s in series if s not in cols]
     if unknown:
         raise ValueError(f"unknown columns {unknown}; available: {names}")
+    if unsafe := [s for s in series if os.path.basename(s) != s or s in (os.curdir, os.pardir)]:
+        raise ValueError(f"series {unsafe} are not file names, so they cannot name a .dat file")
 
     points = {s: [(x, y) for x, y in zip(cols[x_name], cols[s])
                   if all(v is not None and math.isfinite(v) for v in (x, y))]
@@ -315,14 +317,13 @@ def render_plot(csv_path: str, series: Sequence[str], out_path: str) -> int:
                      f'font-size="12">{escape(s)}</text>')
     parts.append("</svg>")
 
-    with open(out_path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
-
     stem, _ = os.path.splitext(out_path)
     for s in series:
         with open(f"{stem}_{s}.dat", "w") as fh:
             for x, y in points[s]:
                 fh.write(f"{format_value(x)} {format_value(y)}\n")
+    with open(out_path, "w") as fh:
+        fh.write("\n".join(parts) + "\n")
     return 0
 
 

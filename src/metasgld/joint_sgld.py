@@ -1,11 +1,11 @@
 """Joint-training mode: Langevin dynamics over the stacked parameter
-(U, W_1..W_n) with online tracking of the mutual-information bound and its
-closed form under the eta_t = c/t, sigma_t = sqrt(eta_t) schedule.
+(U, W_1..W_n), one (n+1, d) array with U in row 0, and the mutual-information
+bound and its closed form under the eta_t = c/t, sigma_t = sqrt(eta_t) schedule.
 
-The chain is one (n+1, d) array: row 0 is U and rows 1..n are W_1..W_n.
-Each step matches the per-task loop of tests/test_engine_reference.py bit
-for bit.
-"""
+A run takes passes: every step's rate; the chain, step by step; L-hat, the MI
+terms and the bounds; the train risk, RISK_BLOCK steps at a time.  It matches the
+step loop of tests/test_engine_reference.py bit for bit and fails where it does: at
+the first failing step, and in it at the rate, then the MI term, phi, the bound."""
 from __future__ import annotations
 
 import math
@@ -18,6 +18,8 @@ from .core import (DECAY_INVERSE_T, P_NOISE_U, P_TASK, Schedules, UndefinedBound
                    check_seed, derive_stream, ordered_sum, stopped_at)
 from .model import stacked_grad, stacked_risk
 from .task_env import EnvironmentSpec, sample_datasets, sample_task_means
+
+RISK_BLOCK = 32     # the steps whose train risk a run scores at once
 
 
 @dataclass
@@ -163,31 +165,38 @@ def run_joint_sgld(cfg: JointConfig, env: EnvironmentSpec,
     data, _, _ = sample_datasets(sample_task_means(env, cfg.n, rng), env,
                                  cfg.m, cfg.m, rng)
     means = data.mean(axis=1, keepdims=True)   # the square loss's gradient reads only these
-
-    phi = np.zeros((cfg.n + 1, env.dim))
-    noise_rng = derive_stream(cfg.seed, (P_NOISE_U, 0))
-    s = cfg.schedules
-    closed_form_available = s.decay_rule == DECAY_INVERSE_T and cfg.sigma0 is None
-
-    records, mi_sum, l_hat = [], 0.0, 0.0
-    for t in range(1, cfg.T + 1):
+    phis, norms, etas, failure = np.empty((cfg.T, cfg.n + 1, env.dim)), np.zeros(cfg.T), [], None
+    try:
+        for t in range(1, cfg.T + 1):
+            etas.append(cfg.schedules.outer_lr(t))
+    except OverflowError as exc:
+        failure = exc
+    sigmas = [math.sqrt(eta) if cfg.sigma0 is None else cfg.sigma0 for eta in etas]
+    phi, done, noise_rng = np.zeros(phis.shape[1:]), 0, derive_stream(cfg.seed, (P_NOISE_U, 0))
+    for eta, sigma in zip(etas, sigmas):     # done: the steps whose phi is finite
+        grad = joint_loss_grad(phi, means, cfg.coupling)
+        norms[done] = np.linalg.norm(grad) if cfg.fixed_l is None else cfg.fixed_l
+        phi = phis[done] = joint_sgld_step(phi, grad, eta, sigma, noise_rng)
+        if not np.isfinite(phi).all():
+            failure = FloatingPointError("joint parameter became non-finite")
+            break
+        done += 1
+    closed_form_available = cfg.schedules.decay_rule == DECAY_INVERSE_T and cfg.sigma0 is None
+    rows, mi_sum = [], 0.0
+    for t, (eta, sigma, l_hat) in enumerate(
+            zip(etas, sigmas, np.fmax.accumulate(norms[:done + 1]).tolist()), 1):
         try:
-            eta = s.outer_lr(t)
-            sigma = math.sqrt(eta) if cfg.sigma0 is None else cfg.sigma0
-            grad = joint_loss_grad(phi, means, cfg.coupling)
-            l_hat = max(l_hat, float(np.linalg.norm(grad))) if cfg.fixed_l is None else cfg.fixed_l
             term = mi_step_term(eta, sigma, l_hat, phi.size)
+            if t > done:    # phi failed in this step, after its MI term
+                break
             mi_sum += term
-            phi = joint_sgld_step(phi, grad, eta, sigma, noise_rng)
-            if not np.all(np.isfinite(phi)):
-                raise FloatingPointError("joint parameter became non-finite")
-            bound = joint_bound(mi_sum, sigma_sg, cfg.n, cfg.m)
-            cf = (joint_closed_form(sigma_sg, l_hat, cfg.n, cfg.m, s.decay_c, t)
-                  if closed_form_available else float("nan"))
-            train = float(np.mean(stacked_risk(phi[1:], data)))
+            rows.append((t, l_hat, term, mi_sum, joint_bound(mi_sum, sigma_sg, cfg.n, cfg.m),
+                         joint_closed_form(sigma_sg, l_hat, cfg.n, cfg.m, cfg.schedules.decay_c, t)
+                         if closed_form_available else float("nan")))
         except (ValueError, ArithmeticError) as exc:
             raise stopped_at(exc, "step", t) from None
-        records.append(JointRecord(t=t, l_hat=l_hat, mi_step_term=term,
-                                   mi_sum=mi_sum, joint_bound=bound,
-                                   closed_form=cf, train_risk=train))
-    return records
+    if failure is not None:
+        raise stopped_at(failure, "step", done + 1) from None
+    train = np.concatenate([np.mean(stacked_risk(block, data), axis=-1) for block in
+                            np.array_split(phis[:, 1:], range(RISK_BLOCK, done, RISK_BLOCK))])
+    return [JointRecord(*row, risk) for row, risk in zip(rows, train.tolist())]

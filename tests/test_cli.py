@@ -617,6 +617,16 @@ class TestMain:
         assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
         assert not (tmp_path / "big.csv").exists()
 
+    def test_unallocatable_joint_run_is_one_error_line(self, tmp_path, capsys):
+        # the joint run stores each step's phi: 10**12 steps of joint_demo are
+        # 816 TB, so it fails at once instead of stepping until memory runs out
+        cfg_file = tmp_path / "big.ini"
+        cfg_file.write_text(joint_config(tmp_path, T=10 ** 12, name="big.csv"))
+        assert main(["run", str(cfg_file)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+        assert not (tmp_path / "big.csv").exists()
+
     def test_epoch_one_failure_wins_over_unallocatable_run(self, tmp_path, capsys):
         # the run's arrays are allocated after epoch 1 is drawn, and epoch
         # 1's streams are derived with a block of epochs, never all T at once
@@ -670,6 +680,30 @@ class TestMain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and str(csv_path) in err[0]
         assert [p.name for p in tmp_path.iterdir()] == ["bad.csv"]   # no .svg, no .dat
+
+    @pytest.mark.parametrize("name", ["a/b", "..", "../b"])
+    def test_plot_of_a_series_that_is_no_file_name_is_one_error_line(self, tmp_path, capsys,
+                                                                     name):
+        # each series is written to <out stem>_<series>.dat: a/b would need a
+        # directory s_a, and a name with .. parts could leave the output's
+        csv_path = tmp_path / "s.csv"
+        csv_path.write_text(f"t,{name}\n1,2\n2,3\n")
+        assert main(["plot", str(csv_path), "--series", name, "--out",
+                     str(tmp_path / "s.svg")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: series {[name]} are not file names, so they cannot name a .dat file"]
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]   # no .svg, no .dat
+
+    def test_plot_writes_no_svg_when_a_dat_file_fails(self, tmp_path, capsys):
+        # the .dat files go first, so the .svg marks a finished plot
+        csv_path = tmp_path / "s.csv"
+        csv_path.write_text("t,a,b\n1,2,3\n2,3,4\n")
+        (tmp_path / "s_b.dat").mkdir()
+        assert main(["plot", str(csv_path), "--series", "a,b", "--out",
+                     str(tmp_path / "s.svg")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("I/O error: ")
+        assert not (tmp_path / "s.svg").exists()
 
     def test_compare_prints_one_table_row_per_preset(self, tmp_path, capsys):
         files = []

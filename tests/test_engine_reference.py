@@ -21,8 +21,9 @@ import pytest
 from metasgld.bounds import assemble_alt_bound, subgaussian_mean_estimation
 from metasgld.core import (P_BATCH, P_NOISE_U, P_NOISE_W, P_TASK, P_TEST,
                            P_TRAIN_PROBE, DECAY_CONSTANT, DECAY_EXPONENTIAL,
-                           DECAY_INVERSE_T, RunConfig, Schedules, derive_stream,
-                           noise_std)
+                           DECAY_INVERSE_T, RunConfig, Schedules, UndefinedBoundError,
+                           derive_stream, noise_std)
+from metasgld import joint_sgld
 from metasgld.evaluate import adapt_eval, observed_gap
 from metasgld.joint_sgld import (JointConfig, JointRecord, joint_bound,
                                  joint_closed_form, joint_loss_grad,
@@ -557,6 +558,89 @@ def test_run_joint_matches_loop(coupling, sigma0, fixed_l, n):
     # compare the bits, so NaN closed forms and the sign of zero count too
     for a, b in zip(got, want):
         assert np.array(astuple(a)).tobytes() == np.array(astuple(b)).tobytes()
+
+
+# run_joint_sgld scores the train risk RISK_BLOCK steps at a time: runs of
+# T = 1, B - 1, B, B + 1 steps end inside, at and just past a block's edge
+JOINT_BLOCK = 32
+JOINT_EDGES = list(itertools.product((1, JOINT_BLOCK - 1, JOINT_BLOCK, JOINT_BLOCK + 1),
+                                     (0.0, 0.7), (None, 5.0)))
+
+
+def test_joint_edge_runs_use_the_run_block():
+    assert joint_sgld.RISK_BLOCK == JOINT_BLOCK
+
+
+def edge_joint(T, coupling=0.7, fixed_l=None):
+    return JointConfig(n=3, m=5, T=T,
+                       schedules=Schedules(eta0=1.0, beta0=1.0, gamma_outer=1.0,
+                                           gamma_inner=1.0, decay_rule=DECAY_INVERSE_T,
+                                           decay_c=0.3),
+                       seed=4, coupling=coupling, fixed_l=fixed_l)
+
+
+@pytest.mark.parametrize("T,coupling,fixed_l", JOINT_EDGES,
+                         ids=[f"T{T}-{c}-{l}" for T, c, l in JOINT_EDGES])
+def test_run_joint_matches_loop_at_block_edges(T, coupling, fixed_l):
+    cfg = edge_joint(T, coupling, fixed_l)
+    got = run_joint_sgld(cfg, ENV, sigma_sg=1.2)
+    want = ref_run_joint(cfg, sigma_sg=1.2)
+    assert len(got) == len(want) == T
+    for a, b in zip(got, want):
+        assert np.array(astuple(a)).tobytes() == np.array(astuple(b)).tobytes()
+
+
+def diverging_joint(t0, case):
+    """A run (n = 1, no tether) that fails at step t0 in the given way, with
+    the error type and message the step loop raises there.  Each rate is
+    eta0 * rate ** (t / period)."""
+    steps = dict(decay_rule=DECAY_EXPONENTIAL, beta0=1.0, gamma_outer=1.0, gamma_inner=1.0)
+    kw = {}
+    if case == "rate":      # the power passes the float range at step t0
+        s, err = dict(eta0=1e-306, decay_rate=1e308, decay_period=t0 - 0.5), (
+            OverflowError, "decay_rate ** (t / decay_period) overflows")
+    elif case == "mi":      # the rate underflows to 0 at step t0, so sigma_t = 0
+        s, err = dict(eta0=1e-20, decay_rate=1e-300, decay_period=t0 - 0.5), (
+            UndefinedBoundError, "mutual-information step term diverges as sigma_t -> 0; "
+            "got sigma_t = 0 (noise-free steps carry unbounded information)")
+    else:
+        # eta_t = 10 ** (t - k) makes W grow by ~2 eta_t a step; at this seed
+        # it passes the float range at step k + 25, and at step 1 from 1e308
+        k = {"phi": t0 - 25, "mi_and_phi": t0 - 25, "mi_then_phi": t0 - 24}[case]
+        s = dict(eta0=1e307 if t0 == 1 and k < -23 else 10.0 ** -k, decay_rate=10.0,
+                 decay_period=1.0)
+        # a fixed L whose (eta_t L)^2 first overflows at step t0: eta_t0 L
+        # passes 1.34e154 there (eta_t0 is 1e25, 1e24, or 1e308 at t0 = 1)
+        kw = dict(sigma0=1.0, fixed_l={"phi": 0.0, "mi_and_phi": 4e129,
+                                       "mi_then_phi": 4e130}[case])
+        err = ((FloatingPointError, "joint parameter became non-finite") if case == "phi"
+               else (OverflowError, "mutual-information step term overflowed"))
+    cfg = JointConfig(n=1, m=5, T=60, schedules=Schedules(**steps, **s), seed=4,
+                      coupling=0.0, **kw)
+    return cfg, err[0], f"{err[1]} at step {t0}"
+
+
+@pytest.mark.parametrize("case", ("rate", "mi", "phi", "mi_and_phi", "mi_then_phi"))
+@pytest.mark.parametrize("t0", (1, JOINT_BLOCK, JOINT_BLOCK + 1))
+def test_diverging_joint_run_fails_as_the_loop(t0, case):
+    # at equal steps the rate fails first, then the MI term, then phi; a
+    # failed MI term stops the run though phi stays finite for longer
+    cfg, kind, message = diverging_joint(t0, case)
+    with np.errstate(all="ignore"), pytest.raises(kind) as exc:
+        run_joint_sgld(cfg, ENV, sigma_sg=1.2)
+    assert type(exc.value) is kind and str(exc.value) == message
+    with np.errstate(all="ignore"):     # the steps before it run through
+        assert len(run_joint_sgld(replace(cfg, T=t0 - 1), ENV, sigma_sg=1.2)) == t0 - 1
+
+
+def test_joint_bound_fails_after_phi_in_step_1():
+    # sigma_sg = 0 fails the bound at step 1, unless phi fails there first
+    with pytest.raises(ValueError, match=r"^need sigma_sg > 0 and n, m >= 1 at step 1$"):
+        run_joint_sgld(edge_joint(JOINT_BLOCK + 1), ENV, sigma_sg=0.0)
+    cfg, _, message = diverging_joint(1, "phi")
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as exc:
+        run_joint_sgld(cfg, ENV, sigma_sg=0.0)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("coupling,n,start", itertools.product(
