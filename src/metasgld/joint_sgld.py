@@ -2,10 +2,8 @@
 (U, W_1..W_n), one (n+1, d) array with U in row 0, and the mutual-information
 bound and its closed form under the eta_t = c/t, sigma_t = sqrt(eta_t) schedule.
 
-A run takes passes: every step's rate; the chain, step by step; L-hat, the MI
-terms and the bounds; the train risk, RISK_BLOCK steps at a time.  It matches the
-step loop of tests/test_engine_reference.py bit for bit and fails where it does: at
-the first failing step, and in it at the rate, then the MI term, phi, the bound."""
+A run is one step loop (rate, gradient, L-hat, MI term, phi, bound), then the
+train risk of the stored steps, RISK_BLOCK at a time."""
 from __future__ import annotations
 
 import math
@@ -160,43 +158,34 @@ class JointRecord:
 
 def run_joint_sgld(cfg: JointConfig, env: EnvironmentSpec,
                    sigma_sg: float) -> List[JointRecord]:
-    """Full joint-training run on n fixed datasets sampled once up front."""
+    """Full joint-training run on n fixed datasets sampled once up front; a
+    step that fails raises there, before any later step is taken."""
     rng = derive_stream(cfg.seed, (P_TASK, 0))
     data, _, _ = sample_datasets(sample_task_means(env, cfg.n, rng), env,
                                  cfg.m, cfg.m, rng)
     means = data.mean(axis=1, keepdims=True)   # the square loss's gradient reads only these
-    phis, norms, etas, failure = np.empty((cfg.T, cfg.n + 1, env.dim)), np.zeros(cfg.T), [], None
-    try:
-        for t in range(1, cfg.T + 1):
-            etas.append(cfg.schedules.outer_lr(t))
-    except OverflowError as exc:
-        failure = exc
-    sigmas = [math.sqrt(eta) if cfg.sigma0 is None else cfg.sigma0 for eta in etas]
-    phi, done, noise_rng = np.zeros(phis.shape[1:]), 0, derive_stream(cfg.seed, (P_NOISE_U, 0))
-    for eta, sigma in zip(etas, sigmas):     # done: the steps whose phi is finite
-        grad = joint_loss_grad(phi, means, cfg.coupling)
-        norms[done] = np.linalg.norm(grad) if cfg.fixed_l is None else cfg.fixed_l
-        phi = phis[done] = joint_sgld_step(phi, grad, eta, sigma, noise_rng)
-        if not np.isfinite(phi).all():
-            failure = FloatingPointError("joint parameter became non-finite")
-            break
-        done += 1
-    closed_form_available = cfg.schedules.decay_rule == DECAY_INVERSE_T and cfg.sigma0 is None
+    phis = np.empty((cfg.T, cfg.n + 1, env.dim))
+    phi, noise_rng = np.zeros(phis.shape[1:]), derive_stream(cfg.seed, (P_NOISE_U, 0))
+    s, tracker = cfg.schedules, GradBoundTracker()
+    closed_form_available = s.decay_rule == DECAY_INVERSE_T and cfg.sigma0 is None
     rows, mi_sum = [], 0.0
-    for t, (eta, sigma, l_hat) in enumerate(
-            zip(etas, sigmas, np.fmax.accumulate(norms[:done + 1]).tolist()), 1):
+    for t in range(1, cfg.T + 1):
         try:
+            eta = s.outer_lr(t)
+            sigma = math.sqrt(eta) if cfg.sigma0 is None else cfg.sigma0
+            grad = joint_loss_grad(phi, means, cfg.coupling)
+            l_hat = (tracker.observe(np.linalg.norm(grad)) if cfg.fixed_l is None
+                     else float(cfg.fixed_l))
             term = mi_step_term(eta, sigma, l_hat, phi.size)
-            if t > done:    # phi failed in this step, after its MI term
-                break
+            phi = phis[t - 1] = joint_sgld_step(phi, grad, eta, sigma, noise_rng)
+            if not np.isfinite(phi).all():
+                raise FloatingPointError("joint parameter became non-finite")
             mi_sum += term
             rows.append((t, l_hat, term, mi_sum, joint_bound(mi_sum, sigma_sg, cfg.n, cfg.m),
-                         joint_closed_form(sigma_sg, l_hat, cfg.n, cfg.m, cfg.schedules.decay_c, t)
+                         joint_closed_form(sigma_sg, l_hat, cfg.n, cfg.m, s.decay_c, t)
                          if closed_form_available else float("nan")))
         except (ValueError, ArithmeticError) as exc:
             raise stopped_at(exc, "step", t) from None
-    if failure is not None:
-        raise stopped_at(failure, "step", done + 1) from None
     train = np.concatenate([np.mean(stacked_risk(block, data), axis=-1) for block in
-                            np.array_split(phis[:, 1:], range(RISK_BLOCK, done, RISK_BLOCK))])
+                            np.array_split(phis[:, 1:], range(RISK_BLOCK, cfg.T, RISK_BLOCK))])
     return [JointRecord(*row, risk) for row, risk in zip(rows, train.tolist())]

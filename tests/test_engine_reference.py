@@ -643,6 +643,19 @@ def test_joint_bound_fails_after_phi_in_step_1():
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("case", ("mi", "mi_then_phi"))
+@pytest.mark.parametrize("t0", (1, JOINT_BLOCK, JOINT_BLOCK + 1))
+def test_failed_mi_term_takes_no_phi_step(t0, case, monkeypatch):
+    # phi stops at the step whose MI term fails: steps 1 .. t0 - 1 only
+    cfg, kind, message = diverging_joint(t0, case)
+    calls, step = [], joint_sgld.joint_sgld_step
+    monkeypatch.setattr(joint_sgld, "joint_sgld_step",
+                        lambda *args: calls.append(1) or step(*args))
+    with np.errstate(all="ignore"), pytest.raises(kind) as exc:
+        run_joint_sgld(cfg, ENV, sigma_sg=1.2)
+    assert (str(exc.value), len(calls)) == (message, t0 - 1)
+
+
 @pytest.mark.parametrize("coupling,n,start", itertools.product(
     (0.0, 0.7), (1, 3, 12), ("zero", "random")))
 def test_joint_loss_grad_matches_loop(coupling, n, start):
