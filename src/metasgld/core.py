@@ -38,7 +38,7 @@ def stopped_at(exc: Exception, unit: str, t: int) -> Exception:
 def ordered_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Sum over ``axis`` bit for bit as ``total = 0.0; for v in x: total += v``
     (np.sum adds pairwise; ``+ 0.0`` makes cumsum's all -0.0 sum +0.0)."""
-    return np.take(np.cumsum(x, axis=axis), -1, axis=axis) + 0.0
+    return x.cumsum(axis).take(-1, axis) + 0.0
 
 
 def sq_norm(v: np.ndarray) -> np.ndarray:

@@ -2,8 +2,9 @@
 (U, W_1..W_n), one (n+1, d) array with U in row 0, and the mutual-information
 bound and its closed form under the eta_t = c/t, sigma_t = sqrt(eta_t) schedule.
 
-A run is one step loop (rate, gradient, L-hat, MI term, phi, bound), then the
-train risk of the stored steps, RISK_BLOCK at a time."""
+A run draws all its noise into its store of phi, takes one step loop (rate,
+gradient, L-hat, MI term, phi, bound), then scores the train risk, RISK_BLOCK
+steps at a time."""
 from __future__ import annotations
 
 import math
@@ -14,7 +15,7 @@ import numpy as np
 
 from .core import (DECAY_INVERSE_T, P_NOISE_U, P_TASK, Schedules, UndefinedBoundError,
                    check_seed, derive_stream, ordered_sum, stopped_at)
-from .model import stacked_grad, stacked_risk
+from .model import stacked_risk
 from .task_env import EnvironmentSpec, sample_datasets, sample_task_means
 
 RISK_BLOCK = 32     # the steps whose train risk a run scores at once
@@ -36,37 +37,38 @@ class GradBoundTracker:
         return float(sum(self.per_step_terms))
 
 
-def joint_loss_grad(phi: np.ndarray, data: np.ndarray,
+def joint_loss_grad(phi: np.ndarray, means: np.ndarray,
                     coupling: float) -> np.ndarray:
     """Gradient of (1/n) sum_i R_{D_i}(w_i) + (coupling/n) sum_i ||w_i - u||^2
-    at phi (n+1, d), row 0 u and rows 1..n the w_i, on the datasets data (n, m, d)."""
+    at phi (n+1, d), row 0 u and rows 1..n the w_i.  means (n, d) holds each
+    dataset D_i's sample mean: the square loss's gradient reads nothing else."""
     n = phi.shape[0] - 1
-    if data.shape[0] != n:
-        raise ValueError(f"need one dataset per task ({n}), got {data.shape[0]}")
+    if means.shape[0] != n:
+        raise ValueError(f"need one dataset per task ({n}), got {means.shape[0]}")
     if coupling < 0:
         raise ValueError("coupling must be non-negative")
-    grad = np.zeros_like(phi)
-    grad[1:] = stacked_grad(phi[1:], data) / n
+    grad = np.empty_like(phi)
+    grad[1:] = 2.0 * (phi[1:] - means) / n
     if coupling > 0:
         x = (2.0 * coupling / n) * (phi[1:] - phi[0])
         grad[1:] += x
         # left to right from zero: the rounding and sign of zero of
         # subtracting each x_i from U's block in task order
         grad[0] = ordered_sum(-x, 0)
+    else:
+        grad[0] = 0.0
     return grad
 
 
 def joint_sgld_step(phi: np.ndarray, grad: np.ndarray, eta_t: float,
-                    sigma_t: float, rng: np.random.Generator) -> np.ndarray:
-    """Phi <- Phi - eta_t * grad + N(0, sigma_t^2 I); sigma_t = 0 is plain GD.
-    The noise is one draw of the flat (n+1)*d vector, in row order."""
+                    sigma_t: float, z: np.ndarray) -> np.ndarray:
+    """Phi <- Phi - eta_t * grad + sigma_t * z, for z standard normals of phi's
+    shape; sigma_t = 0 is plain GD, which adds +0.0 (0 * z would carry z's signs)."""
     if grad.shape != phi.shape:
         raise ValueError("gradient shape does not match stacked parameter")
     if sigma_t < 0:
         raise ValueError("sigma_t must be non-negative")
-    noise = (sigma_t * rng.standard_normal(phi.size).reshape(phi.shape)
-             if sigma_t > 0 else 0.0)
-    return phi - eta_t * grad + noise
+    return phi - eta_t * grad + (sigma_t * z if sigma_t > 0 else 0.0)
 
 
 def mi_step_term(eta_t: float, sigma_t: float, l_hat: float,
@@ -163,10 +165,11 @@ def run_joint_sgld(cfg: JointConfig, env: EnvironmentSpec,
     rng = derive_stream(cfg.seed, (P_TASK, 0))
     data, _, _ = sample_datasets(sample_task_means(env, cfg.n, rng), env,
                                  cfg.m, cfg.m, rng)
-    means = data.mean(axis=1, keepdims=True)   # the square loss's gradient reads only these
+    means = data.mean(axis=1)   # the square loss's gradient reads only these
+    # one draw of T (n + 1) d normals: step t reads phis[t - 1], then writes phi there
     phis = np.empty((cfg.T, cfg.n + 1, env.dim))
-    phi, noise_rng = np.zeros(phis.shape[1:]), derive_stream(cfg.seed, (P_NOISE_U, 0))
-    s, tracker = cfg.schedules, GradBoundTracker()
+    derive_stream(cfg.seed, (P_NOISE_U, 0)).standard_normal(out=phis)
+    phi, s, tracker = np.zeros(phis.shape[1:]), cfg.schedules, GradBoundTracker()
     closed_form_available = s.decay_rule == DECAY_INVERSE_T and cfg.sigma0 is None
     rows, mi_sum = [], 0.0
     for t in range(1, cfg.T + 1):
@@ -174,10 +177,11 @@ def run_joint_sgld(cfg: JointConfig, env: EnvironmentSpec,
             eta = s.outer_lr(t)
             sigma = math.sqrt(eta) if cfg.sigma0 is None else cfg.sigma0
             grad = joint_loss_grad(phi, means, cfg.coupling)
-            l_hat = (tracker.observe(np.linalg.norm(grad)) if cfg.fixed_l is None
+            g = grad.ravel()    # np.linalg.norm's dot product, without its layers
+            l_hat = (tracker.observe(math.sqrt(float(g @ g))) if cfg.fixed_l is None
                      else float(cfg.fixed_l))
             term = mi_step_term(eta, sigma, l_hat, phi.size)
-            phi = phis[t - 1] = joint_sgld_step(phi, grad, eta, sigma, noise_rng)
+            phi = phis[t - 1] = joint_sgld_step(phi, grad, eta, sigma, phis[t - 1])
             if not np.isfinite(phi).all():
                 raise FloatingPointError("joint parameter became non-finite")
             mi_sum += term

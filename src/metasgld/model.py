@@ -26,7 +26,7 @@ def batch_risk(model: LossModel, w, batch) -> float:
 
 def batch_grad(model: LossModel, w, batch) -> np.ndarray:
     """Gradient of batch_risk at w; equals 2 (w - mean(batch)) for the quadratic model."""
-    return stacked_grad(as_vector(w, model.dim), _as_batch(batch, model.dim))
+    return 2.0 * (as_vector(w, model.dim) - _as_batch(batch, model.dim).mean(axis=0))
 
 
 def stacked_risk(w: np.ndarray, batch: np.ndarray) -> np.ndarray:
@@ -41,11 +41,6 @@ def stacked_risk(w: np.ndarray, batch: np.ndarray) -> np.ndarray:
         d *= d      # in place: a pass holds two arrays of the risk's size
         sq = d if k == 0 else np.add(sq, d, out=sq)
     return np.mean(sq, axis=-1)
-
-
-def stacked_grad(w: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """Unvalidated batch_grad, bitwise, of w (..., dim) on batch (..., n, dim)."""
-    return 2.0 * (w - batch.mean(axis=-2))
 
 
 def descend(w: np.ndarray, rates, mean: np.ndarray) -> np.ndarray:

@@ -36,13 +36,13 @@ class TestJointLossGrad:
     def test_zero_coupling_u_block_zero(self):
         phi = phi_of([1.0, 2.0], [[0.5, 0.5], [3.0, -1.0]])
         data = np.array([[[1.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [2.0, 2.0]]])
-        g = joint_loss_grad(phi, data, coupling=0.0)
+        g = joint_loss_grad(phi, data.mean(axis=1), coupling=0.0)
         assert np.array_equal(g[0], np.zeros(2))
 
     def test_single_task_stationary(self):
         batch = np.array([[1.0, 3.0], [3.0, 1.0]])
         phi = phi_of([0.0, 0.0], [batch.mean(axis=0)])
-        g = joint_loss_grad(phi, batch[None], coupling=0.0)
+        g = joint_loss_grad(phi, batch.mean(axis=0)[None], coupling=0.0)
         assert np.allclose(g, 0.0, atol=1e-15)
 
     def test_matches_stacked_finite_differences(self):
@@ -58,7 +58,7 @@ class TestJointLossGrad:
             tether = sum(float((w - p[0]) @ (w - p[0])) for w in p[1:]) * lam / n
             return risk + tether
 
-        g = joint_loss_grad(phi, data, coupling=lam).ravel()
+        g = joint_loss_grad(phi, data.mean(axis=1), coupling=lam).ravel()
         flat = phi.ravel()
         h = 1e-6
         fd = np.empty_like(flat)
@@ -71,30 +71,37 @@ class TestJointLossGrad:
     def test_batch_count_mismatch_rejected(self):
         phi = phi_of([0.0, 0.0], [[0.0, 0.0]])
         with pytest.raises(ValueError, match="one dataset per task"):
-            joint_loss_grad(phi, np.zeros((0, 1, 2)), coupling=0.0)
+            joint_loss_grad(phi, np.zeros((0, 2)), coupling=0.0)
 
     def test_negative_coupling_rejected(self):
         phi = phi_of([0.0, 0.0], [[0.0, 0.0]])
         with pytest.raises(ValueError, match="^coupling must be non-negative$"):
-            joint_loss_grad(phi, np.zeros((1, 1, 2)), coupling=-0.1)
+            joint_loss_grad(phi, np.zeros((1, 2)), coupling=-0.1)
 
 
 class TestJointSgldStep:
     def test_fixed_point(self):
         phi = phi_of([1.0, 1.0], [[2.0, 2.0]])
-        out = joint_sgld_step(phi, np.zeros_like(phi), 0.5, 0.0, derive_stream(0, [1]))
+        out = joint_sgld_step(phi, np.zeros_like(phi), 0.5, 0.0, np.ones_like(phi))
         assert np.array_equal(out, phi)
+
+    def test_plain_gd_adds_positive_zero(self):
+        # sigma_t = 0 adds +0.0, not 0 * z, whose signs would follow z's
+        phi = phi_of([-0.0, -0.0], [[-0.0, -0.0]])
+        out = joint_sgld_step(phi, np.zeros_like(phi), 0.5, 0.0, -np.ones_like(phi))
+        assert out.tobytes() == np.zeros_like(phi).tobytes()
 
     def test_full_step_to_origin(self):
         phi = phi_of([1.0, -2.0], [[3.0, 4.0]])
-        out = joint_sgld_step(phi, phi, 1.0, 0.0, derive_stream(0, [1]))
+        out = joint_sgld_step(phi, phi, 1.0, 0.0, np.zeros_like(phi))
         assert np.allclose(out, 0.0, atol=1e-15)
 
     def test_noise_variance_matches_sigma(self):
         phi = phi_of([0.0, 0.0], [[0.0, 0.0]])
         sigma = 0.3
         rng = derive_stream(17, [2])
-        draws = np.array([joint_sgld_step(phi, np.zeros_like(phi), 0.1, sigma, rng).ravel()
+        draws = np.array([joint_sgld_step(phi, np.zeros_like(phi), 0.1, sigma,
+                                          rng.standard_normal(phi.shape)).ravel()
                           for _ in range(10_000)])
         var = draws.var(axis=0)
         assert np.all(np.abs(var - sigma ** 2) < 0.05 * sigma ** 2)
@@ -102,12 +109,12 @@ class TestJointSgldStep:
     def test_mismatched_gradient_rejected(self):
         phi = phi_of([0.0, 0.0], [[0.0, 0.0]])
         with pytest.raises(ValueError, match="^gradient shape does not match"):
-            joint_sgld_step(phi, np.zeros((1, 2)), 0.1, 0.0, derive_stream(0, [1]))
+            joint_sgld_step(phi, np.zeros((1, 2)), 0.1, 0.0, np.zeros_like(phi))
 
     def test_negative_sigma_rejected(self):
         phi = phi_of([0.0, 0.0], [[0.0, 0.0]])
         with pytest.raises(ValueError, match="^sigma_t must be non-negative$"):
-            joint_sgld_step(phi, np.zeros_like(phi), 0.1, -0.1, derive_stream(0, [1]))
+            joint_sgld_step(phi, np.zeros_like(phi), 0.1, -0.1, np.zeros_like(phi))
 
 
 class TestMiStepTerm:
