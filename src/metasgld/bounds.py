@@ -44,6 +44,9 @@ def subgaussian_mean_estimation(env: EnvironmentSpec, inner_lr: float) -> Subgau
         sigma_sq = 2.0 * (2.0 * k + env.dim) * sigma_l_sq ** 2
     except OverflowError:
         raise OverflowError(f"sub-gaussian constant overflows for beta = {inner_lr:g}") from None
+    if sigma_sq == 0.0:     # sigma_l^4 underflows
+        raise ValueError("sub-gaussian constant underflows to 0 for "
+                         f"task_cov_scale = {env.task_cov_scale:g}")
     return SubgaussianSpec(sigma_sq=sigma_sq)
 
 

@@ -79,12 +79,12 @@ def _epochs(cfg: RunConfig, samples, tr_idx, va_idx, rates, z, pos, z_u) -> _Epo
     be None), each with a leading epoch axis."""
     beta, eta, std = rates[:, :cfg.K], rates[:, cfg.K], rates[:, cfg.K + 1:]
     tr = np.take_along_axis(samples, tr_idx[..., None], axis=-2)
-    tr_mean, centre, b = tr.mean(axis=-2), None, cfg.inner_batch
+    tr_mean, b = tr.mean(axis=-2), cfg.inner_batch
     if pos is not None:     # the gradient on a batch is 2 (w - its mean)
         centre = tr[np.arange(len(tr))[:, None, None, None],
                     np.arange(tr.shape[1])[:, None], pos].mean(axis=-2)
-    elif z is not None:
-        centre = np.broadcast_to(tr_mean[:, None], z.shape)
+    else:
+        centre = np.broadcast_to(tr_mean[:, None], (len(tr), cfg.K) + tr_mean.shape[1:])
     return _Epochs(eta, beta, std, tr_mean, samples.mean(axis=-2),
                    minibatch_mean_var(tr, b), 4.0 * minibatch_mean_var(samples, b).sum(axis=-1),
                    np.take_along_axis(samples, va_idx[..., None], axis=-2), centre,
@@ -119,27 +119,6 @@ def _variance_rates(betas: Sequence[float], stds: Sequence[float]) -> List[tuple
         return [((1.0 - 2.0 * b) ** 2, s ** 2, 4.0 * b ** 2) for b, s in zip(betas, stds)]
     except OverflowError:
         raise OverflowError(f"(1 - 2 beta)^2 overflows for beta = {max(betas):g}") from None
-
-
-def _u_loop(u: np.ndarray, ep: _Epochs, cfg: RunConfig):
-    """Pass 2, per epoch: live steps, variance rates, U <- U - eta g_va + xi.
-    Returns U_0..U_n, the live paths (n, K+1, B, d), the variance rates and
-    the failure that stopped it after n epochs."""
-    (B, d), g = ep.tr_mean.shape[1:], cfg.schedules.gamma_outer
-    us, paths = np.empty((len(ep.eta) + 1, d)), np.empty((len(ep.eta), cfg.K + 1, B, d))
-    us[0], va_mean, rates, i = u, ep.va.mean(axis=-2), [], 0
-    try:
-        for i, (eta, betas, stds) in enumerate(zip(
-                ep.eta.tolist(), ep.beta.tolist(), ep.std.tolist())):
-            w = _step_live(u, betas, ep, i, paths[i])
-            rates.append(_variance_rates(betas, stds))
-            xi = (noise_std(eta, g) if cfg.noise else 0.0) * ep.z_u[i]
-            u = us[i + 1] = u - eta * (ordered_sum(2.0 * (w - va_mean[i]), -2) / B) + xi
-            if not np.isfinite(u).all():
-                raise FloatingPointError("meta parameter became non-finite")
-    except (ValueError, ArithmeticError) as exc:
-        return us[:i + 1], paths[:i], rates, exc
-    return us, paths, rates, None
 
 
 def _mean_rows(us: np.ndarray, ep: _Epochs) -> np.ndarray:
@@ -183,20 +162,35 @@ def _meta_terms(w: np.ndarray, ep: _Epochs, rates, cfg: RunConfig):
     return weight * sq_norm(g_full - g_tr), weight * (sq_norm(g_full) + trace)
 
 
-def _cumulate(start, terms: np.ndarray) -> np.ndarray:
-    """The running sums (..., n + 1) of ``total = start; for x in terms:
-    total += x``, from start on."""
+def _cumulate(start, terms: np.ndarray, op=np.add) -> np.ndarray:
+    """The running values (..., n + 1) of ``total = start; for x in terms:
+    total = op(total, x)``, from start on."""
     lead = np.broadcast_to(start, terms.shape[:-1] + (1,))
-    return np.cumsum(np.concatenate([lead, terms], axis=-1), axis=-1)
+    return op.accumulate(np.concatenate([lead, terms], axis=-1), axis=-1)
 
 
-def _post_pass(ep: _Epochs, us, paths, rates, failure, acc: BoundAccumulators,
-               cfg: RunConfig):
-    """Pass 3 from the carried state, U_0..U_n and acc, leaving acc at the
-    end state.  The mean rows' W^K check and the train-risk check cut n
-    where the former loop stopped.  Returns the running values as a
-    BoundAccumulators of (n,) arrays, the train risks and the failure."""
-    n, B = len(paths), ep.tr_mean.shape[1]
+def _advance(ep: _Epochs, u: np.ndarray, acc: BoundAccumulators, cfg: RunConfig,
+             failure: Optional[Exception] = None):
+    """Passes 2 and 3 from the carried state, U and acc, leaving acc at the
+    end state.  Pass 2, per epoch: live steps, variance rates, U <- U - eta
+    g_va + xi; its failure after n epochs replaces pass 1's ``failure``.
+    Pass 3 on those epochs: the mean rows' W^K check and the train-risk check
+    cut n where the former loop stopped.  Returns U_0..U_n, the running values
+    (n,) as a BoundAccumulators, the train risks and the failure."""
+    n, (B, d), g = len(ep.eta), ep.tr_mean.shape[1:], cfg.schedules.gamma_outer
+    us, paths = np.empty((n + 1, d)), np.empty((n, cfg.K + 1, B, d))
+    us[0], va_mean, rates = u, ep.va.mean(axis=-2), []
+    try:
+        for i, (eta, betas, stds) in enumerate(zip(
+                ep.eta.tolist(), ep.beta.tolist(), ep.std.tolist())):
+            w = _step_live(u, betas, ep, i, paths[i])
+            rates.append(_variance_rates(betas, stds))
+            xi = (noise_std(eta, g) if cfg.noise else 0.0) * ep.z_u[i]
+            u = us[i + 1] = u - eta * (ordered_sum(2.0 * (w - va_mean[i]), -2) / B) + xi
+            if not np.isfinite(u).all():
+                raise FloatingPointError("meta parameter became non-finite")
+    except (ValueError, ArithmeticError) as exc:
+        n, us, failure = i, us[:i + 1], exc
     w_mean = _mean_rows(us[:len(ep.eta)], ep)
     bad = np.flatnonzero(~np.isfinite(w_mean).all(axis=(1, 2)))
     if bad.size:
@@ -213,15 +207,14 @@ def _post_pass(ep: _Epochs, us, paths, rates, failure, acc: BoundAccumulators,
                    for x in (eps_w, gn_w))
     seen = np.concatenate([norms.reshape(n, cfg.K * B), np.sqrt(sq_norm(g_full))[:, None]], 1)
     eps_u, gn_u = _meta_terms(w_mean[:n], ep, rates, cfg)
-    run = BoundAccumulators(
-        *(_cumulate(getattr(acc, f.name), x)[1:]
-          for f, x in zip(fields(acc), (eps_u, eps_w, gn_u, gn_w))),
-        np.fmax.accumulate(np.concatenate([[acc.lipschitz_max],
-                                           np.fmax.reduce(seen, axis=1)]))[1:])
+    run = BoundAccumulators(*(
+        _cumulate(getattr(acc, f.name), x, op)[1:] for f, x, op in zip(
+            fields(acc), (eps_u, eps_w, gn_u, gn_w, np.fmax.reduce(seen, axis=1)),
+            (np.add,) * 4 + (np.fmax,))))
     if n:
         for f in fields(acc):
             setattr(acc, f.name, float(getattr(run, f.name)[-1]))
-    return run, risk[:n], failure
+    return us, run, risk[:n], failure
 
 
 def inner_adapt(u: np.ndarray, model: LossModel, ds: TaskDataset, cfg: RunConfig,
@@ -239,7 +232,7 @@ def inner_adapt(u: np.ndarray, model: LossModel, ds: TaskDataset, cfg: RunConfig
         eps, gn, norms = (x.ravel() for x in _task_terms(path[None, :-1], ep, cfg))
         collect.eps_w_sum = float(_cumulate(collect.eps_w_sum, eps)[-1])
         collect.gnorm_w_sum = float(_cumulate(collect.gnorm_w_sum, gn)[-1])
-        collect.lipschitz_max = float(np.fmax.reduce(norms, initial=collect.lipschitz_max))
+        collect.lipschitz_max = float(_cumulate(collect.lipschitz_max, norms, np.fmax)[-1])
     return path[:, 0]
 
 
@@ -268,10 +261,13 @@ def outer_step(u: np.ndarray, model: LossModel,
         raise ValueError(f"expected {cfg.task_batch} tasks, got {len(task_batch)}")
     if cfg.m_va < 1:
         raise ConfigurationError("outer update needs m_va >= 1 (va split empty)")
-    ep = _one_epoch(cfg, t, task_batch, model.dim, slice(None),
-                    derive_stream(cfg.seed, (P_NOISE_U, t)).standard_normal(model.dim))
-    us, *walk = _u_loop(as_vector(u, model.dim), ep, cfg)
-    _, risk, failure = _post_pass(ep, us, *walk, acc, cfg)
+    u = as_vector(u, model.dim)
+    try:
+        ep = _one_epoch(cfg, t, task_batch, model.dim, slice(None),
+                        derive_stream(cfg.seed, (P_NOISE_U, t)).standard_normal(model.dim))
+        us, _, risk, failure = _advance(ep, u, acc, cfg)
+    except (ValueError, ArithmeticError) as exc:
+        failure = exc
     if failure is not None:
         raise stopped_at(failure, "epoch", t) from None
     return us[-1], float(risk[0])
@@ -326,9 +322,7 @@ def run_meta_sgld(cfg: RunConfig, env: EnvironmentSpec,
         return [], u
     ep = _epochs(cfg, *(None if x is None else x[:n] for x in draws))
     del draws
-    us, paths, rates, loop_failure = _u_loop(u, ep, cfg)
-    run, _, failure = _post_pass(ep, us, paths, rates, loop_failure or failure,
-                                 BoundAccumulators(), cfg)
+    us, run, _, failure = _advance(ep, u, BoundAccumulators(), cfg, failure)
     ab = bounds_mod.assemble_alt_bound(run, sg, cfg.n, cfg.m_va)
     gaps, ts = {}, range(1, len(run.eps_u_sum) + 1)   # the epochs before a failure
     evals = [t for t in ts if eval_cadence > 0 and (t % eval_cadence == 0 or t == cfg.T)]

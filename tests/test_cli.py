@@ -819,6 +819,13 @@ class TestMain:
                                     ("decay_rule = inverse_t", "decay_rule = exponential")),
                      r"^error: decay_rate \*\* \(t / decay_period\) overflows at step 4$",
                      id="joint_decay_rate"),
+        # sigma_l^2 = 1e-200 squares to 0 in the sub-gaussian constant
+        pytest.param("toy_8_8", (("task_cov_scale = 0.1", "task_cov_scale = 1e-200"),),
+                     r"^error: sub-gaussian constant underflows to 0 for "
+                     r"task_cov_scale = 1e-200$", id="subgaussian_underflow"),
+        pytest.param("joint_demo", (("task_cov_scale = 0.1", "task_cov_scale = 1e-200"),),
+                     r"^error: sub-gaussian constant underflows to 0 for "
+                     r"task_cov_scale = 1e-200$", id="joint_subgaussian_underflow"),
     ])
     def test_float_overflow_is_one_error_line(self, tmp_path, capsys, preset, edits,
                                               message):

@@ -241,6 +241,7 @@ def test_inner_adapt_matches_loop(inner_batch, K, mc_replicas, slot):
     u = np.array([1.5, -2.0])
     acc, ref_acc = BoundAccumulators(), RefAccumulators()
     acc.eps_w_sum = ref_acc.eps_w_sum = 0.3       # collect adds to what is there
+    acc.lipschitz_max = ref_acc.lipschitz_max = 1.5
     path = inner_adapt(u, MODEL, ds, cfg, 2, slot, collect=acc)
     ref_steps = ref_inner_adapt(u, ds, cfg, 2, slot, collect=ref_acc)
     assert path.shape == (K + 1, 2)
@@ -346,6 +347,8 @@ DIVERGING = {
     "u_before_rates": (1e-95, 1e40, 0, 1e100, 0, 6, 2, FloatingPointError, "at epoch 3$"),
     # the gap evaluation at epoch 2 overflows (beta0 = 1e40) before U does
     "eval": (1e-95, 1e40, 0, 1e100, 2, 3, 0, ValueError, "NaN/Inf"),
+    # the rates overflow at epoch 4 while U and the paths stay finite
+    "rates": (1e-300, 1e-300, 2, 1e100, 0, 6, 3, OverflowError, "at epoch 4$"),
 }
 
 
