@@ -37,13 +37,19 @@ def subgaussian_mean_estimation(env: EnvironmentSpec, inner_lr: float) -> Subgau
         raise ValueError("inner_lr must be positive")
     two_beta = 2.0 * inner_lr
     # worst-case squared norm of a task mean inside the box
-    mu_sq_max = float(np.sum(np.maximum(env.trunc_lo ** 2, env.trunc_hi ** 2)))
+    with np.errstate(over="ignore"):    # an inf box is named below
+        mu_sq_max = float(np.sum(np.maximum(env.trunc_lo ** 2, env.trunc_hi ** 2)))
     try:
         sigma_l_sq = env.task_cov_scale * (1.0 + two_beta ** 2)
         k = (1.0 - two_beta) ** 2 * mu_sq_max
         sigma_sq = 2.0 * (2.0 * k + env.dim) * sigma_l_sq ** 2
     except OverflowError:
-        raise OverflowError(f"sub-gaussian constant overflows for beta = {inner_lr:g}") from None
+        sigma_sq = math.inf
+    if not math.isfinite(sigma_sq):     # the box, else the larger factor of sigma_l^2
+        culprit = ("the truncation box (trunc_lo, trunc_hi)" if math.isinf(mu_sq_max)
+                   else f"task_cov_scale = {env.task_cov_scale:g}"
+                   if math.sqrt(env.task_cov_scale) > two_beta else f"beta = {inner_lr:g}")
+        raise OverflowError(f"sub-gaussian constant overflows for {culprit}")
     if sigma_sq == 0.0:     # sigma_l^4 underflows
         raise ValueError("sub-gaussian constant underflows to 0 for "
                          f"task_cov_scale = {env.task_cov_scale:g}")

@@ -433,7 +433,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _print_comparison(compare_splits(cfgs))
             return 0
     except (ValueError, ArithmeticError, FileNotFoundError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -73,10 +73,10 @@ def _live_draws(cfg: RunConfig, rngs: dict, dim: int, cols=slice(None)):
     return rngs[P_NOISE_W].standard_normal(shape + (dim,))[:, cols], pos
 
 
-def _epochs(cfg: RunConfig, samples, tr_idx, va_idx, rates, z, pos, z_u) -> _Epochs:
+def _epochs(cfg: RunConfig, samples, tr_idx, va_idx, z, pos, z_u, rates) -> _Epochs:
     """Pass 1's array ops on the draws of consecutive epochs: samples,
-    splits, rates, live noise and positions, meta noise (the last three may
-    be None), each with a leading epoch axis."""
+    splits, live noise and positions, meta noise (these three may be None),
+    rates, each with a leading epoch axis."""
     beta, eta, std = rates[:, :cfg.K], rates[:, cfg.K], rates[:, cfg.K + 1:]
     tr = np.take_along_axis(samples, tr_idx[..., None], axis=-2)
     tr_mean, b = tr.mean(axis=-2), cfg.inner_batch
@@ -97,7 +97,7 @@ def _one_epoch(cfg: RunConfig, t: int, task_batch: Sequence[TaskDataset], dim: i
     live = (None, None) if cols is None else _live_draws(
         cfg, {p: derive_stream(cfg.seed, (p, t)) for p in (P_NOISE_W, P_BATCH)}, dim, cols)
     epoch = (*(np.stack([getattr(ds, name) for ds in task_batch])
-               for name in ("samples", "tr_indices", "va_indices")), _rates(cfg, t), *live, z_u)
+               for name in ("samples", "tr_indices", "va_indices")), *live, z_u, _rates(cfg, t))
     return _epochs(cfg, *(None if x is None else np.asarray(x)[None] for x in epoch))
 
 
@@ -171,8 +171,8 @@ def _cumulate(start, terms: np.ndarray, op=np.add) -> np.ndarray:
 
 def _advance(ep: _Epochs, u: np.ndarray, acc: BoundAccumulators, cfg: RunConfig,
              failure: Optional[Exception] = None):
-    """Passes 2 and 3 from the carried state, U and acc, leaving acc at the
-    end state.  Pass 2, per epoch: live steps, variance rates, U <- U - eta
+    """Passes 2 and 3 from the carried state, U and acc, which it reads and
+    does not write.  Pass 2, per epoch: live steps, variance rates, U <- U - eta
     g_va + xi; its failure after n epochs replaces pass 1's ``failure``.
     Pass 3 on those epochs: the mean rows' W^K check and the train-risk check
     cut n where the former loop stopped.  Returns U_0..U_n, the running values
@@ -211,9 +211,6 @@ def _advance(ep: _Epochs, u: np.ndarray, acc: BoundAccumulators, cfg: RunConfig,
         _cumulate(getattr(acc, f.name), x, op)[1:] for f, x, op in zip(
             fields(acc), (eps_u, eps_w, gn_u, gn_w, np.fmax.reduce(seen, axis=1)),
             (np.add,) * 4 + (np.fmax,))))
-    if n:
-        for f in fields(acc):
-            setattr(acc, f.name, float(getattr(run, f.name)[-1]))
     return us, run, risk[:n], failure
 
 
@@ -265,11 +262,13 @@ def outer_step(u: np.ndarray, model: LossModel,
     try:
         ep = _one_epoch(cfg, t, task_batch, model.dim, slice(None),
                         derive_stream(cfg.seed, (P_NOISE_U, t)).standard_normal(model.dim))
-        us, _, risk, failure = _advance(ep, u, acc, cfg)
+        us, run, risk, failure = _advance(ep, u, acc, cfg)
     except (ValueError, ArithmeticError) as exc:
         failure = exc
     if failure is not None:
         raise stopped_at(failure, "epoch", t) from None
+    for f in fields(acc):
+        setattr(acc, f.name, float(getattr(run, f.name)[0]))
     return us[-1], float(risk[0])
 
 
@@ -304,8 +303,8 @@ def run_meta_sgld(cfg: RunConfig, env: EnvironmentSpec,
         rng = rngs[P_TASK]
         try:
             epoch = (*sample_datasets(sample_task_means(env, cfg.task_batch, rng),
-                                      env, cfg.m, cfg.m_tr, rng), _rates(cfg, t),
-                     *_live_draws(cfg, rngs, env.dim), rngs[P_NOISE_U].standard_normal(env.dim))
+                                      env, cfg.m, cfg.m_tr, rng), *_live_draws(cfg, rngs, env.dim),
+                     rngs[P_NOISE_U].standard_normal(env.dim), _rates(cfg, t))
         except (ValueError, OverflowError) as exc:
             failure = exc
             break

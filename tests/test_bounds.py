@@ -48,6 +48,11 @@ class TestSubgaussianMeanEstimation:
         with pytest.raises(ValueError):
             subgaussian_mean_estimation(box_env([-1, -1], [1, 1]), 0.0)
 
+    def test_overflowing_box_is_named_without_a_warning(self):
+        # warnings are errors under pytest, so a NumPy overflow warning would fail here
+        with pytest.raises(OverflowError, match=r"for the truncation box \(trunc_lo, trunc_hi\)$"):
+            subgaussian_mean_estimation(box_env([-1e160, -1e160], [4, 4]), 0.4)
+
 
 class TestSubgaussianSpec:
     def test_nonpositive_sigma_rejected(self):

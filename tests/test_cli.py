@@ -642,6 +642,31 @@ class TestMain:
         assert err[0].endswith("carries too little mass at epoch 1")
         assert not (tmp_path / "big.csv").exists()
 
+    def test_unallocatable_inner_noise_is_one_error_line(self, tmp_path, capsys):
+        # epoch 1's live noise (K, task_batch, dim) at K = 10**13 is 727 TiB, beyond
+        # the user address space; it is drawn before the epoch's 2K + 1 rates, a
+        # Python list that would grow until memory ran out
+        cfg_file = tmp_path / "big.ini"
+        cfg_file.write_text(load_text(preset_path("toy_8_8")).replace(
+            "K = 4", f"K = {10 ** 13}").replace("csv = toy_8_8.csv",
+                                                f"csv = {tmp_path / 'big.csv'}"))
+        assert main(["run", str(cfg_file)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+        assert not (tmp_path / "big.csv").exists()
+
+    def test_error_without_a_message_names_its_type(self, tmp_path, capsys):
+        # the gap evaluation's list of 10**15 inner rates is 8 PB: Python raises
+        # a MemoryError with no text at once
+        cfg_file = tmp_path / "big.ini"
+        cfg_file.write_text(load_text(preset_path("toy_8_8")).replace(
+            "T = 200", "T = 1").replace("test_adapt_steps = 10",
+                                        f"test_adapt_steps = {10 ** 15}").replace(
+            "csv = toy_8_8.csv", f"csv = {tmp_path / 'big.csv'}"))
+        assert main(["run", str(cfg_file)]) == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
+        assert not (tmp_path / "big.csv").exists()
+
     def test_eval_cadence_on_a_joint_run_is_one_error_line(self, tmp_path, capsys):
         # a joint run evaluates no gap, so the flag would change only a header line
         cfg_file = tmp_path / "j.ini"
@@ -826,6 +851,21 @@ class TestMain:
         pytest.param("joint_demo", (("task_cov_scale = 0.1", "task_cov_scale = 1e-200"),),
                      r"^error: sub-gaussian constant underflows to 0 for "
                      r"task_cov_scale = 1e-200$", id="joint_subgaussian_underflow"),
+        # sigma_l^4 is finite, 2 (2k + d) sigma_l^4 is not: a float product raises nothing
+        pytest.param("toy_8_8", (("task_cov_scale = 0.1", "task_cov_scale = 1.2e153"),),
+                     r"^error: sub-gaussian constant overflows for "
+                     r"task_cov_scale = 1\.2e\+153$", id="subgaussian_product"),
+        pytest.param("joint_demo", (("task_cov_scale = 0.1", "task_cov_scale = 1.2e153"),),
+                     r"^error: sub-gaussian constant overflows for "
+                     r"task_cov_scale = 1\.2e\+153$", id="joint_subgaussian_product"),
+        # sigma_l^2 squares past the float range; beta = 0.4 is harmless
+        pytest.param("toy_8_8", (("task_cov_scale = 0.1", "task_cov_scale = 1e300"),),
+                     r"^error: sub-gaussian constant overflows for "
+                     r"task_cov_scale = 1e\+300$", id="subgaussian_task_cov_scale"),
+        # the box's max ||mu||^2 overflows
+        pytest.param("toy_8_8", (("trunc_lo = -12, -12", "trunc_lo = -1e160, -1e160"),),
+                     r"^error: sub-gaussian constant overflows for the truncation box "
+                     r"\(trunc_lo, trunc_hi\)$", id="subgaussian_box"),
     ])
     def test_float_overflow_is_one_error_line(self, tmp_path, capsys, preset, edits,
                                               message):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from metasgld import meta_sgld
 from metasgld.core import RunConfig, Schedules, derive_stream
 from metasgld.meta_sgld import (BoundAccumulators, draw_task_batch,
                                 estimate_eps_u, inner_adapt, outer_step,
@@ -170,6 +171,27 @@ class TestOuterStep:
         assert r1.eps_w > r0.eps_w > 0
         assert r1.gnorm_u > r0.gnorm_u
         assert r1.gnorm_w > r0.gnorm_w
+
+    def test_advance_reads_acc_as_its_start_and_leaves_it(self):
+        cfg = small_cfg()
+        start = BoundAccumulators(0.5, 0.25, 2.0, 1.0, 3.0)
+        acc = replace(start)
+        ep = meta_sgld._one_epoch(cfg, 1, draw_task_batch(paper_env(), cfg, 1), 2,
+                                  slice(None), np.random.default_rng(0).standard_normal(2))
+        _, run, _, failure = meta_sgld._advance(ep, np.array([-4.0, -4.0]), acc, cfg)
+        assert failure is None and acc == start
+        assert run.eps_u_sum[0] > start.eps_u_sum and run.eps_w_sum[0] > start.eps_w_sum
+        assert run.lipschitz_max[0] >= start.lipschitz_max
+
+    def test_failed_step_leaves_acc_as_it_was(self):
+        cfg = small_cfg(K=4, schedules=Schedules(eta0=0.2, beta0=1e200, gamma_outer=1e4,
+                                                 gamma_inner=1e4))
+        start = BoundAccumulators(0.5, 0.25, 2.0, 1.0, 3.0)
+        acc = replace(start)
+        with np.errstate(all="ignore"), pytest.raises(ValueError,
+                                                      match="^vector contains NaN/Inf at epoch 1$"):
+            outer_step(np.zeros(2), MODEL, draw_task_batch(paper_env(), cfg, 1), cfg, 1, acc)
+        assert acc == start
 
     def test_wrong_batch_size_rejected(self):
         cfg = small_cfg(task_batch=3)
