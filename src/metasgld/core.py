@@ -1,11 +1,10 @@
 """Shared primitives: schedules, hierarchical RNG streams, run configuration."""
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -146,19 +145,16 @@ def derive_stream(master_seed: int, path: Sequence[int]) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def epoch_streams(seed: int, purposes: Sequence[int], ts: Iterable[int]
+def epoch_streams(seed: int, purposes: Sequence[int], ts: Sequence[int]
                   ) -> Iterator[Tuple[int, Dict[int, np.random.Generator]]]:
     """For each t of ts, t and a generator per purpose set to its (purpose, t)
-    stream.  The generators are reused, so read them before the next t.
-    States are derived for blocks of 256 epochs, so a huge T costs nothing
-    up front."""
+    stream, reused, so read them before the next t.  ts is one block of a
+    run's epochs: its states are derived in one call per purpose."""
     rngs = {p: np.random.Generator(np.random.PCG64(0)) for p in purposes}
-    ts = iter(ts)
-    while block := list(itertools.islice(ts, 256)):
-        for t, *states in zip(block, *(stream_states(seed, p, block) for p in rngs)):
-            for rng, state in zip(rngs.values(), states):
-                rng.bit_generator.state = state
-            yield t, rngs
+    for t, *states in zip(ts, *(stream_states(seed, p, ts) for p in rngs)):
+        for rng, state in zip(rngs.values(), states):
+            rng.bit_generator.state = state
+        yield t, rngs
 
 
 # SeedSequence's hash multipliers before and after each hash of t's words

@@ -3,10 +3,10 @@ meta-gradients and online tracking of gradient-incoherence and gradient-norm
 statistics.
 
 Epoch t depends on earlier epochs only through U_{t-1}, so a run takes three
-passes: (1) each epoch's draws, then whole-run array ops on them; (2) the U
-loop, per epoch the live inner steps and the meta step; (3) over the whole
-epoch axis, the noise-free mean rows, every bound increment (an exact
-expectation over noise, minibatch and probe draws) and the running sums.
+passes per block of BLOCK epochs from the carried U and running sums: (1) the
+block's draws, then array ops on them; (2) the U loop, per epoch the live inner
+steps and the meta step; (3) the noise-free mean rows, every bound increment
+(exact expectations over noise, minibatch and probe draws) and running sums.
 Sums add in the order of the former per-epoch loop, so rows are that loop's
 bit for bit, and a failure raises what that loop raised first: each pass
 works on the epochs before the earliest failure found so far.
@@ -30,6 +30,8 @@ from .task_env import (EnvironmentSpec, TaskDataset, minibatch_mean_var,
 from . import bounds as bounds_mod
 from . import evaluate as evaluate_mod
 from .records import RunRecord
+
+BLOCK = 256     # the epochs a run draws and advances at once
 
 
 @dataclass
@@ -297,44 +299,46 @@ def run_meta_sgld(cfg: RunConfig, env: EnvironmentSpec,
     if u.shape != (env.dim,):
         raise ConfigurationError(f"init_u must have length {env.dim}")
 
-    draws, failure, n = [], None, 0
+    records, draws, acc, failure = [], [], BoundAccumulators(), None
     purposes = (P_TASK, P_NOISE_W, P_NOISE_U) + ((P_BATCH,) if cfg.inner_batch else ())
-    for t, rngs in epoch_streams(cfg.seed, purposes, range(1, cfg.T + 1)):
-        rng = rngs[P_TASK]
-        try:
-            epoch = (*sample_datasets(sample_task_means(env, cfg.task_batch, rng),
-                                      env, cfg.m, cfg.m_tr, rng), *_live_draws(cfg, rngs, env.dim),
-                     rngs[P_NOISE_U].standard_normal(env.dim), _rates(cfg, t))
-        except (ValueError, OverflowError) as exc:
-            failure = exc
-            break
-        # whole-run arrays from the start, so no epoch's arrays outlive it
-        draws = draws or [None if x is None else np.empty((cfg.T,) + np.shape(x),
-                                                            np.asarray(x).dtype) for x in epoch]
-        for whole, x in zip(draws, epoch):
-            if whole is not None:
-                whole[t - 1] = x
-        n = t
-    if not n:                                   # T = 0, or epoch 1 failed
+    for t0 in range(1, cfg.T + 1, BLOCK):
+        block = range(t0, min(t0 + BLOCK, cfg.T + 1))
+        for t, rngs in epoch_streams(cfg.seed, purposes, block):
+            rng = rngs[P_TASK]
+            try:
+                epoch = (*sample_datasets(sample_task_means(env, cfg.task_batch, rng), env, cfg.m,
+                                          cfg.m_tr, rng), *_live_draws(cfg, rngs, env.dim),
+                         rngs[P_NOISE_U].standard_normal(env.dim), _rates(cfg, t))
+            except (ValueError, OverflowError) as exc:
+                if not draws:           # the block's first epoch: no epoch runs before it
+                    raise stopped_at(exc, "epoch", t) from None
+                failure = exc
+                break
+            # block arrays from its first epoch, so no epoch's arrays outlive it
+            draws = draws or [None if x is None else np.empty((len(block),) + np.shape(x),
+                                                                np.asarray(x).dtype) for x in epoch]
+            for whole, x in zip(draws, epoch):
+                if whole is not None:
+                    whole[t - t0] = x
+            n = t - t0 + 1
+        ep = _epochs(cfg, *(None if x is None else x[:n] for x in draws))
+        draws = []                      # dropped before the U loop, empty for the next block
+        us, run, _, failure = _advance(ep, u, acc, cfg, failure)
+        ab = bounds_mod.assemble_alt_bound(run, sg, cfg.n, cfg.m_va)
+        gaps, ts = {}, range(t0, t0 + len(run.eps_u_sum))   # the epochs before a failure
+        evals = [t for t in ts if eval_cadence > 0 and (t % eval_cadence == 0 or t == cfg.T)]
+        for t, rngs in epoch_streams(cfg.seed, (P_TEST, P_TRAIN_PROBE), evals):
+            try:
+                rep = evaluate_mod.observed_gap(us[t - t0 + 1], env, cfg, n_train_probe, n_test,
+                                                test_stream=rngs[P_TEST],
+                                                train_stream=rngs[P_TRAIN_PROBE])
+            except (ValueError, ArithmeticError) as exc:
+                raise stopped_at(exc, "epoch", t) from None
+            gaps[t] = (rep.train_loss, rep.test_loss, rep.gap)
         if failure is not None:
-            raise stopped_at(failure, "epoch", 1) from None
-        return [], u
-    ep = _epochs(cfg, *(None if x is None else x[:n] for x in draws))
-    del draws
-    us, run, _, failure = _advance(ep, u, BoundAccumulators(), cfg, failure)
-    ab = bounds_mod.assemble_alt_bound(run, sg, cfg.n, cfg.m_va)
-    gaps, ts = {}, range(1, len(run.eps_u_sum) + 1)   # the epochs before a failure
-    evals = [t for t in ts if eval_cadence > 0 and (t % eval_cadence == 0 or t == cfg.T)]
-    for t, rngs in epoch_streams(cfg.seed, (P_TEST, P_TRAIN_PROBE), evals):
-        try:
-            rep = evaluate_mod.observed_gap(us[t], env, cfg, n_train_probe, n_test,
-                                            test_stream=rngs[P_TEST],
-                                            train_stream=rngs[P_TRAIN_PROBE])
-        except (ValueError, ArithmeticError) as exc:
-            raise stopped_at(exc, "epoch", t) from None
-        gaps[t] = (rep.train_loss, rep.test_loss, rep.gap)
-    if failure is not None:
-        raise stopped_at(failure, "epoch", len(ts) + 1) from None
-    columns = [getattr(x, f.name).tolist() for x in (run, ab) for f in fields(x)]
-    return ([RunRecord(t, *row, *gaps.get(t, (None,) * 3))
-             for t, *row in zip(ts, *columns)], us[-1])
+            raise stopped_at(failure, "epoch", ts.stop) from None
+        columns = [getattr(x, f.name).tolist() for x in (run, ab) for f in fields(x)]
+        records += [RunRecord(t, *row, *gaps.get(t, (None,) * 3))
+                    for t, *row in zip(ts, *columns)]
+        u, acc = us[-1], BoundAccumulators(*(getattr(run, f.name)[-1] for f in fields(run)))
+    return records, u

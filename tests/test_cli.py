@@ -605,16 +605,17 @@ class TestMain:
             "error: invalid [env] section: dim must be positive, got 0\n")
         assert not (tmp_path / "dim.csv").exists()
 
-    def test_unallocatable_run_is_one_error_line(self, tmp_path, capsys):
-        # 10**12 epochs of toy_8_8 draws are 1.14 PiB, beyond the user address
-        # space of a 64-bit process (128 TiB on x86-64 Linux): this fails at once
+    def test_huge_run_fails_past_its_first_block(self, tmp_path, capsys):
+        # an alternate run holds one block of epochs at a time, so 10**12 epochs
+        # start; the gap evaluation (beta = 1e40, which K = 0 never trains
+        # with) overflows at epoch 300, in the second block
         cfg_file = tmp_path / "big.ini"
         cfg_file.write_text(load_text(preset_path("toy_8_8")).replace(
-            "T = 200", f"T = {10 ** 12}").replace("csv = toy_8_8.csv",
-                                                  f"csv = {tmp_path / 'big.csv'}"))
+            "T = 200", f"T = {10 ** 12}").replace("K = 4", "K = 0").replace(
+            "beta = 0.4", "beta = 1e40").replace("eval_cadence = 20", "eval_cadence = 300")
+            .replace("csv = toy_8_8.csv", f"csv = {tmp_path / 'big.csv'}"))
         assert main(["run", str(cfg_file)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+        assert capsys.readouterr().err == "error: vector contains NaN/Inf at epoch 300\n"
         assert not (tmp_path / "big.csv").exists()
 
     def test_unallocatable_joint_run_is_one_error_line(self, tmp_path, capsys):
@@ -627,9 +628,9 @@ class TestMain:
         assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
         assert not (tmp_path / "big.csv").exists()
 
-    def test_epoch_one_failure_wins_over_unallocatable_run(self, tmp_path, capsys):
-        # the run's arrays are allocated after epoch 1 is drawn, and epoch
-        # 1's streams are derived with a block of epochs, never all T at once
+    def test_epoch_one_failure_of_a_huge_run_is_one_error_line(self, tmp_path, capsys):
+        # a run draws and derives the streams of one block of epochs at a
+        # time, never all T at once, so epoch 1's failure ends it at once
         cfg_file = tmp_path / "big.ini"
         cfg_file.write_text(load_text(preset_path("toy_8_8")).replace(
             "T = 200", f"T = {10 ** 12}").replace("csv = toy_8_8.csv",

@@ -147,7 +147,7 @@ class TestStreamStates:
 class TestEpochStreams:
     @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
     def test_reused_generators_equal_derive_stream(self, seed):
-        # 300 epochs cross the 256-epoch block; each t reuses the generators
+        # one call per purpose derives all 300 states; each t reuses the generators
         ts = range(1, 301)
         for t, rngs in epoch_streams(seed, PURPOSES, ts):
             assert list(rngs) == list(PURPOSES)

@@ -22,8 +22,8 @@ from metasgld.bounds import assemble_alt_bound, subgaussian_mean_estimation
 from metasgld.core import (P_BATCH, P_NOISE_U, P_NOISE_W, P_TASK, P_TEST,
                            P_TRAIN_PROBE, DECAY_CONSTANT, DECAY_EXPONENTIAL,
                            DECAY_INVERSE_T, RunConfig, Schedules, UndefinedBoundError,
-                           derive_stream, noise_std)
-from metasgld import joint_sgld
+                           derive_stream, noise_std, stopped_at)
+from metasgld import joint_sgld, meta_sgld
 from metasgld.evaluate import adapt_eval, observed_gap
 from metasgld.joint_sgld import (JointConfig, JointRecord, joint_bound,
                                  joint_closed_form, joint_loss_grad,
@@ -289,8 +289,8 @@ def test_non_finite_paths_raise_the_gradient_check_error():
 
 # ------------------------------------------------------------ the whole run
 #
-# run_meta_sgld draws every epoch first, then advances U alone, then takes
-# every increment over the whole epoch axis.  The per-epoch trainer it
+# run_meta_sgld draws a block's epochs first, then advances U alone, then
+# takes every increment over the block's epoch axis.  The per-epoch trainer it
 # replaced is a loop of draw_task_batch, outer_step, assemble_alt_bound and
 # observed_gap; its records and U are the reference, bit for bit.
 
@@ -304,9 +304,12 @@ def ref_run(cfg, eval_cadence, n_eval=30):
             raise FloatingPointError(f"meta parameter became non-finite at epoch {t}")
         gap = (None,) * 3
         if eval_cadence > 0 and (t % eval_cadence == 0 or t == cfg.T):
-            rep = observed_gap(u, ENV, cfg, n_eval, n_eval,
-                               test_stream=derive_stream(cfg.seed, (P_TEST, t)),
-                               train_stream=derive_stream(cfg.seed, (P_TRAIN_PROBE, t)))
+            try:    # a run names the epoch of a failed evaluation
+                rep = observed_gap(u, ENV, cfg, n_eval, n_eval,
+                                   test_stream=derive_stream(cfg.seed, (P_TEST, t)),
+                                   train_stream=derive_stream(cfg.seed, (P_TRAIN_PROBE, t)))
+            except ValueError as exc:
+                raise stopped_at(exc, "epoch", t) from None
             gap = (rep.train_loss, rep.test_loss, rep.gap)
         records.append((t, acc.eps_u_sum, acc.eps_w_sum, acc.gnorm_u_sum,
                         acc.gnorm_w_sum, acc.lipschitz_max,
@@ -367,6 +370,62 @@ def test_diverging_run_raises_where_the_per_epoch_loop_did(case):
                           n_test=30, n_train_probe=30)
         with pytest.raises(error, match=match):
             ref_run(replace(cfg, T=T), eval_cadence=cadence)
+
+
+# run_meta_sgld draws and advances BLOCK epochs at a time, from the U and
+# running values the block before it ends with: runs of T = B - 1, B, B + 1
+# and 2 B + 1 epochs end inside, at and just past a block's edge, and a
+# cadence of 100 evaluates the gap in every block
+BLOCK = 256
+EDGES = list(itertools.product((BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1), (0, 3)))
+
+
+def test_edge_runs_use_the_run_block():
+    assert meta_sgld.BLOCK == BLOCK
+
+
+@pytest.mark.parametrize("T,inner_batch", EDGES, ids=[f"T{T}-b{b}" for T, b in EDGES])
+def test_run_matches_per_epoch_loop_at_block_edges(T, inner_batch):
+    cfg = replace(make_cfg(inner_batch=inner_batch, task_batch=3), T=T)
+    records, u = run_meta_sgld(cfg, ENV, eval_cadence=100, n_test=30, n_train_probe=30)
+    want, want_u = ref_run(cfg, eval_cadence=100)
+    assert as_bits(astuple(r) for r in records) == as_bits(want)
+    assert u.tobytes() == want_u.tobytes()
+
+
+# Runs that fail in block 2, with the error and epoch of the failure: each
+# rate is eta0 * 1e100 ** (t / decay_period), and the power passes the float
+# range once t > 3.0825 decay_period.  A meta noise std sqrt(2 eta /
+# gamma_outer) overflows earlier, at a tiny gamma_outer; K = 0 keeps W^K = U.
+# (eta0, beta0, decay_period, gamma_outer, eval_cadence, T, error, epoch)
+EDGE_DIVERGING = {
+    # the rates overflow at the first epoch of block 2, which has no drawn epoch
+    "rates": (5e-324, 5e-324, 83.2, 1e4, 0, BLOCK + 3, OverflowError, BLOCK + 1),
+    # the meta noise std is inf at the first epoch of block 2
+    "u": (1e-310, 1e-300, 84.0, 1e-313, 0, BLOCK + 2, FloatingPointError, BLOCK + 1),
+    # U fails at epoch B + 2, the rates at B + 4, both in block 2
+    "u_before_rates": (1e-311, 1e-300, 84.2, 1e-313, 0, BLOCK + 6, FloatingPointError,
+                       BLOCK + 2),
+    # the gap evaluation at epoch 200 (beta0 = 1e40) fails in block 1, before
+    # the rates overflow at epoch B + 1
+    "eval_before_rates": (5e-324, 1e40, 83.2, 1e4, 200, BLOCK + 3, ValueError, 200),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_DIVERGING))
+def test_run_fails_past_the_block_edge_as_the_per_epoch_loop(case):
+    eta0, beta0, period, gamma_outer, cadence, T, error, epoch = EDGE_DIVERGING[case]
+    cfg = replace(make_cfg(K=0, task_batch=3), init_u=(-4.0, -4.0), seed=5, T=T,
+                  schedules=Schedules(eta0=eta0, beta0=beta0, gamma_outer=gamma_outer,
+                                      gamma_inner=1e4, decay_rule=DECAY_EXPONENTIAL,
+                                      decay_rate=1e100, decay_period=period))
+    with np.errstate(all="ignore"):
+        with pytest.raises(error) as got:
+            run_meta_sgld(cfg, ENV, eval_cadence=cadence, n_test=30, n_train_probe=30)
+        with pytest.raises(error) as want:
+            ref_run(cfg, eval_cadence=cadence)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    assert str(got.value).endswith(f" at epoch {epoch}")
 
 
 # ------------------------------------------------------------ Monte-Carlo oracles
