@@ -25,8 +25,8 @@ from .core import (ConfigurationError, P_BATCH, P_NOISE_U, P_NOISE_W,
                    as_vector, derive_stream, epoch_streams, noise_std, ordered_sum,
                    sq_norm, stopped_at)
 from .model import LossModel, descend, stacked_risk
-from .task_env import (EnvironmentSpec, TaskDataset, minibatch_mean_var,
-                       sample_datasets, sample_minibatch, sample_task_means)
+from .task_env import (EnvironmentSpec, TaskDataset, draw_datasets, minibatch_mean_var,
+                       sample_datasets, sample_task_means, split_datasets, take_minibatch)
 from . import bounds as bounds_mod
 from . import evaluate as evaluate_mod
 from .records import RunRecord
@@ -65,24 +65,14 @@ def _rates(cfg: RunConfig, t: int) -> List[float]:
                                       for b in betas]
 
 
-def _live_draws(cfg: RunConfig, rngs: dict, dim: int, cols=slice(None)):
-    """Slots ``cols`` of an epoch's live noise (K, B, dim), from rngs[P_NOISE_W],
-    and live minibatch tr positions (K, B, b) or None, from rngs[P_BATCH]."""
-    shape = (cfg.K, cfg.task_batch)
-    pos = (sample_minibatch(np.broadcast_to(np.arange(cfg.m_tr), shape + (cfg.m_tr,)),
-                            cfg.inner_batch, rngs[P_BATCH])[:, cols]
-           if cfg.inner_batch else None)
-    return rngs[P_NOISE_W].standard_normal(shape + (dim,))[:, cols], pos
-
-
-def _epochs(cfg: RunConfig, samples, tr_idx, va_idx, z, pos, z_u, rates) -> _Epochs:
-    """Pass 1's array ops on the draws of consecutive epochs: samples,
-    splits, live noise and positions, meta noise (these three may be None),
-    rates, each with a leading epoch axis."""
+def _epochs(cfg: RunConfig, samples, tr_idx, va_idx, z, keys, z_u, rates) -> _Epochs:
+    """Pass 1's array ops on consecutive epochs: datasets, live noise and minibatch
+    keys, meta noise (these three may be None), rates, each with a leading epoch axis."""
     beta, eta, std = rates[:, :cfg.K], rates[:, cfg.K], rates[:, cfg.K + 1:]
     tr = np.take_along_axis(samples, tr_idx[..., None], axis=-2)
     tr_mean, b = tr.mean(axis=-2), cfg.inner_batch
-    if pos is not None:     # the gradient on a batch is 2 (w - its mean)
+    if keys is not None:    # the gradient on a batch is 2 (w - its mean)
+        pos = take_minibatch(np.broadcast_to(np.arange(cfg.m_tr), keys.shape), keys, b)
         centre = tr[np.arange(len(tr))[:, None, None, None],
                     np.arange(tr.shape[1])[:, None], pos].mean(axis=-2)
     else:
@@ -95,12 +85,16 @@ def _epochs(cfg: RunConfig, samples, tr_idx, va_idx, z, pos, z_u, rates) -> _Epo
 
 def _one_epoch(cfg: RunConfig, t: int, task_batch: Sequence[TaskDataset], dim: int,
                cols=None, z_u=None) -> _Epochs:
-    """Epoch t on the datasets task_batch, with live draws if cols is set."""
-    live = (None, None) if cols is None else _live_draws(
-        cfg, {p: derive_stream(cfg.seed, (p, t)) for p in (P_NOISE_W, P_BATCH)}, dim, cols)
-    epoch = (*(np.stack([getattr(ds, name) for ds in task_batch])
-               for name in ("samples", "tr_indices", "va_indices")), *live, z_u, _rates(cfg, t))
-    return _epochs(cfg, *(None if x is None else np.asarray(x)[None] for x in epoch))
+    """Epoch t on the datasets task_batch, with slots ``cols`` of its live draws if set."""
+    shape, z, keys = (1, cfg.K, cfg.task_batch), None, None
+    if cols is not None:
+        z = derive_stream(cfg.seed, (P_NOISE_W, t)).standard_normal(shape + (dim,))[:, :, cols]
+        if cfg.inner_batch:
+            keys = derive_stream(cfg.seed, (P_BATCH, t)).random(shape + (cfg.m_tr,))[:, :, cols]
+    data = (np.stack([getattr(ds, name) for ds in task_batch])[None]
+            for name in ("samples", "tr_indices", "va_indices"))
+    return _epochs(cfg, *data, z, keys, None if z_u is None else z_u[None],
+                   np.array([_rates(cfg, t)]))
 
 
 def _step_live(w: np.ndarray, betas, ep: _Epochs, i: int, path: np.ndarray) -> np.ndarray:
@@ -299,30 +293,34 @@ def run_meta_sgld(cfg: RunConfig, env: EnvironmentSpec,
     if u.shape != (env.dim,):
         raise ConfigurationError(f"init_u must have length {env.dim}")
 
-    records, draws, acc, failure = [], [], BoundAccumulators(), None
+    records, acc, failure = [], BoundAccumulators(), None
+    B, d = cfg.task_batch, env.dim
     purposes = (P_TASK, P_NOISE_W, P_NOISE_U) + ((P_BATCH,) if cfg.inner_batch else ())
     for t0 in range(1, cfg.T + 1, BLOCK):
-        block = range(t0, min(t0 + BLOCK, cfg.T + 1))
-        for t, rngs in epoch_streams(cfg.seed, purposes, block):
-            rng = rngs[P_TASK]
+        n = min(BLOCK, cfg.T + 1 - t0)     # the block's epochs, then those before a failure
+        # per epoch only the generator calls and the rejection test, into block arrays
+        mus, z, keys, noise, batch, z_u, rates = (np.empty((n,) + s) for s in (
+            (B, d), (B, cfg.m, d), (B, cfg.m), (cfg.K, B, d),
+            (cfg.K, B, cfg.m_tr if cfg.inner_batch else 0), (d,), (2 * cfg.K + 1,)))
+        for i, (t, rngs) in enumerate(epoch_streams(cfg.seed, purposes, range(t0, t0 + n))):
             try:
-                epoch = (*sample_datasets(sample_task_means(env, cfg.task_batch, rng), env, cfg.m,
-                                          cfg.m_tr, rng), *_live_draws(cfg, rngs, env.dim),
-                         rngs[P_NOISE_U].standard_normal(env.dim), _rates(cfg, t))
+                mus[i] = sample_task_means(env, B, rngs[P_TASK])
+                draw_datasets(B, cfg.m, d, rngs[P_TASK], (z[i], keys[i]))
+                rngs[P_NOISE_W].standard_normal(out=noise[i])
+                if cfg.inner_batch:
+                    rngs[P_BATCH].random(out=batch[i])
+                rngs[P_NOISE_U].standard_normal(out=z_u[i])
+                rates[i] = _rates(cfg, t)
             except (ValueError, OverflowError) as exc:
-                if not draws:           # the block's first epoch: no epoch runs before it
+                if i == 0:              # the block's first epoch: no epoch runs before it
                     raise stopped_at(exc, "epoch", t) from None
-                failure = exc
+                n, failure = i, exc
                 break
-            # block arrays from its first epoch, so no epoch's arrays outlive it
-            draws = draws or [None if x is None else np.empty((len(block),) + np.shape(x),
-                                                                np.asarray(x).dtype) for x in epoch]
-            for whole, x in zip(draws, epoch):
-                if whole is not None:
-                    whole[t - t0] = x
-            n = t - t0 + 1
-        ep = _epochs(cfg, *(None if x is None else x[:n] for x in draws))
-        draws = []                      # dropped before the U loop, empty for the next block
+        data = split_datasets(mus[:n], z[:n], keys[:n], env, cfg.m_tr)
+        del mus, z, keys                # the raw draws go before _epochs adds its arrays
+        ep = _epochs(cfg, *data, noise[:n], batch[:n] if cfg.inner_batch else None,
+                     z_u[:n], rates[:n])
+        del data, noise, batch          # no pass-1 array outlives _epochs
         us, run, _, failure = _advance(ep, u, acc, cfg, failure)
         ab = bounds_mod.assemble_alt_bound(run, sg, cfg.n, cfg.m_va)
         gaps, ts = {}, range(t0, t0 + len(run.eps_u_sum))   # the epochs before a failure

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -46,15 +47,18 @@ def format_value(x) -> str:
 def write_csv(records: Sequence, path, comment_lines: Iterable[str] = (),
               record_type: type = RunRecord) -> None:
     """Write records with a `#`-comment provenance header and a column header
-    row, one column per field of the record dataclass ``record_type``."""
+    row, one column per field of the record dataclass ``record_type``.  A row
+    is one ``%`` on a ``%.8g`` template with its empty cells left out, unless
+    that writes an exponent: then format_value formats it cell by cell."""
     names = [f.name for f in fields(record_type)]
     with open(path, "w", newline="") as fh:
         for line in comment_lines:
             fh.write(f"# {line}\n")
-        w = csv.writer(fh)
-        w.writerow(names)
-        for r in records:
-            w.writerow([format_value(getattr(r, name)) for name in names])
+        fh.write(",".join(names) + "\r\n")
+        for row in map(attrgetter(*names), records):
+            line = (",".join("" if x is None else "%.8g" for x in row)
+                    % tuple(x for x in row if x is not None))
+            fh.write((line if "e" not in line else ",".join(map(format_value, row))) + "\r\n")
 
 
 def read_csv(path) -> Dict[str, List[Optional[float]]]:

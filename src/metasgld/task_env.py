@@ -75,6 +75,8 @@ def sample_task_means(env: EnvironmentSpec, n: int,
     std = np.sqrt(env.env_cov_scale)
     mus = env.env_mean + std * rng.standard_normal((n, env.dim))
     todo = np.flatnonzero(~_in_box(mus, env))
+    if not todo.size:
+        return mus
     since_hit = 0 if todo.size < n else n
     while todo.size:
         if since_hit >= _MAX_REJECT_DRAWS:
@@ -94,21 +96,32 @@ def sample_task_means(env: EnvironmentSpec, n: int,
 sample_task = sample_task_means
 
 
+def draw_datasets(n: int, m: int, dim: int, rng: np.random.Generator, out=(None, None)):
+    """The raw draws of n datasets: (n, m, dim) standard normals, then (n, m)
+    uniform split keys, into the arrays ``out`` if given."""
+    return rng.standard_normal((n, m, dim), out=out[0]), rng.random((n, m), out=out[1])
+
+
+def split_datasets(mus: np.ndarray, z: np.ndarray, keys: np.ndarray, env: EnvironmentSpec,
+                   m_tr: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Datasets from their raw draws, over any leading axes: samples mus + sqrt(task_cov_scale)
+    z (..., m, dim), then the split argsort(keys)'s sorted tr (..., m_tr) and va indices."""
+    samples = mus[..., None, :] + np.sqrt(env.task_cov_scale) * z
+    perm = np.argsort(keys, axis=-1)
+    return samples, np.sort(perm[..., :m_tr], axis=-1), np.sort(perm[..., m_tr:], axis=-1)
+
+
 def sample_datasets(mus: np.ndarray, env: EnvironmentSpec, m: int, m_tr: int,
                     rng: np.random.Generator
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each row of mus, m i.i.d. draws from N(mu, task_cov_scale * I) and a
     uniform random split: samples (n, m, dim), then the sorted tr (n, m_tr)
-    and va (n, m - m_tr) indices.  The split permutations are the argsort of
-    (n, m) uniform keys, drawn after the samples."""
+    and va (n, m - m_tr) indices; draw_datasets, then split_datasets."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if not 0 <= m_tr <= m:
         raise ValueError(f"m_tr must be in [0, m], got {m_tr}")
-    samples = mus[:, None] + np.sqrt(env.task_cov_scale) * rng.standard_normal(
-        (len(mus), m, env.dim))
-    perm = np.argsort(rng.random((len(mus), m)), axis=1)
-    return samples, np.sort(perm[:, :m_tr], axis=1), np.sort(perm[:, m_tr:], axis=1)
+    return split_datasets(mus, *draw_datasets(len(mus), m, env.dim, rng), env, m_tr)
 
 
 def sample_dataset(task: TaskSpec, env: EnvironmentSpec, m: int, m_tr: int,
@@ -121,11 +134,16 @@ def sample_dataset(task: TaskSpec, env: EnvironmentSpec, m: int, m_tr: int,
 def sample_minibatch(pool: np.ndarray, b: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Uniform subsets of b entries, drawn without replacement and kept in
-    pool order, from the last axis of pool (..., N), (..., b): the first b of
-    the argsort of one uniform key per entry of pool."""
+    pool order, from the last axis of pool (..., N), (..., b): take_minibatch
+    on one uniform key per entry of pool."""
     if not 1 <= b <= pool.shape[-1]:
         raise ValueError(f"batch size {b} not in [1, {pool.shape[-1]}]")
-    first = np.argsort(rng.random(pool.shape), axis=-1)[..., :b]
+    return take_minibatch(pool, rng.random(pool.shape), b)
+
+
+def take_minibatch(pool: np.ndarray, keys: np.ndarray, b: int) -> np.ndarray:
+    """The entries of pool (..., N) at the first b of argsort(keys), in pool order (..., b)."""
+    first = np.argsort(keys, axis=-1)[..., :b]
     return np.take_along_axis(pool, np.sort(first, axis=-1), axis=-1)
 
 

@@ -1050,3 +1050,41 @@ class TestFormatValue:
 
     def test_none_is_empty(self):
         assert records_mod.format_value(None) == ""
+
+
+# Cells of every kind a CSV row can hold: floats of every magnitude,
+# subnormals, the signed zeros, nan and the infinities, values either side of
+# where %.8g turns to an exponent (|x| < 1e-4, and |x| >= 99999999.5, which
+# rounds to 1e+08), ints below and past 1e8, and empty cells
+EXPONENT_EDGES = [s * v for x in (1e-4, 99999999.5) for v in
+                  (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)) for s in (1.0, -1.0)]
+CELLS = st.one_of(
+    st.none(), st.floats(), st.floats(min_value=-2.3e-308, max_value=2.3e-308),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf] + EXPONENT_EDGES),
+    st.floats(min_value=5e-5, max_value=2e-4), st.floats(min_value=99999990.0, max_value=1e8 + 10),
+    st.floats(min_value=-1e8 - 10, max_value=-99999990.0), st.integers(-10 ** 9, 10 ** 9),
+    st.integers(min_value=10 ** 8, max_value=10 ** 20))
+
+
+@st.composite
+def record_rows(draw):
+    record_type = draw(st.sampled_from([RunRecord, JointRecord]))
+    width = len(fields(record_type))
+    return record_type, draw(st.lists(st.lists(CELLS, min_size=width, max_size=width),
+                                      max_size=8))
+
+
+class TestWriteCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(record_rows())
+    def test_rows_are_format_value_cell_by_cell(self, tmp_path_factory, typed_rows):
+        # every line the writer formats with %.8g equals format_value cell by
+        # cell; rows end in \r\n and comment lines in \n
+        record_type, rows = typed_rows
+        path = tmp_path_factory.getbasetemp() / "rows.csv"
+        records_mod.write_csv([record_type(*row) for row in rows], path, ["a = 1"],
+                              record_type)
+        names = [f.name for f in fields(record_type)]
+        assert path.read_bytes().decode() == "# a = 1\n" + "".join(
+            ",".join(cells) + "\r\n"
+            for cells in [names] + [list(map(records_mod.format_value, row)) for row in rows])

@@ -294,18 +294,18 @@ def test_non_finite_paths_raise_the_gradient_check_error():
 # replaced is a loop of draw_task_batch, outer_step, assemble_alt_bound and
 # observed_gap; its records and U are the reference, bit for bit.
 
-def ref_run(cfg, eval_cadence, n_eval=30):
-    sg = subgaussian_mean_estimation(ENV, cfg.schedules.beta0)
+def ref_run(cfg, eval_cadence, n_eval=30, env=ENV):
+    sg = subgaussian_mean_estimation(env, cfg.schedules.beta0)
     u = np.array(cfg.init_u if cfg.init_u is not None else (0.0, 0.0))
     acc, records = BoundAccumulators(), []
     for t in range(1, cfg.T + 1):
-        u, risk = outer_step(u, MODEL, draw_task_batch(ENV, cfg, t), cfg, t, acc)
+        u, risk = outer_step(u, MODEL, draw_task_batch(env, cfg, t), cfg, t, acc)
         if not (np.all(np.isfinite(u)) and np.isfinite(risk)):
             raise FloatingPointError(f"meta parameter became non-finite at epoch {t}")
         gap = (None,) * 3
         if eval_cadence > 0 and (t % eval_cadence == 0 or t == cfg.T):
             try:    # a run names the epoch of a failed evaluation
-                rep = observed_gap(u, ENV, cfg, n_eval, n_eval,
+                rep = observed_gap(u, env, cfg, n_eval, n_eval,
                                    test_stream=derive_stream(cfg.seed, (P_TEST, t)),
                                    train_stream=derive_stream(cfg.seed, (P_TRAIN_PROBE, t)))
             except ValueError as exc:
@@ -426,6 +426,32 @@ def test_run_fails_past_the_block_edge_as_the_per_epoch_loop(case):
             ref_run(cfg, eval_cadence=cadence)
     assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
     assert str(got.value).endswith(f" at epoch {epoch}")
+
+
+# With trunc_hi = (0, 0), a 5-task batch's first task-mean draw leaves the box
+# at about a third of the epochs, so the sampler redraws there, and each
+# redraw moves every later draw on the (P_TASK, t) stream: 76 of the 257
+# epochs at seed 11, epoch BLOCK + 1 (block 2's first) among them
+NARROW = replace(ENV, trunc_hi=np.array([0.0, 0.0]))
+
+
+def redrawn_epochs(cfg, env):
+    """The epochs whose first (task_batch, dim) task-mean draw is not all in the box."""
+    firsts = (env.env_mean + np.sqrt(env.env_cov_scale) * derive_stream(
+        cfg.seed, (P_TASK, t)).standard_normal((cfg.task_batch, 2)) for t in range(1, cfg.T + 1))
+    return [t for t, mus in enumerate(firsts, 1)
+            if not np.all((mus >= env.trunc_lo) & (mus <= env.trunc_hi))]
+
+
+@pytest.mark.parametrize("inner_batch", (0, 3))
+def test_run_redraws_task_means_as_the_per_epoch_loop(inner_batch):
+    cfg = replace(make_cfg(inner_batch=inner_batch), T=BLOCK + 1)
+    redrawn = redrawn_epochs(cfg, NARROW)
+    assert len(redrawn) == 76 and redrawn[-1] == BLOCK + 1
+    records, u = run_meta_sgld(cfg, NARROW, eval_cadence=100, n_test=30, n_train_probe=30)
+    want, want_u = ref_run(cfg, eval_cadence=100, env=NARROW)
+    assert as_bits(astuple(r) for r in records) == as_bits(want)
+    assert u.tobytes() == want_u.tobytes()
 
 
 # ------------------------------------------------------------ Monte-Carlo oracles
