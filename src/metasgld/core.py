@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -147,25 +147,35 @@ def derive_stream(master_seed: int, path: Sequence[int]) -> np.random.Generator:
 
 def epoch_streams(seed: int, purposes: Sequence[int], ts: Sequence[int]
                   ) -> Iterator[Tuple[int, Dict[int, np.random.Generator]]]:
-    """For each t of ts, t and a generator per purpose set to its (purpose, t)
-    stream, reused, so read them before the next t.  ts is one block of a
-    run's epochs: its states are derived in one call per purpose."""
-    rngs = {p: np.random.Generator(np.random.PCG64(0)) for p in purposes}
-    for t, *states in zip(ts, *(stream_states(seed, p, ts) for p in rngs)):
-        for rng, state in zip(rngs.values(), states):
-            rng.bit_generator.state = state
-        yield t, rngs
+    """For each t of ts, t and a new generator per purpose on its (purpose, t)
+    stream; each stays valid after the loop moves on.  ts is one block of a
+    run's epochs: its seed words are derived in one call per purpose."""
+    words = [stream_states(seed, p, ts).astype(np.uint64) for p in purposes]
+    # SeedSequence's uint64 words pair its uint32 words low word first
+    for t, *rows in zip(ts, *(w[:, 0::2] | w[:, 1::2] << 32 for w in words)):
+        yield t, {p: np.random.Generator(np.random.PCG64(_Words(row)))
+                  for p, row in zip(purposes, rows)}
+
+
+class _Words(np.random.bit_generator.ISeedSequence):
+    """A SeedSequence's generate_state(4, np.uint64), given as its words: what
+    PCG64 asks for when it seeds itself.  PCG64 reads the array's memory, so
+    the words must be 4 contiguous native uint64."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 # SeedSequence's hash multipliers before and after each hash of t's words
 # (the pool of (seed, purpose) took 20: 4 for the seed words, 12 to mix
 # them, 4 for the purpose word) and of generate_state's 8 words
 _HASH_T = np.array([0x43B0D7E5 * 0x931E8875 ** k & 0xFFFFFFFF for k in range(20, 29)],
-                   dtype=np.uint32)[:, None]
+                   dtype=np.uint32)
 _HASH_OUT = np.array([0x8B51F9DD * 0x58F38DED ** k & 0xFFFFFFFF for k in range(9)],
-                     dtype=np.uint32)[:, None]
-# PCG64's multiplier
-_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+                     dtype=np.uint32)
 
 
 # SeedSequence's hashmix and mix, on uint32 arrays
@@ -179,32 +189,22 @@ def _mix(x, y):
     return v ^ v >> 16
 
 
-def stream_states(seed: int, purpose: int, ts: Sequence[int]) -> List[dict]:
-    """The state of ``PCG64(SeedSequence(seed, spawn_key=(purpose, t)))``
-    for each t of ts, purpose a one-word tag and t in [0, 2**64).
+def stream_states(seed: int, purpose: int, ts: Sequence[int]) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(purpose, t)).generate_state(8)`` for
+    each t of ts, as one (len(ts), 8) uint32 array; purpose is a one-word tag
+    and t in [0, 2**64).
 
     NumPy hashes the seed and purpose into SeedSequence's pool of 4 words;
     t's low word, then its high word if nonzero, are hashed onto it here as
-    uint32 array ops over all of ts, then generate_state's 8 words and
-    PCG64's set_seed steps follow."""
+    uint32 array ops over all of ts, then generate_state's 8 words follow."""
     if not 0 <= purpose < 2 ** 32:
         raise ValueError(f"purpose must be in [0, 2**32), got {purpose}")
-    t = np.array([check_seed(t, "t") for t in ts], dtype=np.uint64)
-    pool = np.random.SeedSequence(check_seed(seed), spawn_key=(purpose,)).pool[:, None]
+    t = np.array([check_seed(t, "t") for t in ts], dtype=np.uint64)[:, None]
+    pool = np.random.SeedSequence(check_seed(seed), spawn_key=(purpose,)).pool
     lo, hi = (t & 0xFFFFFFFF).astype(np.uint32), (t >> 32).astype(np.uint32)
     pool = _mix(pool, _hash(lo, _HASH_T[:4], _HASH_T[1:5]))
     pool = np.where(hi != 0, _mix(pool, _hash(hi, _HASH_T[4:8], _HASH_T[5:])), pool)
-    out = _hash(np.concatenate([pool, pool]), _HASH_OUT[:-1], _HASH_OUT[1:])
-    # as uint64, the halves of PCG64's seed s and stream i: inc = 2i + 1, and
-    # the state steps x -> x * mult + inc from 0, adds s and steps again
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in (out[0::2].astype(np.uint64)
-                                   | out[1::2].astype(np.uint64) << 32).T.tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+    return _hash(np.concatenate([pool, pool], axis=1), _HASH_OUT[:-1], _HASH_OUT[1:])
 
 
 def check_seed(seed: int, name: str = "seed") -> int:

@@ -75,8 +75,6 @@ def sample_task_means(env: EnvironmentSpec, n: int,
     std = np.sqrt(env.env_cov_scale)
     mus = env.env_mean + std * rng.standard_normal((n, env.dim))
     todo = np.flatnonzero(~_in_box(mus, env))
-    if not todo.size:
-        return mus
     since_hit = 0 if todo.size < n else n
     while todo.size:
         if since_hit >= _MAX_REJECT_DRAWS:

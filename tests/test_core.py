@@ -118,22 +118,33 @@ def seed_sequence_state(seed, path):
     return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=tuple(path))).state
 
 
+def seed_sequence_words(seed, purpose, ts):
+    return np.stack([np.random.SeedSequence(seed, spawn_key=(purpose, t)).generate_state(8)
+                     for t in ts])
+
+
 class TestStreamStates:
     @pytest.mark.parametrize("seed", EDGE_SEEDS)
     @settings(max_examples=25, deadline=None)
     @given(ts=st.lists(st.integers(0, 10 ** 5), min_size=1, max_size=30))
     @example(ts=[0, 1, 200, 10 ** 5])
     def test_run_addresses_equal_seed_sequence_pcg64(self, seed, ts):
+        # the words PCG64 seeds itself from
         for p in PURPOSES:
-            assert stream_states(seed, p, ts) == [seed_sequence_state(seed, (p, t)) for t in ts]
+            words = stream_states(seed, p, ts)
+            assert words.dtype == np.uint32
+            assert np.array_equal(words, seed_sequence_words(seed, p, ts))
 
     @settings(max_examples=100, deadline=None)
     @given(seed=SEEDS, purpose=st.sampled_from(PURPOSES),
            ts=st.lists(ENTRIES, min_size=1, max_size=8))
     def test_paths_of_one_and_two_word_entries(self, seed, purpose, ts):
         # t of 2**32 or more is two words of the entropy, in one call with one-word t
-        assert stream_states(seed, purpose, ts) == [seed_sequence_state(seed, (purpose, t))
-                                                    for t in ts]
+        assert np.array_equal(stream_states(seed, purpose, ts),
+                              seed_sequence_words(seed, purpose, ts))
+
+    def test_no_t_is_no_rows(self):
+        assert stream_states(7, P_TASK, []).shape == (0, 8)
 
     @pytest.mark.parametrize("paths", [[(P_TASK, -1)], [(P_TASK, 2 ** 64)], [(P_TASK, 1.7)],
                                        [(-1, 1)], [(2 ** 32, 1)]])
@@ -145,9 +156,22 @@ class TestStreamStates:
 
 
 class TestEpochStreams:
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    @settings(max_examples=25, deadline=None)
+    @given(ts=st.lists(ENTRIES, max_size=30))
+    @example(ts=[0, 1, 200, 10 ** 5])
+    def test_generator_states_equal_seed_sequence_pcg64(self, seed, ts):
+        # PCG64 seeds itself from the given words as from the SeedSequence
+        seen = []
+        for t, rngs in epoch_streams(seed, PURPOSES, ts):
+            seen.append(t)
+            for p, rng in rngs.items():
+                assert rng.bit_generator.state == seed_sequence_state(seed, (p, t))
+        assert seen == ts
+
     @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
-    def test_reused_generators_equal_derive_stream(self, seed):
-        # one call per purpose derives all 300 states; each t reuses the generators
+    def test_generators_equal_derive_stream(self, seed):
+        # one call per purpose derives all 300 streams; each t has new generators
         ts = range(1, 301)
         for t, rngs in epoch_streams(seed, PURPOSES, ts):
             assert list(rngs) == list(PURPOSES)
@@ -156,6 +180,15 @@ class TestEpochStreams:
                 for draw in ("standard_normal", "random"):
                     assert getattr(rng, draw)(4).tobytes() == getattr(want, draw)(4).tobytes()
         assert t == 300
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_earlier_generators_outlive_the_loop(self, seed):
+        # a generator kept from t = 1 draws its own stream after later t are set
+        kept = {t: rngs for t, rngs in epoch_streams(seed, PURPOSES, [1, 2, 300])}
+        for t, rngs in kept.items():
+            for p, rng in rngs.items():
+                assert (rng.standard_normal(4).tobytes()
+                        == derive_stream(seed, (p, t)).standard_normal(4).tobytes())
 
 
 class TestDeriveStream:
