@@ -8,7 +8,8 @@ import numpy as np
 
 from .core import RunConfig, as_vector, ordered_sum
 from .model import descend, stacked_risk
-from .task_env import EnvironmentSpec, sample_datasets, sample_task_means
+from .task_env import (EnvironmentSpec, draw_datasets, form_samples, rows_mean,
+                       sample_task_means, split_indices, take_rows)
 
 
 @dataclass(frozen=True)
@@ -27,9 +28,14 @@ def adapt_eval(u: np.ndarray, env: EnvironmentSpec, cfg: RunConfig,
                eval_source: str = "va") -> float:
     """Average risk after noiseless tr-split fine-tuning on fresh tasks.
 
-    All n_tasks means, then their datasets, are drawn from rng as whole
-    arrays; all tasks adapt at once.  A loss that overflows raises
-    FloatingPointError.
+    All n_tasks means, then the raw draws of their datasets, are drawn from
+    rng as whole arrays; all tasks adapt at once.  Only the rows it scores
+    become samples (task_env.form_samples, elementwise): the split's tr rows
+    and, for "va", its va rows, taken from the raw normals by
+    task_env.take_rows.  A whole samples array would scale and shift rows it
+    never reads.  The values, the tr mean (task_env.rows_mean) and the
+    C-contiguous (n_tasks, k, dim) batch scored are those of the whole array,
+    bit for bit.  A loss that overflows raises FloatingPointError.
 
     ``eval_source`` selects the split the adapted parameter is scored on:
     "va" (held-out) for test loss, "tr" (the data actually fitted) for the
@@ -41,13 +47,13 @@ def adapt_eval(u: np.ndarray, env: EnvironmentSpec, cfg: RunConfig,
         raise ValueError(f"eval_source must be va or tr, got {eval_source!r}")
     if eval_source == "va" and cfg.m_va < 1:
         raise ValueError("va evaluation needs m_va >= 1")
-    samples, tr_idx, va_idx = sample_datasets(
-        sample_task_means(env, n_tasks, rng), env, cfg.m, cfg.m_tr, rng)
-    tr = np.take_along_axis(samples, tr_idx[..., None], axis=1)
-    batch = (np.take_along_axis(samples, va_idx[..., None], axis=1)
-             if eval_source == "va" else tr)
+    mus = sample_task_means(env, n_tasks, rng)
+    z, keys = draw_datasets(n_tasks, cfg.m, env.dim, rng)
+    tr_idx, va_idx = split_indices(keys, cfg.m_tr)
+    tr = form_samples(mus, take_rows(z, tr_idx), env)
+    batch = form_samples(mus, take_rows(z, va_idx), env) if eval_source == "va" else tr
     w = descend(as_vector(u, env.dim), [cfg.schedules.beta0] * cfg.test_adapt_steps,
-                tr.mean(axis=-2))
+                rows_mean(tr))
     if not np.all(np.isfinite(w)):
         raise ValueError("vector contains NaN/Inf")
     loss = float(ordered_sum(stacked_risk(w, batch))) / n_tasks

@@ -26,7 +26,8 @@ from .core import (ConfigurationError, P_BATCH, P_NOISE_U, P_NOISE_W,
                    sq_norm, stopped_at)
 from .model import LossModel, descend, stacked_risk
 from .task_env import (EnvironmentSpec, TaskDataset, draw_datasets, minibatch_mean_var,
-                       sample_datasets, sample_task_means, split_datasets, take_minibatch)
+                       rows_mean, sample_datasets, sample_task_means, split_datasets,
+                       take_minibatch, take_rows)
 from . import bounds as bounds_mod
 from . import evaluate as evaluate_mod
 from .records import RunRecord
@@ -69,17 +70,17 @@ def _epochs(cfg: RunConfig, samples, tr_idx, va_idx, z, keys, z_u, rates) -> _Ep
     """Pass 1's array ops on consecutive epochs: datasets, live noise and minibatch
     keys, meta noise (these three may be None), rates, each with a leading epoch axis."""
     beta, eta, std = rates[:, :cfg.K], rates[:, cfg.K], rates[:, cfg.K + 1:]
-    tr = np.take_along_axis(samples, tr_idx[..., None], axis=-2)
-    tr_mean, b = tr.mean(axis=-2), cfg.inner_batch
+    tr = take_rows(samples, tr_idx)
+    tr_mean, b = rows_mean(tr), cfg.inner_batch
     if keys is not None:    # the gradient on a batch is 2 (w - its mean)
         pos = take_minibatch(np.broadcast_to(np.arange(cfg.m_tr), keys.shape), keys, b)
-        centre = tr[np.arange(len(tr))[:, None, None, None],
-                    np.arange(tr.shape[1])[:, None], pos].mean(axis=-2)
+        centre = rows_mean(tr[np.arange(len(tr))[:, None, None, None],
+                              np.arange(tr.shape[1])[:, None], pos])
     else:
         centre = np.broadcast_to(tr_mean[:, None], (len(tr), cfg.K) + tr_mean.shape[1:])
-    return _Epochs(eta, beta, std, tr_mean, samples.mean(axis=-2),
+    return _Epochs(eta, beta, std, tr_mean, rows_mean(samples),
                    minibatch_mean_var(tr, b), 4.0 * minibatch_mean_var(samples, b).sum(axis=-1),
-                   np.take_along_axis(samples, va_idx[..., None], axis=-2), centre,
+                   take_rows(samples, va_idx), centre,
                    None if z is None else std[..., None, None] * z, z_u)
 
 
@@ -175,7 +176,7 @@ def _advance(ep: _Epochs, u: np.ndarray, acc: BoundAccumulators, cfg: RunConfig,
     (n,) as a BoundAccumulators, the train risks and the failure."""
     n, (B, d), g = len(ep.eta), ep.tr_mean.shape[1:], cfg.schedules.gamma_outer
     us, paths = np.empty((n + 1, d)), np.empty((n, cfg.K + 1, B, d))
-    us[0], va_mean, rates = u, ep.va.mean(axis=-2), []
+    us[0], va_mean, rates = u, rows_mean(ep.va), []
     try:
         for i, (eta, betas, stds) in enumerate(zip(
                 ep.eta.tolist(), ep.beta.tolist(), ep.std.tolist())):

@@ -48,8 +48,8 @@ def write_csv(records: Sequence, path, comment_lines: Iterable[str] = (),
               record_type: type = RunRecord) -> None:
     """Write records with a `#`-comment provenance header and a column header
     row, one column per field of the record dataclass ``record_type``.  A row
-    is one ``%`` on a ``%.8g`` template with its empty cells left out, unless
-    that writes an exponent: then format_value formats it cell by cell."""
+    is one ``%`` on a ``%.8g`` template with its empty cells left out; a cell
+    where that writes an exponent is formatted again by format_value."""
     names = [f.name for f in fields(record_type)]
     with open(path, "w", newline="") as fh:
         for line in comment_lines:
@@ -58,7 +58,10 @@ def write_csv(records: Sequence, path, comment_lines: Iterable[str] = (),
         for row in map(attrgetter(*names), records):
             line = (",".join("" if x is None else "%.8g" for x in row)
                     % tuple(x for x in row if x is not None))
-            fh.write((line if "e" not in line else ",".join(map(format_value, row))) + "\r\n")
+            if "e" in line:
+                line = ",".join(cell if "e" not in cell else format_value(x)
+                                for cell, x in zip(line.split(","), row))
+            fh.write(line + "\r\n")
 
 
 def read_csv(path) -> Dict[str, List[Optional[float]]]:

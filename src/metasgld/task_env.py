@@ -1,6 +1,7 @@
 """Task environment: truncated-Gaussian task means, per-task datasets, splits, minibatches."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,13 +101,34 @@ def draw_datasets(n: int, m: int, dim: int, rng: np.random.Generator, out=(None,
     return rng.standard_normal((n, m, dim), out=out[0]), rng.random((n, m), out=out[1])
 
 
+def form_samples(mus: np.ndarray, z: np.ndarray, env: EnvironmentSpec) -> np.ndarray:
+    """Samples mus + sqrt(task_cov_scale) z (..., k, dim) of the means mus (..., dim)
+    from raw normals z (..., k, dim).  It is elementwise, so rows formed alone equal
+    those rows of a whole dataset.  mus is repeated over the k rows: NumPy adds a
+    broadcast over the short dim axis slowly."""
+    return np.repeat(mus[..., None, :], z.shape[-2], axis=-2) + np.sqrt(env.task_cov_scale) * z
+
+
+def split_indices(keys: np.ndarray, m_tr: int) -> tuple[np.ndarray, np.ndarray]:
+    """The split argsort(keys) of datasets with keys (..., m): its sorted tr
+    (..., m_tr) and va (..., m - m_tr) indices."""
+    perm = np.argsort(keys, axis=-1)
+    return np.sort(perm[..., :m_tr], axis=-1), np.sort(perm[..., m_tr:], axis=-1)
+
+
 def split_datasets(mus: np.ndarray, z: np.ndarray, keys: np.ndarray, env: EnvironmentSpec,
                    m_tr: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Datasets from their raw draws, over any leading axes: samples mus + sqrt(task_cov_scale)
-    z (..., m, dim), then the split argsort(keys)'s sorted tr (..., m_tr) and va indices."""
-    samples = mus[..., None, :] + np.sqrt(env.task_cov_scale) * z
-    perm = np.argsort(keys, axis=-1)
-    return samples, np.sort(perm[..., :m_tr], axis=-1), np.sort(perm[..., m_tr:], axis=-1)
+    """Datasets from their raw draws, over any leading axes: samples (..., m, dim)
+    (form_samples), then the split's sorted tr and va indices (split_indices)."""
+    return (form_samples(mus, z, env),) + split_indices(keys, m_tr)
+
+
+def take_rows(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The rows idx (..., k) of each dataset of x (..., m, dim), (..., k, dim), as
+    take_along_axis gives them, by one take on x's rows flattened to (-1, dim)."""
+    lead = idx.shape[:-1]
+    rows = idx + x.shape[-2] * np.arange(math.prod(lead)).reshape(lead + (1,))
+    return x.reshape(-1, x.shape[-1]).take(rows, axis=0)
 
 
 def sample_datasets(mus: np.ndarray, env: EnvironmentSpec, m: int, m_tr: int,
@@ -154,3 +176,13 @@ def minibatch_mean_var(pool: np.ndarray, b: int) -> np.ndarray:
     if b in (0, n):
         return np.zeros(pool.shape[:-2] + pool.shape[-1:])
     return pool.var(axis=-2) / b * (n - b) / (n - 1)
+
+
+def rows_mean(pool: np.ndarray) -> np.ndarray:
+    """pool (..., N, dim).mean(axis=-2) of a C-contiguous pool, bit for bit,
+    without NumPy's slow reduction over a middle axis.  From dim = 2 on NumPy
+    adds the N rows in order, as a mean over the leading axis of an (N, ..., dim)
+    copy does; in dim 1 the rows are contiguous and it adds them pairwise."""
+    if pool.shape[-1] == 1:
+        return pool.mean(axis=-2)
+    return np.moveaxis(pool, -2, 0).copy().mean(axis=0)

@@ -23,7 +23,7 @@ from metasgld.core import (P_BATCH, P_NOISE_U, P_NOISE_W, P_TASK, P_TEST,
                            P_TRAIN_PROBE, DECAY_CONSTANT, DECAY_EXPONENTIAL,
                            DECAY_INVERSE_T, RunConfig, Schedules, UndefinedBoundError,
                            derive_stream, noise_std, stopped_at)
-from metasgld import joint_sgld, meta_sgld
+from metasgld import evaluate, joint_sgld, meta_sgld
 from metasgld.evaluate import adapt_eval, observed_gap
 from metasgld.joint_sgld import (JointConfig, JointRecord, joint_bound,
                                  joint_closed_form, joint_loss_grad,
@@ -31,7 +31,7 @@ from metasgld.joint_sgld import (JointConfig, JointRecord, joint_bound,
 from metasgld.meta_sgld import (BoundAccumulators, draw_task_batch,
                                 estimate_eps_u, inner_adapt, outer_step,
                                 run_meta_sgld)
-from metasgld.model import LossModel
+from metasgld.model import LossModel, stacked_risk
 from metasgld.task_env import (EnvironmentSpec, TaskDataset,
                                minibatch_mean_var, sample_datasets,
                                sample_minibatch, sample_task_means)
@@ -171,17 +171,19 @@ def ref_outer_step(u, task_batch, cfg, t, acc):
     return u - eta * meta_grad + xi, train_risk
 
 
-def ref_adapt_eval(u, cfg, n_tasks, rng, eval_source):
-    draws = sample_datasets(sample_task_means(ENV, n_tasks, rng), ENV, cfg.m,
+def ref_adapt_eval(u, cfg, n_tasks, rng, eval_source, env=ENV):
+    """The mean risk and the per-task risks."""
+    draws = sample_datasets(sample_task_means(env, n_tasks, rng), env, cfg.m,
                             cfg.m_tr, rng)
-    total = 0.0
+    total, risks = 0.0, []
     for task in zip(*draws):
         ds = TaskDataset(*task)
         w = np.asarray(u, dtype=float).copy()
         for _ in range(cfg.test_adapt_steps):
             w = w - cfg.schedules.beta0 * ref_grad(w, ds.tr)
-        total += ref_risk(w, getattr(ds, eval_source))
-    return total / n_tasks
+        risks.append(ref_risk(w, getattr(ds, eval_source)))
+        total += risks[-1]
+    return total / n_tasks, risks
 
 
 # ------------------------------------------------------------ the grid
@@ -262,13 +264,46 @@ def test_estimate_eps_u_matches_loop(inner_batch, K, mc_replicas, split):
     assert terms[0] == pytest.approx(want[0], rel=1e-12)
 
 
-@pytest.mark.parametrize("eval_source,split,steps",
-                         itertools.product(("va", "tr"), SPLITS, (0, 10)))
-def test_adapt_eval_matches_loop(eval_source, split, steps):
+# dimension 8 takes stacked_risk's np.sum branch, which no preset runs; in
+# dimension 1 NumPy's mean over a task's rows adds them pairwise, not in order
+ENV8 = EnvironmentSpec(env_mean=np.linspace(-4.0, 3.0, 8), env_cov_scale=5.0,
+                       trunc_lo=np.full(8, -12.0), trunc_hi=np.full(8, 4.0),
+                       task_cov_scale=0.1, dim=8)
+ENV1 = EnvironmentSpec(env_mean=np.array([-4.0]), env_cov_scale=5.0, trunc_lo=np.array([-12.0]),
+                       trunc_hi=np.array([4.0]), task_cov_scale=0.1, dim=1)
+# (env, eval_source, split, test_adapt_steps, n_tasks): the grid at 40 tasks in
+# dimensions 2 and 8; the splits with 8 or more tr rows in dimension 1; the tr
+# side of a split with no va rows; one task; and each preset split at the 500
+# tasks of a run's gap evaluation; the dimension-2 grid keeps the ids pytest
+# generates for it
+ADAPT_GRID = list(itertools.product(("va", "tr"), SPLITS, (0, 10)))
+ADAPT_CASES = (
+    [pytest.param(ENV, src, split, steps, 40, id=f"{src}-split{i}-{steps}")
+     for i, (src, split, steps) in enumerate(ADAPT_GRID)]
+    + [pytest.param(ENV8, src, split, steps, 40, id=f"dim8-{src}-{split[0]}_{split[1]}-{steps}")
+       for src, split, steps in ADAPT_GRID]
+    + [pytest.param(ENV1, src, split, 10, 40, id=f"dim1-{src}-{split[0]}_{split[1]}")
+       for src, split in itertools.product(("va", "tr"), ((8, 8), (15, 1)))]
+    + [pytest.param(env, "tr", (16, 0), 10, 40, id=f"dim{env.dim}-tr-16_0")
+       for env in (ENV, ENV8)]
+    + [pytest.param(env, src, (8, 8), 10, 1, id=f"dim{env.dim}-{src}-1task")
+       for env, src in itertools.product((ENV, ENV8), ("va", "tr"))]
+    + [pytest.param(ENV, src, split, 10, 500, id=f"{src}-{split[0]}_{split[1]}-500tasks")
+       for src, split in itertools.product(("va", "tr"), SPLITS)])
+
+
+@pytest.mark.parametrize("env,eval_source,split,steps,n_tasks", ADAPT_CASES)
+def test_adapt_eval_matches_loop(env, eval_source, split, steps, n_tasks, monkeypatch):
+    # task by task as well: the sum often rounds away one ulp of a task's risk
+    risks = []
+    monkeypatch.setattr(evaluate, "stacked_risk",
+                        lambda w, batch: risks.append(stacked_risk(w, batch)) or risks[-1])
     cfg = make_cfg(split, test_adapt_steps=steps)
-    u = np.array([-2.5, -4.5])
-    got = adapt_eval(u, ENV, cfg, 40, derive_stream(3, [9]), eval_source)
-    assert got == ref_adapt_eval(u, cfg, 40, derive_stream(3, [9]), eval_source)
+    u = np.linspace(-2.5, -4.5, env.dim)
+    got = adapt_eval(u, env, cfg, n_tasks, derive_stream(3, [9]), eval_source)
+    want, want_risks = ref_adapt_eval(u, cfg, n_tasks, derive_stream(3, [9]), eval_source, env)
+    assert risks[0].tolist() == want_risks
+    assert got == want
 
 
 def test_non_finite_paths_raise_the_gradient_check_error():

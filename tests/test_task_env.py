@@ -9,8 +9,8 @@ from scipy import integrate, stats
 
 from metasgld.core import ConfigurationError, derive_stream
 from metasgld.task_env import (EnvironmentSpec, TaskSpec, minibatch_mean_var,
-                               sample_dataset, sample_datasets,
-                               sample_minibatch, sample_task_means)
+                               rows_mean, sample_dataset, sample_datasets,
+                               sample_minibatch, sample_task_means, take_rows)
 
 
 def paper_env():
@@ -264,3 +264,26 @@ class TestMinibatchMeanVar:
         assert minibatch_mean_var(pool, 0).shape == (3, 2)
         assert np.all(minibatch_mean_var(pool, 0) == 0.0)
         assert np.all(minibatch_mean_var(pool, 5) == 0.0)
+
+
+class TestRows:
+    @given(lead=st.lists(st.integers(1, 6), max_size=3), n=st.integers(1, 20),
+           dim=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_mean_is_numpys_mean_bit_for_bit(self, lead, n, dim, seed):
+        # magnitudes 1e-8..1e8 make the order of the additions show
+        rng = derive_stream(seed, [5])
+        shape = tuple(lead) + (n, dim)
+        pool = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        assert rows_mean(pool).tobytes() == pool.mean(axis=-2).tobytes()
+
+    @given(lead=st.lists(st.integers(1, 6), max_size=3), m=st.integers(1, 20),
+           dim=st.integers(1, 4), frac=st.floats(0, 1), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_take_rows_is_take_along_axis(self, lead, m, dim, frac, seed):
+        rng = derive_stream(seed, [6])
+        x = rng.normal(size=tuple(lead) + (m, dim))
+        idx = np.sort(np.argsort(rng.random(tuple(lead) + (m,)), axis=-1)
+                      [..., :int(round(frac * m))], axis=-1)
+        want = np.take_along_axis(x, idx[..., None], axis=-2)
+        assert np.array_equal(take_rows(x, idx), want)
