@@ -3,13 +3,16 @@ meta-gradients and online tracking of gradient-incoherence and gradient-norm
 statistics.
 
 Epoch t depends on earlier epochs only through U_{t-1}, so a run takes three
-passes per block of BLOCK epochs from the carried U and running sums: (1) the
-block's draws, then array ops on them; (2) the U loop, per epoch the live inner
-steps and the meta step; (3) the noise-free mean rows, every bound increment
-(exact expectations over noise, minibatch and probe draws) and running sums.
-Sums add in the order of the former per-epoch loop, so rows are that loop's
-bit for bit, and a failure raises what that loop raised first: each pass
-works on the epochs before the earliest failure found so far.
+passes per block of BLOCK epochs from the carried U and running sums: (1) per
+epoch the raw generator calls and the rate row, then array ops on the block:
+the task-mean box test, a redraw of the epochs it rejects, the datasets; (2)
+the U loop, per epoch W^K of the live inner steps and the meta step, storing
+no path; (3) the live paths stepped again as block ops, the noise-free mean
+rows, every bound increment (exact expectations over noise, minibatch and
+probe draws) and running sums.  Sums add in the order of the former per-epoch
+loop, so rows are that loop's bit for bit, and a failure raises what that
+loop raised first: each pass works on the epochs before the earliest failure
+found so far.
 ``outer_step``, ``inner_adapt`` and ``estimate_eps_u`` are one-epoch cases.
 """
 from __future__ import annotations
@@ -25,9 +28,9 @@ from .core import (ConfigurationError, P_BATCH, P_NOISE_U, P_NOISE_W,
                    as_vector, derive_stream, epoch_streams, noise_std, ordered_sum,
                    sq_norm, stopped_at)
 from .model import LossModel, descend, stacked_risk
-from .task_env import (EnvironmentSpec, TaskDataset, draw_datasets, minibatch_mean_var,
-                       rows_mean, sample_datasets, sample_task_means, split_datasets,
-                       take_minibatch, take_rows)
+from .task_env import (EnvironmentSpec, TaskDataset, box_means, draw_datasets,
+                       minibatch_mean_var, rows_mean, sample_datasets, sample_task_means,
+                       split_datasets, take_minibatch, take_rows)
 from . import bounds as bounds_mod
 from . import evaluate as evaluate_mod
 from .records import RunRecord
@@ -98,16 +101,28 @@ def _one_epoch(cfg: RunConfig, t: int, task_batch: Sequence[TaskDataset], dim: i
                    np.array([_rates(cfg, t)]))
 
 
-def _step_live(w: np.ndarray, betas, ep: _Epochs, i: int, path: np.ndarray) -> np.ndarray:
-    """Epoch i's K live steps w - beta_k 2 (w - mean(B_k)) + std_k xi_k from
-    w = U into path (K+1, B, d); returns W^K.  Non-finite stays non-finite,
-    so this one check raises wherever a per-step one did."""
-    path[0] = w
-    for k, (beta, centre, noise) in enumerate(zip(betas, ep.centre[i], ep.noise[i]), 1):
-        w = path[k] = w - beta * (2.0 * (w - centre)) + noise
-    if not np.isfinite(w).all():
-        raise ValueError("vector contains NaN/Inf")
+def _live_steps(w: np.ndarray, betas, centres, noises, path=None) -> np.ndarray:
+    """The live steps w <- w - beta_k 2 (w - mean(B_k)) + std_k xi_k from w = U,
+    one per beta_k, with W^0..W^K into path[0..K] if given; returns W^K."""
+    if path is not None:
+        path[0] = w
+    for k, (beta, centre, noise) in enumerate(zip(betas, centres, noises), 1):
+        w = w - beta * (2.0 * (w - centre)) + noise
+        if path is not None:
+            path[k] = w
     return w
+
+
+def _live_paths(us: np.ndarray, ep: _Epochs) -> np.ndarray:
+    """The live paths W^0..W^K (n, K+1, B, d) from U_0..U_{n-1}: _live_steps
+    on the epoch axis at once, elementwise, so each epoch's bits are its own.
+    Non-finite stays non-finite, so a check of W^K raises wherever a per-step
+    one did."""
+    n = len(us)
+    paths = np.empty((n, ep.beta.shape[1] + 1) + ep.tr_mean.shape[1:])
+    _live_steps(us[:, None], ep.beta[:n].T[..., None, None], ep.centre[:n].swapaxes(0, 1),
+                ep.noise[:n].swapaxes(0, 1), paths.swapaxes(0, 1))
+    return paths
 
 
 def _variance_rates(betas: Sequence[float], stds: Sequence[float]) -> List[tuple]:
@@ -169,18 +184,21 @@ def _cumulate(start, terms: np.ndarray, op=np.add) -> np.ndarray:
 def _advance(ep: _Epochs, u: np.ndarray, acc: BoundAccumulators, cfg: RunConfig,
              failure: Optional[Exception] = None):
     """Passes 2 and 3 from the carried state, U and acc, which it reads and
-    does not write.  Pass 2, per epoch: live steps, variance rates, U <- U - eta
-    g_va + xi; its failure after n epochs replaces pass 1's ``failure``.
-    Pass 3 on those epochs: the mean rows' W^K check and the train-risk check
-    cut n where the former loop stopped.  Returns U_0..U_n, the running values
-    (n,) as a BoundAccumulators, the train risks and the failure."""
+    does not write.  Pass 2, per epoch: W^K of the live steps, variance rates,
+    U <- U - eta g_va + xi, checking only U; its failure after n epochs
+    replaces pass 1's ``failure``.  Pass 3 steps again the live paths of the
+    epochs pass 2 ran; a non-finite W^K at its last epoch, which the former
+    loop checked before U, replaces pass 2's failure.  The mean rows' W^K
+    check and the train-risk check cut n where the former loop stopped.
+    Returns U_0..U_n, the running values (n,) as a BoundAccumulators, the
+    train risks and the failure."""
     n, (B, d), g = len(ep.eta), ep.tr_mean.shape[1:], cfg.schedules.gamma_outer
-    us, paths = np.empty((n + 1, d)), np.empty((n, cfg.K + 1, B, d))
+    us = np.empty((n + 1, d))
     us[0], va_mean, rates = u, rows_mean(ep.va), []
     try:
         for i, (eta, betas, stds) in enumerate(zip(
                 ep.eta.tolist(), ep.beta.tolist(), ep.std.tolist())):
-            w = _step_live(u, betas, ep, i, paths[i])
+            w = _live_steps(u, betas, ep.centre[i], ep.noise[i])
             rates.append(_variance_rates(betas, stds))
             xi = (noise_std(eta, g) if cfg.noise else 0.0) * ep.z_u[i]
             u = us[i + 1] = u - eta * (ordered_sum(2.0 * (w - va_mean[i]), -2) / B) + xi
@@ -188,7 +206,11 @@ def _advance(ep: _Epochs, u: np.ndarray, acc: BoundAccumulators, cfg: RunConfig,
                 raise FloatingPointError("meta parameter became non-finite")
     except (ValueError, ArithmeticError) as exc:
         n, us, failure = i, us[:i + 1], exc
-    w_mean = _mean_rows(us[:len(ep.eta)], ep)
+    ran = us[:len(ep.eta)]          # U_0.. of the epochs pass 2 ran, a failed one too
+    paths = _live_paths(ran, ep)
+    if n < len(paths) and not np.isfinite(paths[n, -1]).all():
+        failure = ValueError("vector contains NaN/Inf")
+    w_mean = _mean_rows(ran, ep)
     bad = np.flatnonzero(~np.isfinite(w_mean).all(axis=(1, 2)))
     if bad.size:
         n, failure = bad[0], ValueError("vector contains NaN/Inf")
@@ -220,8 +242,9 @@ def inner_adapt(u: np.ndarray, model: LossModel, ds: TaskDataset, cfg: RunConfig
     if not 0 <= task_slot < cfg.task_batch:
         raise ValueError(f"task_slot must be in [0, {cfg.task_batch}), got {task_slot}")
     ep = _one_epoch(cfg, t, [ds], model.dim, slice(task_slot, task_slot + 1))
-    path = np.empty((cfg.K + 1, 1, model.dim))
-    _step_live(as_vector(u, model.dim), ep.beta[0].tolist(), ep, 0, path)
+    path = _live_paths(as_vector(u, model.dim)[None], ep)[0]
+    if not np.isfinite(path[-1]).all():
+        raise ValueError("vector contains NaN/Inf")
     if collect is not None:
         eps, gn, norms = (x.ravel() for x in _task_terms(path[None, :-1], ep, cfg))
         collect.eps_w_sum = float(_cumulate(collect.eps_w_sum, eps)[-1])
@@ -299,26 +322,38 @@ def run_meta_sgld(cfg: RunConfig, env: EnvironmentSpec,
     purposes = (P_TASK, P_NOISE_W, P_NOISE_U) + ((P_BATCH,) if cfg.inner_batch else ())
     for t0 in range(1, cfg.T + 1, BLOCK):
         n = min(BLOCK, cfg.T + 1 - t0)     # the block's epochs, then those before a failure
-        # per epoch only the generator calls and the rejection test, into block arrays
-        mus, z, keys, noise, batch, z_u, rates = (np.empty((n,) + s) for s in (
+        # per epoch only the generator calls and the rate row, into block arrays
+        z_mu, z, keys, noise, batch, z_u, rates = (np.empty((n,) + s) for s in (
             (B, d), (B, cfg.m, d), (B, cfg.m), (cfg.K, B, d),
             (cfg.K, B, cfg.m_tr if cfg.inner_batch else 0), (d,), (2 * cfg.K + 1,)))
         for i, (t, rngs) in enumerate(epoch_streams(cfg.seed, purposes, range(t0, t0 + n))):
+            rngs[P_TASK].standard_normal(out=z_mu[i])
+            draw_datasets(B, cfg.m, d, rngs[P_TASK], (z[i], keys[i]))
+            rngs[P_NOISE_W].standard_normal(out=noise[i])
+            if cfg.inner_batch:
+                rngs[P_BATCH].random(out=batch[i])
+            rngs[P_NOISE_U].standard_normal(out=z_u[i])
             try:
-                mus[i] = sample_task_means(env, B, rngs[P_TASK])
-                draw_datasets(B, cfg.m, d, rngs[P_TASK], (z[i], keys[i]))
-                rngs[P_NOISE_W].standard_normal(out=noise[i])
-                if cfg.inner_batch:
-                    rngs[P_BATCH].random(out=batch[i])
-                rngs[P_NOISE_U].standard_normal(out=z_u[i])
                 rates[i] = _rates(cfg, t)
             except (ValueError, OverflowError) as exc:
-                if i == 0:              # the block's first epoch: no epoch runs before it
-                    raise stopped_at(exc, "epoch", t) from None
                 n, failure = i, exc
                 break
+        # the sampler's first round on every epoch drawn, the failed one too: its
+        # sampler's error comes before its rate error.  An epoch with a mean
+        # outside the box draws again, from a fresh stream, as the sampler did.
+        mus, inside = box_means(z_mu[:n + (failure is not None)], env)
+        for i in np.flatnonzero(~inside.all(axis=1)).tolist():
+            rng = derive_stream(cfg.seed, (P_TASK, t0 + i))
+            try:
+                mus[i] = sample_task_means(env, B, rng)
+            except ValueError as exc:
+                n, failure = i, exc
+                break
+            draw_datasets(B, cfg.m, d, rng, (z[i], keys[i]))
+        if n == 0:                      # the block's first epoch: no epoch runs before it
+            raise stopped_at(failure, "epoch", t0) from None
         data = split_datasets(mus[:n], z[:n], keys[:n], env, cfg.m_tr)
-        del mus, z, keys                # the raw draws go before _epochs adds its arrays
+        del z_mu, mus, z, keys          # the raw draws go before _epochs adds its arrays
         ep = _epochs(cfg, *data, noise[:n], batch[:n] if cfg.inner_batch else None,
                      z_u[:n], rates[:n])
         del data, noise, batch          # no pass-1 array outlives _epochs

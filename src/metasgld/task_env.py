@@ -64,18 +64,22 @@ class TaskDataset:
         return self.samples[self.va_indices]
 
 
-def _in_box(draws: np.ndarray, env: EnvironmentSpec) -> np.ndarray:
-    return np.all((draws >= env.trunc_lo) & (draws <= env.trunc_hi), axis=-1)
+def box_means(z: np.ndarray, env: EnvironmentSpec) -> tuple[np.ndarray, np.ndarray]:
+    """One round of the rejection sampler on raw normals z (..., dim), over any
+    leading axes: the means env_mean + sqrt(env_cov_scale) z (..., dim) and
+    whether each lies in the truncation box (...).  It is elementwise, so a
+    block of rounds gives each round's values."""
+    mus = env.env_mean + np.sqrt(env.env_cov_scale) * z
+    return mus, np.all((mus >= env.trunc_lo) & (mus <= env.trunc_hi), axis=-1)
 
 
 def sample_task_means(env: EnvironmentSpec, n: int,
                       rng: np.random.Generator) -> np.ndarray:
     """n task means (n, dim) from the truncated Gaussian by rejection: one
-    (n, dim) draw, then rounds of max(#rejected, _REJECT_CHUNK) rows whose
-    first hits fill the rejected slots in row order."""
-    std = np.sqrt(env.env_cov_scale)
-    mus = env.env_mean + std * rng.standard_normal((n, env.dim))
-    todo = np.flatnonzero(~_in_box(mus, env))
+    (n, dim) round of box_means, then rounds of max(#rejected, _REJECT_CHUNK)
+    rows whose first hits fill the rejected slots in row order."""
+    mus, inside = box_means(rng.standard_normal((n, env.dim)), env)
+    todo = np.flatnonzero(~inside)
     since_hit = 0 if todo.size < n else n
     while todo.size:
         if since_hit >= _MAX_REJECT_DRAWS:
@@ -83,8 +87,8 @@ def sample_task_means(env: EnvironmentSpec, n: int,
                 f"rejection sampling acceptance rate below {MIN_ACCEPT_RATE} ({since_hit} "
                 "draws without a hit); truncation box carries too little mass")
         size = max(todo.size, _REJECT_CHUNK)
-        draws = env.env_mean + std * rng.standard_normal((size, env.dim))
-        hits = draws[_in_box(draws, env)][:todo.size]
+        draws, inside = box_means(rng.standard_normal((size, env.dim)), env)
+        hits = draws[inside][:todo.size]
         mus[todo[:len(hits)]] = hits
         todo = todo[len(hits):]
         since_hit = 0 if len(hits) else since_hit + size
@@ -182,7 +186,10 @@ def rows_mean(pool: np.ndarray) -> np.ndarray:
     """pool (..., N, dim).mean(axis=-2) of a C-contiguous pool, bit for bit,
     without NumPy's slow reduction over a middle axis.  From dim = 2 on NumPy
     adds the N rows in order, as a mean over the leading axis of an (N, ..., dim)
-    copy does; in dim 1 the rows are contiguous and it adds them pairwise."""
+    copy does; in dim 1 the rows are contiguous and it adds them pairwise.  One
+    row's mean is the row + 0.0, which makes -0.0 +0.0 as NumPy's sum does."""
+    if pool.shape[-2] == 1:
+        return pool[..., 0, :] + 0.0
     if pool.shape[-1] == 1:
         return pool.mean(axis=-2)
     return np.moveaxis(pool, -2, 0).copy().mean(axis=0)

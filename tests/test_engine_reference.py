@@ -21,8 +21,8 @@ import pytest
 from metasgld.bounds import assemble_alt_bound, subgaussian_mean_estimation
 from metasgld.core import (P_BATCH, P_NOISE_U, P_NOISE_W, P_TASK, P_TEST,
                            P_TRAIN_PROBE, DECAY_CONSTANT, DECAY_EXPONENTIAL,
-                           DECAY_INVERSE_T, RunConfig, Schedules, UndefinedBoundError,
-                           derive_stream, noise_std, stopped_at)
+                           DECAY_INVERSE_T, ConfigurationError, RunConfig, Schedules,
+                           UndefinedBoundError, derive_stream, noise_std, stopped_at)
 from metasgld import evaluate, joint_sgld, meta_sgld
 from metasgld.evaluate import adapt_eval, observed_gap
 from metasgld.joint_sgld import (JointConfig, JointRecord, joint_bound,
@@ -314,6 +314,8 @@ def test_non_finite_paths_raise_the_gradient_check_error():
     batch = draw_task_batch(ENV, cfg, 1)
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="NaN/Inf"):
         outer_step(np.array(cfg.init_u), MODEL, batch, cfg, 1, BoundAccumulators())
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="NaN/Inf"):
+        inner_adapt(np.array(cfg.init_u), MODEL, batch[0], cfg, 1, 0)
     with pytest.raises(ValueError, match="NaN/Inf"):
         outer_step(np.array([np.nan, 0.0]), MODEL, batch, make_cfg(), 1,
                    BoundAccumulators())
@@ -334,7 +336,11 @@ def ref_run(cfg, eval_cadence, n_eval=30, env=ENV):
     u = np.array(cfg.init_u if cfg.init_u is not None else (0.0, 0.0))
     acc, records = BoundAccumulators(), []
     for t in range(1, cfg.T + 1):
-        u, risk = outer_step(u, MODEL, draw_task_batch(env, cfg, t), cfg, t, acc)
+        try:        # a run names the epoch of a failed draw
+            batch = draw_task_batch(env, cfg, t)
+        except ValueError as exc:
+            raise stopped_at(exc, "epoch", t) from None
+        u, risk = outer_step(u, MODEL, batch, cfg, t, acc)
         if not (np.all(np.isfinite(u)) and np.isfinite(risk)):
             raise FloatingPointError(f"meta parameter became non-finite at epoch {t}")
         gap = (None,) * 3
@@ -387,6 +393,9 @@ DIVERGING = {
     "eval": (1e-95, 1e40, 0, 1e100, 2, 3, 0, ValueError, "NaN/Inf"),
     # the rates overflow at epoch 4 while U and the paths stay finite
     "rates": (1e-300, 1e-300, 2, 1e100, 0, 6, 3, OverflowError, "at epoch 4$"),
+    # the meta rate underflows to 0.0 at epoch 3, so its noise std raises in the U loop
+    "meta_noise_std": (1e-300, 0.3, 4, 1e-10, 0, 4, 2, ValueError,
+                       "lr must be positive, got 0.0 at epoch 3$"),
 }
 
 
@@ -405,6 +414,23 @@ def test_diverging_run_raises_where_the_per_epoch_loop_did(case):
                           n_test=30, n_train_probe=30)
         with pytest.raises(error, match=match):
             ref_run(replace(cfg, T=T), eval_cadence=cadence)
+
+
+def test_live_path_overflow_raises_before_u_as_the_per_epoch_loop():
+    # gamma_inner = 1e-250 makes the inner noise std ~4e152 at epoch 2 (beta =
+    # 1e55): the live W^K overflows there while its mean row stays finite
+    # (~1e221), and U goes non-finite at the same epoch.  The per-epoch loop
+    # checked W^K before U.
+    cfg = replace(make_cfg(K=4, task_batch=3), init_u=(-4.0, -4.0), seed=5, T=3,
+                  schedules=Schedules(eta0=1e-200, beta0=1e-45, gamma_outer=1e4,
+                                      gamma_inner=1e-250, decay_rule=DECAY_EXPONENTIAL,
+                                      decay_rate=1e50, decay_period=1.0))
+    with np.errstate(all="ignore"):
+        run_meta_sgld(replace(cfg, T=1), ENV)
+        with pytest.raises(ValueError, match="NaN/Inf at epoch 2$"):
+            run_meta_sgld(cfg, ENV)
+        with pytest.raises(ValueError, match="NaN/Inf at epoch 2$"):
+            ref_run(cfg, eval_cadence=0)
 
 
 # run_meta_sgld draws and advances BLOCK epochs at a time, from the U and
@@ -476,6 +502,39 @@ def redrawn_epochs(cfg, env):
         cfg.seed, (P_TASK, t)).standard_normal((cfg.task_batch, 2)) for t in range(1, cfg.T + 1))
     return [t for t, mus in enumerate(firsts, 1)
             if not np.all((mus >= env.trunc_lo) & (mus <= env.trunc_hi))]
+
+
+# A box of mass ~2.5e-7 about the mean: at seed 17 a one-task batch's sampler
+# finds its mean at epoch 1 and gives up at epoch 2, after 4e6 draws without a
+# hit.  The per-epoch loop drew an epoch's tasks before its rates, so the
+# sampler's error also wins over a rate that overflows at epoch 2.
+LOW_MASS = replace(ENV, trunc_lo=np.array([-4.0014, -4.0014]),
+                   trunc_hi=np.array([-3.9986, -3.9986]))
+SAMPLER_FAILS = {
+    "sampler": make_cfg().schedules,
+    # eta0 * 1e100 ** (t / 0.64) passes the float range at t = 2
+    "sampler_before_rates": Schedules(eta0=1e-300, beta0=1e-300, gamma_outer=1e4,
+                                      gamma_inner=1e4, decay_rule=DECAY_EXPONENTIAL,
+                                      decay_rate=1e100, decay_period=0.64),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLER_FAILS))
+def test_sampler_fails_after_the_first_epoch_as_the_per_epoch_loop(case):
+    cfg = replace(make_cfg(task_batch=1), seed=17, T=2, schedules=SAMPLER_FAILS[case])
+    if case == "sampler_before_rates":
+        with pytest.raises(OverflowError):
+            cfg.schedules.outer_lr(2)
+    records, u = run_meta_sgld(replace(cfg, T=1), LOW_MASS)
+    want, want_u = ref_run(replace(cfg, T=1), 0, env=LOW_MASS)
+    assert as_bits(astuple(r) for r in records) == as_bits(want)
+    assert u.tobytes() == want_u.tobytes()
+    with pytest.raises(ConfigurationError) as got:
+        run_meta_sgld(cfg, LOW_MASS)
+    with pytest.raises(ConfigurationError) as want:
+        ref_run(cfg, 0, env=LOW_MASS)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).endswith("too little mass at epoch 2")
 
 
 @pytest.mark.parametrize("inner_batch", (0, 3))

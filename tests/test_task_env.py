@@ -277,6 +277,14 @@ class TestRows:
         pool = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
         assert rows_mean(pool).tobytes() == pool.mean(axis=-2).tobytes()
 
+    @pytest.mark.parametrize("dim", (1, 2, 9))
+    def test_one_row_mean_keeps_numpys_zero_sign_and_nan(self, dim):
+        # a one-row mean is not the row itself: NumPy's sum makes -0.0 +0.0
+        values = np.array([-0.0, 0.0, np.nan, -np.inf, 5e-324, -2.5])
+        pool = np.resize(values, (4, 3, 1, dim))
+        assert rows_mean(pool).tobytes() == pool.mean(axis=-2).tobytes()
+        assert not np.signbit(rows_mean(np.full((1, dim), -0.0))).any()
+
     @given(lead=st.lists(st.integers(1, 6), max_size=3), m=st.integers(1, 20),
            dim=st.integers(1, 4), frac=st.floats(0, 1), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
