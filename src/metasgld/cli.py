@@ -17,7 +17,7 @@ from . import __version__
 from . import bounds as bounds_mod
 from . import joint_sgld as joint_mod
 from . import meta_sgld as meta_mod
-from .core import RunConfig, Schedules
+from .core import STREAM_BLOCK, RunConfig, Schedules
 from .records import RunRecord, format_value, read_csv, write_csv
 from .task_env import EnvironmentSpec
 
@@ -204,16 +204,16 @@ def _resolve_out(path: Optional[str]) -> Optional[str]:
 
 
 def _provenance(cfg: ExperimentConfig) -> List[str]:
-    # stream_layout 6: layout 4's streams; each setting is named by its INI key
-    lines = [f"mode = {cfg.mode}", f"name = {cfg.name}", "stream_layout = 6",
-             f"version = {__version__}"]
+    alternate = cfg.mode == MODE_ALTERNATE      # layout 7 draws its streams by block
+    lines = [f"mode = {cfg.mode}", f"name = {cfg.name}", "stream_layout = 7",
+             *[f"stream_block = {STREAM_BLOCK}"] * alternate, f"version = {__version__}"]
     trainer = cfg.run or cfg.joint      # it, its Schedules and env share no field name
     values = {**vars(cfg.env), **vars(trainer.schedules), **vars(trainer)}
     for section, keys in (("env", _ENV_KEYS), ("run", _RUN_SCHEMA[cfg.mode][0])):
         for key, (name, _) in keys.items():     # vectors as plain-float tuples
             v = values[name]
             lines.append(f"{section}.{key} = {tuple(map(float, v)) if np.ndim(v) else v}")
-    if cfg.mode == MODE_ALTERNATE:              # a joint run evaluates no gap
+    if alternate:                               # a joint run evaluates no gap
         lines.append(f"outputs.eval_cadence = {cfg.outputs.eval_cadence}")
     return lines
 

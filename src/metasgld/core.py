@@ -122,14 +122,17 @@ def noise_std(lr: float, gamma: float) -> float:
 
 # ---------------------------------------------------------------- RNG streams
 
-# Stream purpose tags: the first path component. Keeping them distinct makes
-# every (purpose, t, ...) coordinate an independent reproducible stream.
-P_TASK = 2
-P_BATCH = 5
-P_NOISE_U = 6
-P_NOISE_W = 7
-P_TEST = 9
-P_TRAIN_PROBE = 10
+# Stream purpose tags, a path's first component: distinct tags, independent streams.
+P_TASK = 2          # per epoch: a task-mean redraw; joint mode's datasets at t = 0
+P_BATCH = 5         # by block: the live minibatch keys
+P_NOISE_U = 6       # by block: the meta noise; joint mode's noise at t = 0
+P_NOISE_W = 7       # by block: the live noise
+P_TEST = 9          # per epoch: a gap evaluation's test tasks
+P_TRAIN_PROBE = 10  # per epoch: its train tasks
+P_MEANS = 11        # by block: the task-mean normals
+P_SAMPLES = 12      # by block: the datasets' normals
+P_SPLIT = 13        # by block: the datasets' split keys
+STREAM_BLOCK = 256  # the epochs of a (purpose, block) stream (layout 7)
 
 
 def derive_stream(master_seed: int, path: Sequence[int]) -> np.random.Generator:
@@ -145,11 +148,28 @@ def derive_stream(master_seed: int, path: Sequence[int]) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
+def block_rows(cfg: RunConfig, dim: int, t: int, n: int, purposes=None) -> Dict[int, np.ndarray]:
+    """Rows (n, *shape) of epochs t..t+n-1 per purpose (all, or purposes; keys uniform): epoch
+    s's is row (s - 1) % STREAM_BLOCK of those drawn from (purpose, (s - 1) // STREAM_BLOCK)."""
+    B, K = cfg.task_batch, cfg.K
+    shapes = {P_MEANS: (B, dim), P_SAMPLES: (B, cfg.m, dim), P_SPLIT: (B, cfg.m),
+              P_NOISE_W: (K, B, dim), P_BATCH: (K, B, cfg.m_tr), P_NOISE_U: (dim,)}
+    shapes = {p: shapes[p] for p in purposes or shapes if p != P_BATCH or cfg.inner_batch}
+    out = {p: np.empty((n,) + shape) for p, shape in shapes.items()}
+    for c in range(-((t - 1) % STREAM_BLOCK), n, STREAM_BLOCK):    # t's block, then on
+        for p, shape in shapes.items():
+            rng = derive_stream(cfg.seed, (p, (t - 1 + c) // STREAM_BLOCK))
+            draw = rng.random if p in (P_SPLIT, P_BATCH) else rng.standard_normal
+            draw((max(-c, 0),) + shape)         # the rows of its epochs before t
+            draw(out=out[p][max(c, 0):c + STREAM_BLOCK])
+    return out
+
+
 def epoch_streams(seed: int, purposes: Sequence[int], ts: Sequence[int]
                   ) -> Iterator[Tuple[int, Dict[int, np.random.Generator]]]:
     """For each t of ts, t and a new generator per purpose on its (purpose, t)
-    stream; each stays valid after the loop moves on.  ts is one block of a
-    run's epochs: its seed words are derived in one call per purpose."""
+    stream; each stays valid after the loop moves on.  ts is a run block's gap
+    evaluations: their seed words are derived in one call per purpose."""
     words = [stream_states(seed, p, ts).astype(np.uint64) for p in purposes]
     # SeedSequence's uint64 words pair its uint32 words low word first
     for t, *rows in zip(ts, *(w[:, 0::2] | w[:, 1::2] << 32 for w in words)):

@@ -3,9 +3,9 @@ meta-gradients and online tracking of gradient-incoherence and gradient-norm
 statistics.
 
 Epoch t depends on earlier epochs only through U_{t-1}, so a run takes three
-passes per block of BLOCK epochs from the carried U and running sums: (1) per
-epoch the raw generator calls and the rate row, then array ops on the block:
-the task-mean box test, a redraw of the epochs it rejects, the datasets; (2)
+passes per block of BLOCK epochs from the carried U and running sums: (1) the
+block's draws, one call per array kind, then per epoch the rate row, then the
+task-mean box test, a redraw of the epochs it rejects, the datasets; (2)
 the U loop, per epoch W^K of the live inner steps and the meta step, storing
 no path; (3) the live paths stepped again as block ops, the noise-free mean
 rows, every bound increment (exact expectations over noise, minibatch and
@@ -23,19 +23,19 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (ConfigurationError, P_BATCH, P_NOISE_U, P_NOISE_W,
-                   P_TASK, P_TEST, P_TRAIN_PROBE, RunConfig,
-                   as_vector, derive_stream, epoch_streams, noise_std, ordered_sum,
-                   sq_norm, stopped_at)
+from .core import (ConfigurationError, P_BATCH, P_MEANS, P_NOISE_U, P_NOISE_W,
+                   P_SAMPLES, P_SPLIT, P_TASK, P_TEST, P_TRAIN_PROBE, RunConfig,
+                   as_vector, block_rows, derive_stream, epoch_streams, noise_std,
+                   ordered_sum, sq_norm, stopped_at)
 from .model import LossModel, descend, stacked_risk
 from .task_env import (EnvironmentSpec, TaskDataset, box_means, draw_datasets,
-                       minibatch_mean_var, rows_mean, sample_datasets, sample_task_means,
+                       minibatch_mean_var, rows_mean, sample_task_means,
                        split_datasets, take_minibatch, take_rows)
 from . import bounds as bounds_mod
 from . import evaluate as evaluate_mod
 from .records import RunRecord
 
-BLOCK = 256     # the epochs a run draws and advances at once
+BLOCK = 256     # epochs drawn and advanced at once; a STREAM_BLOCK multiple draws no row twice
 
 
 @dataclass
@@ -58,6 +58,20 @@ class BoundAccumulators:
 # noise std_k xi_k (n, K, B, d), and the meta noise z_u (n, d) before its std.
 _Epochs = namedtuple("_Epochs", "eta beta std tr_mean un_mean batch_var "
                                 "probe_var va centre noise z_u")
+
+
+def _task_means(env: EnvironmentSpec, cfg: RunConfig, t0: int, rows, n: int, failure):
+    """Task means of epochs t0.., a failed one's too (its sampler errs first), then n and
+    failure cut at a failed redraw: an out-of-box epoch redraws means and data from (P_TASK, t)."""
+    mus, inside = box_means(rows[P_MEANS][:n + (failure is not None)], env)
+    for i in np.flatnonzero(~inside.all(axis=1)).tolist():
+        rng = derive_stream(cfg.seed, (P_TASK, t0 + i))
+        try:
+            mus[i] = sample_task_means(env, cfg.task_batch, rng)
+        except ValueError as exc:
+            return mus, i, exc
+        draw_datasets(cfg.task_batch, cfg.m, env.dim, rng, (rows[P_SAMPLES][i], rows[P_SPLIT][i]))
+    return mus, n, failure
 
 
 def _rates(cfg: RunConfig, t: int) -> List[float]:
@@ -90,15 +104,12 @@ def _epochs(cfg: RunConfig, samples, tr_idx, va_idx, z, keys, z_u, rates) -> _Ep
 def _one_epoch(cfg: RunConfig, t: int, task_batch: Sequence[TaskDataset], dim: int,
                cols=None, z_u=None) -> _Epochs:
     """Epoch t on the datasets task_batch, with slots ``cols`` of its live draws if set."""
-    shape, z, keys = (1, cfg.K, cfg.task_batch), None, None
-    if cols is not None:
-        z = derive_stream(cfg.seed, (P_NOISE_W, t)).standard_normal(shape + (dim,))[:, :, cols]
-        if cfg.inner_batch:
-            keys = derive_stream(cfg.seed, (P_BATCH, t)).random(shape + (cfg.m_tr,))[:, :, cols]
+    rates = np.array([_rates(cfg, t)])
+    rows = {} if cols is None else block_rows(cfg, dim, t, 1, (P_NOISE_W, P_BATCH))
+    z, keys = (rows[p][:, :, cols] if p in rows else None for p in (P_NOISE_W, P_BATCH))
     data = (np.stack([getattr(ds, name) for ds in task_batch])[None]
             for name in ("samples", "tr_indices", "va_indices"))
-    return _epochs(cfg, *data, z, keys, None if z_u is None else z_u[None],
-                   np.array([_rates(cfg, t)]))
+    return _epochs(cfg, *data, z, keys, None if z_u is None else z_u[None], rates)
 
 
 def _live_steps(w: np.ndarray, betas, centres, noises, path=None) -> np.ndarray:
@@ -281,7 +292,7 @@ def outer_step(u: np.ndarray, model: LossModel,
     u = as_vector(u, model.dim)
     try:
         ep = _one_epoch(cfg, t, task_batch, model.dim, slice(None),
-                        derive_stream(cfg.seed, (P_NOISE_U, t)).standard_normal(model.dim))
+                        block_rows(cfg, model.dim, t, 1, (P_NOISE_U,))[P_NOISE_U][0])
         us, run, risk, failure = _advance(ep, u, acc, cfg)
     except (ValueError, ArithmeticError) as exc:
         failure = exc
@@ -293,10 +304,13 @@ def outer_step(u: np.ndarray, model: LossModel,
 
 
 def draw_task_batch(env: EnvironmentSpec, cfg: RunConfig, t: int) -> List[TaskDataset]:
-    """Fresh tasks and datasets for outer iteration t, all from (P_TASK, t)."""
-    rng = derive_stream(cfg.seed, (P_TASK, t))
-    return [TaskDataset(*task) for task in zip(*sample_datasets(
-        sample_task_means(env, cfg.task_batch, rng), env, cfg.m, cfg.m_tr, rng))]
+    """The tasks and datasets of a run's epoch t."""
+    rows = block_rows(cfg, env.dim, t, 1, (P_MEANS, P_SAMPLES, P_SPLIT))
+    mus, _, failure = _task_means(env, cfg, t, rows, 1, None)
+    if failure is not None:
+        raise failure
+    return [TaskDataset(*task) for task in zip(*split_datasets(
+        mus[0], rows[P_SAMPLES][0], rows[P_SPLIT][0], env, cfg.m_tr))]
 
 
 def run_meta_sgld(cfg: RunConfig, env: EnvironmentSpec,
@@ -318,45 +332,22 @@ def run_meta_sgld(cfg: RunConfig, env: EnvironmentSpec,
         raise ConfigurationError(f"init_u must have length {env.dim}")
 
     records, acc, failure = [], BoundAccumulators(), None
-    B, d = cfg.task_batch, env.dim
-    purposes = (P_TASK, P_NOISE_W, P_NOISE_U) + ((P_BATCH,) if cfg.inner_batch else ())
     for t0 in range(1, cfg.T + 1, BLOCK):
         n = min(BLOCK, cfg.T + 1 - t0)     # the block's epochs, then those before a failure
-        # per epoch only the generator calls and the rate row, into block arrays
-        z_mu, z, keys, noise, batch, z_u, rates = (np.empty((n,) + s) for s in (
-            (B, d), (B, cfg.m, d), (B, cfg.m), (cfg.K, B, d),
-            (cfg.K, B, cfg.m_tr if cfg.inner_batch else 0), (d,), (2 * cfg.K + 1,)))
-        for i, (t, rngs) in enumerate(epoch_streams(cfg.seed, purposes, range(t0, t0 + n))):
-            rngs[P_TASK].standard_normal(out=z_mu[i])
-            draw_datasets(B, cfg.m, d, rngs[P_TASK], (z[i], keys[i]))
-            rngs[P_NOISE_W].standard_normal(out=noise[i])
-            if cfg.inner_batch:
-                rngs[P_BATCH].random(out=batch[i])
-            rngs[P_NOISE_U].standard_normal(out=z_u[i])
+        rows, rates = block_rows(cfg, env.dim, t0, n), np.empty((n, 2 * cfg.K + 1))
+        for i in range(n):              # per epoch only the rate row
             try:
-                rates[i] = _rates(cfg, t)
+                rates[i] = _rates(cfg, t0 + i)
             except (ValueError, OverflowError) as exc:
                 n, failure = i, exc
                 break
-        # the sampler's first round on every epoch drawn, the failed one too: its
-        # sampler's error comes before its rate error.  An epoch with a mean
-        # outside the box draws again, from a fresh stream, as the sampler did.
-        mus, inside = box_means(z_mu[:n + (failure is not None)], env)
-        for i in np.flatnonzero(~inside.all(axis=1)).tolist():
-            rng = derive_stream(cfg.seed, (P_TASK, t0 + i))
-            try:
-                mus[i] = sample_task_means(env, B, rng)
-            except ValueError as exc:
-                n, failure = i, exc
-                break
-            draw_datasets(B, cfg.m, d, rng, (z[i], keys[i]))
+        mus, n, failure = _task_means(env, cfg, t0, rows, n, failure)
         if n == 0:                      # the block's first epoch: no epoch runs before it
             raise stopped_at(failure, "epoch", t0) from None
-        data = split_datasets(mus[:n], z[:n], keys[:n], env, cfg.m_tr)
-        del z_mu, mus, z, keys          # the raw draws go before _epochs adds its arrays
-        ep = _epochs(cfg, *data, noise[:n], batch[:n] if cfg.inner_batch else None,
-                     z_u[:n], rates[:n])
-        del data, noise, batch          # no pass-1 array outlives _epochs
+        data = split_datasets(mus[:n], rows.pop(P_SAMPLES)[:n], rows.pop(P_SPLIT)[:n], env, cfg.m_tr)
+        ep = _epochs(cfg, *data, *(rows[p][:n] if p in rows else None
+                                   for p in (P_NOISE_W, P_BATCH, P_NOISE_U)), rates[:n])
+        del data, rows                  # no pass-1 array outlives _epochs
         us, run, _, failure = _advance(ep, u, acc, cfg, failure)
         ab = bounds_mod.assemble_alt_bound(run, sg, cfg.n, cfg.m_va)
         gaps, ts = {}, range(t0, t0 + len(run.eps_u_sum))   # the epochs before a failure

@@ -52,16 +52,15 @@ def write_csv(records: Sequence, path, comment_lines: Iterable[str] = (),
     where that writes an exponent is formatted again by format_value."""
     names = [f.name for f in fields(record_type)]
     with open(path, "w", newline="") as fh:
-        for line in comment_lines:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(names) + "\r\n")
+        fh.writelines(f"# {line}\n" for line in comment_lines)
+        fh.write(",".join(names) + "\n")
         for row in map(attrgetter(*names), records):
             line = (",".join("" if x is None else "%.8g" for x in row)
                     % tuple(x for x in row if x is not None))
             if "e" in line:
                 line = ",".join(cell if "e" not in cell else format_value(x)
                                 for cell, x in zip(line.split(","), row))
-            fh.write(line + "\r\n")
+            fh.write(line + "\n")
 
 
 def read_csv(path) -> Dict[str, List[Optional[float]]]:

@@ -322,10 +322,12 @@ class TestRunExperiment:
         trainer = cfg.run or cfg.joint
         names = [f.name for obj in (cfg.env, trainer.schedules, trainer) for f in fields(obj)]
         assert len(names) == len(set(names))
-        # a joint run evaluates no gap, so it has no cadence to record
-        outputs = ["outputs.eval_cadence"] if mode == cli.MODE_ALTERNATE else []
+        # a joint run evaluates no gap, so it has no cadence to record, and
+        # draws no stream by block
+        alternate = mode == cli.MODE_ALTERNATE
+        outputs = ["outputs.eval_cadence"] if alternate else []
         assert [line.split(" = ")[0] for line in head] == [
-            "mode", "name", "stream_layout", "version",
+            "mode", "name", "stream_layout", *["stream_block"] * alternate, "version",
             *(f"env.{key}" for key in cli._ENV_KEYS),
             *(f"run.{key}" for key in cli._RUN_SCHEMA[mode][0]), *outputs]
         if mode == cli.MODE_JOINT:
@@ -1079,12 +1081,12 @@ class TestWriteCsv:
     @given(record_rows())
     def test_rows_are_format_value_cell_by_cell(self, tmp_path_factory, typed_rows):
         # every line the writer formats with %.8g equals format_value cell by
-        # cell; rows end in \r\n and comment lines in \n
+        # cell; rows and comment lines end in \n
         record_type, rows = typed_rows
         path = tmp_path_factory.getbasetemp() / "rows.csv"
         records_mod.write_csv([record_type(*row) for row in rows], path, ["a = 1"],
                               record_type)
         names = [f.name for f in fields(record_type)]
         assert path.read_bytes().decode() == "# a = 1\n" + "".join(
-            ",".join(cells) + "\r\n"
+            ",".join(cells) + "\n"
             for cells in [names] + [list(map(records_mod.format_value, row)) for row in rows])
