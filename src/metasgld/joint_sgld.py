@@ -14,7 +14,7 @@ from typing import List, Optional
 import numpy as np
 
 from .core import (DECAY_INVERSE_T, P_NOISE_U, P_TASK, Schedules, UndefinedBoundError,
-                   check_seed, derive_stream, ordered_sum, stopped_at)
+                   check_seed, derive_stream, stopped_at)
 from .model import stacked_risk
 from .task_env import EnvironmentSpec, sample_datasets, sample_task_means
 
@@ -48,13 +48,15 @@ def joint_loss_grad(phi: np.ndarray, means: np.ndarray,
     if coupling < 0:
         raise ValueError("coupling must be non-negative")
     grad = np.empty_like(phi)
-    grad[1:] = 2.0 * (phi[1:] - means) / n
+    w = np.subtract(phi[1:], means, out=grad[1:])     # 2.0 * (phi - means) / n
+    w *= 2.0
+    w /= n
     if coupling > 0:
         x = (2.0 * coupling / n) * (phi[1:] - phi[0])
-        grad[1:] += x
-        # left to right from zero: the rounding and sign of zero of
-        # subtracting each x_i from U's block in task order
-        grad[0] = ordered_sum(-x, 0)
+        w += x
+        # 0.0 minus x's running sum in task order: the rounding and sign of
+        # zero of subtracting each x_i from U's block in task order
+        grad[0] = 0.0 - np.add.accumulate(x, axis=0)[-1]
     else:
         grad[0] = 0.0
     return grad

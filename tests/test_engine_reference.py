@@ -6,7 +6,8 @@ one probe at a time, through the per-vector gradient and risk.  They read
 the engines' stream addresses (layout 7, ``ref_row``): task i's mean, data
 and split, its live noise and its live minibatch keys are row or column i of
 epoch t's rows of one stream per array kind and block, and the loops consume
-them task by task.  The engines must reproduce the live paths, U and the
+them task by task.  A gap evaluation's tasks come already split (layout 8,
+``ref_adapt_eval``).  The engines must reproduce the live paths, U and the
 losses bit for bit, so those comparisons are exact.  The bound increments
 are expectations, which the engine computes in closed form: the loops' union
 probes and meta-level replicas, on streams of their own, are their
@@ -33,9 +34,9 @@ from metasgld.meta_sgld import (BoundAccumulators, draw_task_batch,
                                 estimate_eps_u, inner_adapt, outer_step,
                                 run_meta_sgld)
 from metasgld.model import LossModel, stacked_risk
-from metasgld.task_env import (EnvironmentSpec, TaskDataset,
-                               minibatch_mean_var, sample_datasets,
-                               sample_minibatch, sample_task_means)
+from metasgld.task_env import (EnvironmentSpec, minibatch_mean_var,
+                               sample_datasets, sample_minibatch,
+                               sample_task_means)
 
 MODEL = LossModel(dim=2)
 ENV = EnvironmentSpec(env_mean=np.array([-4.0, -4.0]), env_cov_scale=5.0,
@@ -180,16 +181,19 @@ def ref_outer_step(u, task_batch, cfg, t, acc):
 
 
 def ref_adapt_eval(u, cfg, n_tasks, rng, eval_source, env=ENV):
-    """The mean risk and the per-task risks."""
-    draws = sample_datasets(sample_task_means(env, n_tasks, rng), env, cfg.m,
-                            cfg.m_tr, rng)
+    """The mean risk and the per-task risks.  The tasks come split (layout 8):
+    task i's rows are row i of the normals drawn after the means, its first
+    m_tr rows tr and the rest va, and the tr side draws no va rows."""
+    mus = sample_task_means(env, n_tasks, rng)
+    z = rng.standard_normal((n_tasks, cfg.m if eval_source == "va" else cfg.m_tr, env.dim))
     total, risks = 0.0, []
-    for task in zip(*draws):
-        ds = TaskDataset(*task)
+    for mu, rows in zip(mus, z):
+        samples = mu + math.sqrt(env.task_cov_scale) * rows
+        tr, va = samples[:cfg.m_tr], samples[cfg.m_tr:]
         w = np.asarray(u, dtype=float).copy()
         for _ in range(cfg.test_adapt_steps):
-            w = w - cfg.schedules.beta0 * ref_grad(w, ds.tr)
-        risks.append(ref_risk(w, getattr(ds, eval_source)))
+            w = w - cfg.schedules.beta0 * ref_grad(w, tr)
+        risks.append(ref_risk(w, va if eval_source == "va" else tr))
         total += risks[-1]
     return total / n_tasks, risks
 

@@ -7,7 +7,7 @@ import pytest
 from metasgld.core import RunConfig, Schedules, derive_stream
 from metasgld.evaluate import GapReport, adapt_eval, observed_gap
 from metasgld.model import LossModel
-from metasgld.task_env import EnvironmentSpec
+from metasgld.task_env import EnvironmentSpec, sample_task_means
 
 MODEL = LossModel(dim=2)
 
@@ -41,7 +41,7 @@ class TestAdaptation:
         c = cfg()
         e = env()
         rng = derive_stream(2, [1])
-        from metasgld.task_env import TaskSpec, sample_dataset, sample_task_means
+        from metasgld.task_env import TaskSpec, sample_dataset
         task = TaskSpec(mu=sample_task_means(e, 1, rng)[0])
         ds = sample_dataset(task, e, c.m, c.m_tr, rng)
         u = np.array([10.0, -10.0])
@@ -82,6 +82,24 @@ class TestAdaptation:
         # the tr side needs no va split
         assert math.isfinite(adapt_eval(np.zeros(2), env(), c, 5, derive_stream(1, [9]),
                                         eval_source="tr"))
+
+    @pytest.mark.parametrize("eval_source", ("va", "tr"))
+    @pytest.mark.parametrize("m_tr,m_va", ((1, 15), (8, 8), (15, 1)))
+    @pytest.mark.parametrize("dim", (1, 2))
+    def test_reads_the_means_then_only_the_normals_it_scores(self, dim, m_tr, m_va,
+                                                             eval_source):
+        # the tasks come split: the va side reads n * m * dim normals after
+        # the means, the tr side only n * m_tr * dim, and neither reads split
+        # keys; a box edge at -2 makes the means take rejection rounds
+        e = EnvironmentSpec(env_mean=np.full(dim, -4.0), env_cov_scale=5.0,
+                            trunc_lo=np.full(dim, -12.0), trunc_hi=np.full(dim, -2.0),
+                            task_cov_scale=0.1, dim=dim)
+        n, c = 40, cfg(m_tr=m_tr, m_va=m_va)
+        rng, fresh = derive_stream(4, [9, dim]), derive_stream(4, [9, dim])
+        adapt_eval(np.full(dim, -3.0), e, c, n, rng, eval_source=eval_source)
+        sample_task_means(e, n, fresh)
+        fresh.standard_normal(n * (m_tr + m_va if eval_source == "va" else m_tr) * dim)
+        assert np.array_equal(rng.random(8), fresh.random(8))
 
 
 class TestObservedGap:

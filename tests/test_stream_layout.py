@@ -3,7 +3,7 @@
 Every number a run prints follows from the addresses of its random streams
 and from the order in which each stream is read.  The digests below cover
 the whole file, the ``#`` provenance header included: the header is a pure
-function of the config and names the layout version, ``stream_layout = 7``,
+function of the config and names the layout version, ``stream_layout = 8``,
 the package version and, in alternate mode, ``stream_block = 256``.  Layout 7
 draws an alternate run's arrays by kind, each from one stream per block of
 256 epochs, ``(purpose, (t - 1) // 256)``, C-ordered with the epoch first:
@@ -17,6 +17,10 @@ t)``.  The evaluation draws its tasks from ``(P_TEST, t)`` and ``(P_TRAIN_PROBE,
 t)``, and the joint run its datasets from ``(P_TASK, 0)`` and its noise from
 ``(P_NOISE_U, 0)``, as in layouts 4 to 6.  Every line of a layout-7 CSV ends
 in ``\n``; before it the column header and the rows ended in ``\r\n``.
+Layout 8 draws an evaluation's tasks already split: after the means, one
+``(n, m, dim)`` normals array on the test side, rows ``:m_tr`` tr and
+``m_tr:`` va, and only ``(n, m_tr, dim)`` on the train side, with no split
+keys; only the ``train_loss``, ``test_loss`` and ``gap`` cells moved.
 """
 import hashlib
 import itertools
@@ -36,14 +40,14 @@ from metasgld.task_env import EnvironmentSpec
 
 # preset -> SHA-256 of the CSV of a T = 6, eval_cadence = 3 run
 DIGESTS = {
-    "toy_8_8": "c47bef79a976eae297352c6d27f23676b683853609500980c22bde4af133ef05",
-    "toy_1_15": "a2b6110d3260d91159864f4bdcdee356cd6667ffe592520033e5fd6c0d14f3ba",
-    "toy_15_1": "f03a50abed531eff095bf679642a94f64e4ef44f2c74daaa2af2108a3ea8e8a4",
-    "joint_demo": "14fbb8f453434fe4aa368a4a6a1289758744a9bb7eff80d8b88c951684f32f31",
+    "toy_8_8": "a0de80af0ead0ffedd5a1d37adfeb4623a0f3d6e4bc55b2394fb94696ee8a3a2",
+    "toy_1_15": "98cc598c26f635dcd28eebfd4829ab804c8c50a53542bccf104ea2806521b644",
+    "toy_15_1": "9254c4fbee1d22dd31578affe125810f5b74d675c37aebb7b0030d81bb8af541",
+    "joint_demo": "1e47f42311d1d1e0a5e23980b3e0c27d6e7b022482fa7a478bbec8039577211d",
 }
 # SHA-256 of the same run of toy_8_8 with inner_batch = 3: the live
-# minibatch keys of layout 7
-MINIBATCH_DIGEST = "c19a674142ab66ae5551c3f1be4bf70562529a9178e1aa78a0f415d1f60a4e80"
+# minibatch keys of layout 7, the gap evaluations of layout 8
+MINIBATCH_DIGEST = "07ea212dca7bf07ca9118d40192f539face193f56a431885ad77102396bbda84"
 
 
 def short_run(preset, tmp_path, **run):
@@ -80,7 +84,7 @@ def test_minibatch_rows_match_pinned_layout(tmp_path):
 # each preset in this order, concatenated: whole preset runs, and what a
 # NumPy upgrade that changed its seeding algorithm would move
 PRESET_RUNS = ("toy_8_8", "toy_1_15", "toy_15_1", "joint_demo")
-PRESET_RUNS_DIGEST = "1e70746eff0665723f515a449528c7bcdb5cb500ab3d94c7c08861ea392e3aa3"
+PRESET_RUNS_DIGEST = "d6276c27471d4039c929de43d034683f5cc5ce75f4d4a4b5add8711a61955000"
 
 
 def test_preset_runs_match_pinned_digest(tmp_path, monkeypatch):
@@ -96,7 +100,7 @@ def test_preset_runs_match_pinned_digest(tmp_path, monkeypatch):
 @pytest.mark.parametrize("preset", sorted(DIGESTS))
 def test_header_names_the_layout_and_no_numpy_repr(preset, tmp_path):
     header = [line for line in short_run(preset, tmp_path) if line.startswith(b"#")]
-    assert b"# stream_layout = 7\n" in header
+    assert b"# stream_layout = 8\n" in header
     # an alternate run names its stream block length; a joint run has none
     assert (b"# stream_block = 256\n" in header) == (preset != "joint_demo")
     assert f"# version = {__version__}\n".encode() in header
@@ -110,7 +114,7 @@ def test_header_names_the_layout_and_no_numpy_repr(preset, tmp_path):
 # rule, both noise settings and both batch modes over K in {0, 1, 4} and
 # task batches of 1 and 5, from U = 0 and from a set init_u.  Each digest is
 # the SHA-256 (first 16 hex digits) of the repr of a T = 5, eval_cadence = 2
-# run's records and final U, taken with layout 7's streams.
+# run's records and final U, taken with layout 8's streams.
 
 GRID_ENV = EnvironmentSpec(env_mean=np.array([-4.0, -4.0]), env_cov_scale=5.0,
                            trunc_lo=np.array([-12.0, -12.0]),
@@ -141,150 +145,150 @@ def grid_digest(decay_rule, noise, inner_batch, K, task_batch, init_u):
 
 
 GRID_DIGESTS = {
-    "constant-noise-b0-K0-B1-zero": "36a2d403d5f31037",
-    "constant-noise-b0-K0-B1-u": "705a58779d2c7e6f",
-    "constant-noise-b0-K0-B5-zero": "1142ac94feae838b",
-    "constant-noise-b0-K0-B5-u": "2f1cd8a63373c131",
-    "constant-noise-b0-K1-B1-zero": "8b57ed1c96f8ab10",
-    "constant-noise-b0-K1-B1-u": "63ab3f142205e055",
-    "constant-noise-b0-K1-B5-zero": "f9ab46d5b3b127d0",
-    "constant-noise-b0-K1-B5-u": "218ab0b1ee3482a4",
-    "constant-noise-b0-K4-B1-zero": "4d564972dad5977a",
-    "constant-noise-b0-K4-B1-u": "6cd1eed1981b082d",
-    "constant-noise-b0-K4-B5-zero": "5f1f2f496df3d477",
-    "constant-noise-b0-K4-B5-u": "cc1b5c98f42f197e",
-    "constant-noise-b3-K0-B1-zero": "36a2d403d5f31037",
-    "constant-noise-b3-K0-B1-u": "705a58779d2c7e6f",
-    "constant-noise-b3-K0-B5-zero": "1142ac94feae838b",
-    "constant-noise-b3-K0-B5-u": "2f1cd8a63373c131",
-    "constant-noise-b3-K1-B1-zero": "4625ef1706b3a222",
-    "constant-noise-b3-K1-B1-u": "26e472f5c75ce80a",
-    "constant-noise-b3-K1-B5-zero": "efbf292df0e207fa",
-    "constant-noise-b3-K1-B5-u": "378355f98b8bd2c2",
-    "constant-noise-b3-K4-B1-zero": "34f55b8a3673521e",
-    "constant-noise-b3-K4-B1-u": "5a53f1c44a3cc3c5",
-    "constant-noise-b3-K4-B5-zero": "694faffca6470321",
-    "constant-noise-b3-K4-B5-u": "2efa81239066aedb",
-    "constant-quiet-b0-K0-B1-zero": "07fad34e4fe9ae0d",
-    "constant-quiet-b0-K0-B1-u": "078fae3b8c9355f8",
-    "constant-quiet-b0-K0-B5-zero": "0c50fea8297832cc",
-    "constant-quiet-b0-K0-B5-u": "05cdbd61f6f6c76c",
-    "constant-quiet-b0-K1-B1-zero": "dc5535eef9be8561",
-    "constant-quiet-b0-K1-B1-u": "cadaf2fe87f27fdf",
-    "constant-quiet-b0-K1-B5-zero": "dfb594095a41699e",
-    "constant-quiet-b0-K1-B5-u": "d9e73b43bcf962db",
-    "constant-quiet-b0-K4-B1-zero": "fc56d526f726257e",
-    "constant-quiet-b0-K4-B1-u": "9140ac261941db9a",
-    "constant-quiet-b0-K4-B5-zero": "299532013a67475f",
-    "constant-quiet-b0-K4-B5-u": "9da67eb36696c6e1",
-    "constant-quiet-b3-K0-B1-zero": "07fad34e4fe9ae0d",
-    "constant-quiet-b3-K0-B1-u": "078fae3b8c9355f8",
-    "constant-quiet-b3-K0-B5-zero": "0c50fea8297832cc",
-    "constant-quiet-b3-K0-B5-u": "05cdbd61f6f6c76c",
-    "constant-quiet-b3-K1-B1-zero": "9280a5e3e68abb95",
-    "constant-quiet-b3-K1-B1-u": "342064a4f586fd0a",
-    "constant-quiet-b3-K1-B5-zero": "8be6c11b08e629e2",
-    "constant-quiet-b3-K1-B5-u": "a8825c10241f4bc3",
-    "constant-quiet-b3-K4-B1-zero": "62b934cd458e299e",
-    "constant-quiet-b3-K4-B1-u": "cb855cd7845bd9d0",
-    "constant-quiet-b3-K4-B5-zero": "730e9da6d53e358e",
-    "constant-quiet-b3-K4-B5-u": "9520618c50f087c9",
-    "inverse_t-noise-b0-K0-B1-zero": "7d1ccbe6a8ac7a8d",
-    "inverse_t-noise-b0-K0-B1-u": "7508d1ce932c05e9",
-    "inverse_t-noise-b0-K0-B5-zero": "0dade27125494714",
-    "inverse_t-noise-b0-K0-B5-u": "2b0f89a14cb07ad6",
-    "inverse_t-noise-b0-K1-B1-zero": "29df4fceca8246f5",
-    "inverse_t-noise-b0-K1-B1-u": "57cfc75544474256",
-    "inverse_t-noise-b0-K1-B5-zero": "8625f7bf2030d4cc",
-    "inverse_t-noise-b0-K1-B5-u": "c87f50db4f47da59",
-    "inverse_t-noise-b0-K4-B1-zero": "a5bba5ded2b61525",
-    "inverse_t-noise-b0-K4-B1-u": "34e0a1cac1926fdb",
-    "inverse_t-noise-b0-K4-B5-zero": "92664b4d5e09f7b5",
-    "inverse_t-noise-b0-K4-B5-u": "89aed47a5a00eb5f",
-    "inverse_t-noise-b3-K0-B1-zero": "7d1ccbe6a8ac7a8d",
-    "inverse_t-noise-b3-K0-B1-u": "7508d1ce932c05e9",
-    "inverse_t-noise-b3-K0-B5-zero": "0dade27125494714",
-    "inverse_t-noise-b3-K0-B5-u": "2b0f89a14cb07ad6",
-    "inverse_t-noise-b3-K1-B1-zero": "108106b26d8e3f3f",
-    "inverse_t-noise-b3-K1-B1-u": "8943f213c2d4432f",
-    "inverse_t-noise-b3-K1-B5-zero": "3183f984d1161774",
-    "inverse_t-noise-b3-K1-B5-u": "10d0b3078a800f51",
-    "inverse_t-noise-b3-K4-B1-zero": "9d859ca77b0ef27f",
-    "inverse_t-noise-b3-K4-B1-u": "c4b844b7615a2b7b",
-    "inverse_t-noise-b3-K4-B5-zero": "ad20939de204275a",
-    "inverse_t-noise-b3-K4-B5-u": "68572109ce1c62ef",
-    "inverse_t-quiet-b0-K0-B1-zero": "a4b4babcef660ca6",
-    "inverse_t-quiet-b0-K0-B1-u": "ab96921dbaf93e8b",
-    "inverse_t-quiet-b0-K0-B5-zero": "49efa51bd497a2ef",
-    "inverse_t-quiet-b0-K0-B5-u": "c316f1663e67d69c",
-    "inverse_t-quiet-b0-K1-B1-zero": "c103c678c16fcb8e",
-    "inverse_t-quiet-b0-K1-B1-u": "f88942c72c4fe479",
-    "inverse_t-quiet-b0-K1-B5-zero": "bda7d869ff50d997",
-    "inverse_t-quiet-b0-K1-B5-u": "8697df39b624b038",
-    "inverse_t-quiet-b0-K4-B1-zero": "0dd2330eb16998ef",
-    "inverse_t-quiet-b0-K4-B1-u": "ad4a150d4ecfc453",
-    "inverse_t-quiet-b0-K4-B5-zero": "48d34ffcaa7fe3a8",
-    "inverse_t-quiet-b0-K4-B5-u": "5b1485623b366cc5",
-    "inverse_t-quiet-b3-K0-B1-zero": "a4b4babcef660ca6",
-    "inverse_t-quiet-b3-K0-B1-u": "ab96921dbaf93e8b",
-    "inverse_t-quiet-b3-K0-B5-zero": "49efa51bd497a2ef",
-    "inverse_t-quiet-b3-K0-B5-u": "c316f1663e67d69c",
-    "inverse_t-quiet-b3-K1-B1-zero": "721f5d5e8e5e35de",
-    "inverse_t-quiet-b3-K1-B1-u": "d8ccbb60df9c88de",
-    "inverse_t-quiet-b3-K1-B5-zero": "e82ec5003cfefecf",
-    "inverse_t-quiet-b3-K1-B5-u": "44f4872df900028c",
-    "inverse_t-quiet-b3-K4-B1-zero": "c65d7c0be7b37d0d",
-    "inverse_t-quiet-b3-K4-B1-u": "263365406ff0a923",
-    "inverse_t-quiet-b3-K4-B5-zero": "9d391951ccb660a8",
-    "inverse_t-quiet-b3-K4-B5-u": "53de7514b8cf6576",
-    "exponential-noise-b0-K0-B1-zero": "c15145403498826f",
-    "exponential-noise-b0-K0-B1-u": "c9de326599d47539",
-    "exponential-noise-b0-K0-B5-zero": "bac341ebb91e964a",
-    "exponential-noise-b0-K0-B5-u": "77bb82af2f3ad2e9",
-    "exponential-noise-b0-K1-B1-zero": "0dc8f551810cd837",
-    "exponential-noise-b0-K1-B1-u": "3d55c28029ffb219",
-    "exponential-noise-b0-K1-B5-zero": "a42962620e64ea9e",
-    "exponential-noise-b0-K1-B5-u": "59586095f8137907",
-    "exponential-noise-b0-K4-B1-zero": "f725a149e361206b",
-    "exponential-noise-b0-K4-B1-u": "3ba3ef73c7f7599d",
-    "exponential-noise-b0-K4-B5-zero": "de8f7552c5659f19",
-    "exponential-noise-b0-K4-B5-u": "4994bfb542ad8e04",
-    "exponential-noise-b3-K0-B1-zero": "c15145403498826f",
-    "exponential-noise-b3-K0-B1-u": "c9de326599d47539",
-    "exponential-noise-b3-K0-B5-zero": "bac341ebb91e964a",
-    "exponential-noise-b3-K0-B5-u": "77bb82af2f3ad2e9",
-    "exponential-noise-b3-K1-B1-zero": "40fda88d5b3ef25e",
-    "exponential-noise-b3-K1-B1-u": "c122950a8eca12b6",
-    "exponential-noise-b3-K1-B5-zero": "6406dd0100711fe7",
-    "exponential-noise-b3-K1-B5-u": "10731a3bcafb93ec",
-    "exponential-noise-b3-K4-B1-zero": "8031bb479dfecfbe",
-    "exponential-noise-b3-K4-B1-u": "6af852e5fbd2702f",
-    "exponential-noise-b3-K4-B5-zero": "002ea89659c5907f",
-    "exponential-noise-b3-K4-B5-u": "bd1ae919a12bab7e",
-    "exponential-quiet-b0-K0-B1-zero": "bdef3ef7cbb75bde",
-    "exponential-quiet-b0-K0-B1-u": "f1aa9508f83a59f4",
-    "exponential-quiet-b0-K0-B5-zero": "0893c5a73c315b92",
-    "exponential-quiet-b0-K0-B5-u": "873ece26619bb0fa",
-    "exponential-quiet-b0-K1-B1-zero": "0b3550c208febd14",
-    "exponential-quiet-b0-K1-B1-u": "63147e5e4bd4c182",
-    "exponential-quiet-b0-K1-B5-zero": "ecf288ecc45504ab",
-    "exponential-quiet-b0-K1-B5-u": "a8c19fce2e8247df",
-    "exponential-quiet-b0-K4-B1-zero": "d7379c6f9b1c00f4",
-    "exponential-quiet-b0-K4-B1-u": "16d3bb56df65f906",
-    "exponential-quiet-b0-K4-B5-zero": "03fd223985e0a415",
-    "exponential-quiet-b0-K4-B5-u": "10370b3f4cdeff74",
-    "exponential-quiet-b3-K0-B1-zero": "bdef3ef7cbb75bde",
-    "exponential-quiet-b3-K0-B1-u": "f1aa9508f83a59f4",
-    "exponential-quiet-b3-K0-B5-zero": "0893c5a73c315b92",
-    "exponential-quiet-b3-K0-B5-u": "873ece26619bb0fa",
-    "exponential-quiet-b3-K1-B1-zero": "20395caa113485cc",
-    "exponential-quiet-b3-K1-B1-u": "70051aac8bdad7d1",
-    "exponential-quiet-b3-K1-B5-zero": "4d8c0759af0b2bbf",
-    "exponential-quiet-b3-K1-B5-u": "6ba070f82c3b24f0",
-    "exponential-quiet-b3-K4-B1-zero": "5871492ad012755f",
-    "exponential-quiet-b3-K4-B1-u": "682b30d55a4127a0",
-    "exponential-quiet-b3-K4-B5-zero": "10b31fff78a2a19f",
-    "exponential-quiet-b3-K4-B5-u": "3a0fab5dd6dd7081",
+    "constant-noise-b0-K0-B1-zero": "0d2bf7a8abe7da31",
+    "constant-noise-b0-K0-B1-u": "d4e50c5cf37c403d",
+    "constant-noise-b0-K0-B5-zero": "3ea78b3a8bdba9c3",
+    "constant-noise-b0-K0-B5-u": "8d1846db2241d52d",
+    "constant-noise-b0-K1-B1-zero": "99d6801c51896ce2",
+    "constant-noise-b0-K1-B1-u": "3d8cb773a3de8231",
+    "constant-noise-b0-K1-B5-zero": "f0b6a03e8fd3d629",
+    "constant-noise-b0-K1-B5-u": "1af0631f0a166c15",
+    "constant-noise-b0-K4-B1-zero": "97c9a834a03c8168",
+    "constant-noise-b0-K4-B1-u": "599d6b62f2d2f0dc",
+    "constant-noise-b0-K4-B5-zero": "b9f89febe5b73e13",
+    "constant-noise-b0-K4-B5-u": "70ba6ae5e29ae145",
+    "constant-noise-b3-K0-B1-zero": "0d2bf7a8abe7da31",
+    "constant-noise-b3-K0-B1-u": "d4e50c5cf37c403d",
+    "constant-noise-b3-K0-B5-zero": "3ea78b3a8bdba9c3",
+    "constant-noise-b3-K0-B5-u": "8d1846db2241d52d",
+    "constant-noise-b3-K1-B1-zero": "bb2b1e5f677271c5",
+    "constant-noise-b3-K1-B1-u": "d93f7edda288f654",
+    "constant-noise-b3-K1-B5-zero": "f5c5cef9a03df290",
+    "constant-noise-b3-K1-B5-u": "dce03449af536ce1",
+    "constant-noise-b3-K4-B1-zero": "fc1bb391cab7ee3e",
+    "constant-noise-b3-K4-B1-u": "3bb598e6fa3b2075",
+    "constant-noise-b3-K4-B5-zero": "73e22f075491a94d",
+    "constant-noise-b3-K4-B5-u": "4e5588cdbe9f609a",
+    "constant-quiet-b0-K0-B1-zero": "cc242e6bcdc9b16c",
+    "constant-quiet-b0-K0-B1-u": "e7cda68f4393e49d",
+    "constant-quiet-b0-K0-B5-zero": "d23e0cf74f10b901",
+    "constant-quiet-b0-K0-B5-u": "b3c13d650cfcefcc",
+    "constant-quiet-b0-K1-B1-zero": "cc92264f0580cf9c",
+    "constant-quiet-b0-K1-B1-u": "c034c5fb5f839cea",
+    "constant-quiet-b0-K1-B5-zero": "c8b1fd609955c3e9",
+    "constant-quiet-b0-K1-B5-u": "55f72bd26d986d26",
+    "constant-quiet-b0-K4-B1-zero": "26fcb9081021cdbb",
+    "constant-quiet-b0-K4-B1-u": "06daa8fea4f61067",
+    "constant-quiet-b0-K4-B5-zero": "26f32dbafc1111da",
+    "constant-quiet-b0-K4-B5-u": "fff4071d52e63358",
+    "constant-quiet-b3-K0-B1-zero": "cc242e6bcdc9b16c",
+    "constant-quiet-b3-K0-B1-u": "e7cda68f4393e49d",
+    "constant-quiet-b3-K0-B5-zero": "d23e0cf74f10b901",
+    "constant-quiet-b3-K0-B5-u": "b3c13d650cfcefcc",
+    "constant-quiet-b3-K1-B1-zero": "c4d5d3e17062dc22",
+    "constant-quiet-b3-K1-B1-u": "75be1a164ff72c88",
+    "constant-quiet-b3-K1-B5-zero": "7445b58a2bfa5a8a",
+    "constant-quiet-b3-K1-B5-u": "f33aab6a82c7985f",
+    "constant-quiet-b3-K4-B1-zero": "89f33fb964e7213f",
+    "constant-quiet-b3-K4-B1-u": "bb7f194ebbf7978c",
+    "constant-quiet-b3-K4-B5-zero": "71424a0b8960f1e4",
+    "constant-quiet-b3-K4-B5-u": "a8059eb57667e124",
+    "inverse_t-noise-b0-K0-B1-zero": "e1400042e45b9927",
+    "inverse_t-noise-b0-K0-B1-u": "fe76acc57e09d6b8",
+    "inverse_t-noise-b0-K0-B5-zero": "316495381c09f3e2",
+    "inverse_t-noise-b0-K0-B5-u": "cf6a925587ec97c6",
+    "inverse_t-noise-b0-K1-B1-zero": "6e2912cbd3fef957",
+    "inverse_t-noise-b0-K1-B1-u": "0b1906b4fa1be3e5",
+    "inverse_t-noise-b0-K1-B5-zero": "217ce70509b645e7",
+    "inverse_t-noise-b0-K1-B5-u": "d2e841defbcb175f",
+    "inverse_t-noise-b0-K4-B1-zero": "0da14729b3fe42c1",
+    "inverse_t-noise-b0-K4-B1-u": "bbd52a4f126ebc3c",
+    "inverse_t-noise-b0-K4-B5-zero": "dec3e5709e57b6e8",
+    "inverse_t-noise-b0-K4-B5-u": "b160284730218f44",
+    "inverse_t-noise-b3-K0-B1-zero": "e1400042e45b9927",
+    "inverse_t-noise-b3-K0-B1-u": "fe76acc57e09d6b8",
+    "inverse_t-noise-b3-K0-B5-zero": "316495381c09f3e2",
+    "inverse_t-noise-b3-K0-B5-u": "cf6a925587ec97c6",
+    "inverse_t-noise-b3-K1-B1-zero": "12ccd7dcaaf8e315",
+    "inverse_t-noise-b3-K1-B1-u": "efd84f016c5d397c",
+    "inverse_t-noise-b3-K1-B5-zero": "784e0bb2f65f136c",
+    "inverse_t-noise-b3-K1-B5-u": "a02033bef9ed39ec",
+    "inverse_t-noise-b3-K4-B1-zero": "ae58a8e2fdb1b4fd",
+    "inverse_t-noise-b3-K4-B1-u": "8ec181902be46ff3",
+    "inverse_t-noise-b3-K4-B5-zero": "29a08d12611f0316",
+    "inverse_t-noise-b3-K4-B5-u": "aa36e98aebf650cb",
+    "inverse_t-quiet-b0-K0-B1-zero": "7fed70f5143ca4c1",
+    "inverse_t-quiet-b0-K0-B1-u": "90ad303d4cc990d6",
+    "inverse_t-quiet-b0-K0-B5-zero": "ebd76b3f59d80f54",
+    "inverse_t-quiet-b0-K0-B5-u": "d67eff53872cac22",
+    "inverse_t-quiet-b0-K1-B1-zero": "e7cdbdca3ae36d24",
+    "inverse_t-quiet-b0-K1-B1-u": "ab14d07e2be9fcc3",
+    "inverse_t-quiet-b0-K1-B5-zero": "e6604599878be80d",
+    "inverse_t-quiet-b0-K1-B5-u": "599fd06e1f00a9d7",
+    "inverse_t-quiet-b0-K4-B1-zero": "b59d3c992110575b",
+    "inverse_t-quiet-b0-K4-B1-u": "0915ed6ed6385759",
+    "inverse_t-quiet-b0-K4-B5-zero": "974927c7596c62f3",
+    "inverse_t-quiet-b0-K4-B5-u": "2575cc30dce7f800",
+    "inverse_t-quiet-b3-K0-B1-zero": "7fed70f5143ca4c1",
+    "inverse_t-quiet-b3-K0-B1-u": "90ad303d4cc990d6",
+    "inverse_t-quiet-b3-K0-B5-zero": "ebd76b3f59d80f54",
+    "inverse_t-quiet-b3-K0-B5-u": "d67eff53872cac22",
+    "inverse_t-quiet-b3-K1-B1-zero": "f33dcd08113a93ad",
+    "inverse_t-quiet-b3-K1-B1-u": "49d0af46e1e703d9",
+    "inverse_t-quiet-b3-K1-B5-zero": "c006eb64484dc75c",
+    "inverse_t-quiet-b3-K1-B5-u": "7990fc4d0b08b993",
+    "inverse_t-quiet-b3-K4-B1-zero": "4b7e6967e22a6f43",
+    "inverse_t-quiet-b3-K4-B1-u": "fbf954bca0367f90",
+    "inverse_t-quiet-b3-K4-B5-zero": "1b3d62e5100d982b",
+    "inverse_t-quiet-b3-K4-B5-u": "c72ec5cb8d90b790",
+    "exponential-noise-b0-K0-B1-zero": "6ece982d17720cc6",
+    "exponential-noise-b0-K0-B1-u": "0e27ba6ff1795059",
+    "exponential-noise-b0-K0-B5-zero": "3ff09c8bc73ea13e",
+    "exponential-noise-b0-K0-B5-u": "362e0a3d120b0c8e",
+    "exponential-noise-b0-K1-B1-zero": "4be526eda1ab8354",
+    "exponential-noise-b0-K1-B1-u": "cc48249ffd7c5aa0",
+    "exponential-noise-b0-K1-B5-zero": "ba845d6b850dac41",
+    "exponential-noise-b0-K1-B5-u": "6170815b4f5cf630",
+    "exponential-noise-b0-K4-B1-zero": "f6111aab8025b618",
+    "exponential-noise-b0-K4-B1-u": "bdb849bd26f289f6",
+    "exponential-noise-b0-K4-B5-zero": "35c19965974f0783",
+    "exponential-noise-b0-K4-B5-u": "1971db050d11d2bb",
+    "exponential-noise-b3-K0-B1-zero": "6ece982d17720cc6",
+    "exponential-noise-b3-K0-B1-u": "0e27ba6ff1795059",
+    "exponential-noise-b3-K0-B5-zero": "3ff09c8bc73ea13e",
+    "exponential-noise-b3-K0-B5-u": "362e0a3d120b0c8e",
+    "exponential-noise-b3-K1-B1-zero": "0d860ed2eab1f54a",
+    "exponential-noise-b3-K1-B1-u": "ad6021381d29ca00",
+    "exponential-noise-b3-K1-B5-zero": "7ee710a342243f49",
+    "exponential-noise-b3-K1-B5-u": "c16d4fd51347534c",
+    "exponential-noise-b3-K4-B1-zero": "66192fbcb0f30d4f",
+    "exponential-noise-b3-K4-B1-u": "3a14335000421d0b",
+    "exponential-noise-b3-K4-B5-zero": "2bc0d541d43bfa26",
+    "exponential-noise-b3-K4-B5-u": "727876cb1d47b160",
+    "exponential-quiet-b0-K0-B1-zero": "6e0bfda65dde1145",
+    "exponential-quiet-b0-K0-B1-u": "aec8e519653773b8",
+    "exponential-quiet-b0-K0-B5-zero": "68e075ec43c1c2dd",
+    "exponential-quiet-b0-K0-B5-u": "f8a5810871e78fed",
+    "exponential-quiet-b0-K1-B1-zero": "7958b30d3c4debf8",
+    "exponential-quiet-b0-K1-B1-u": "0c6918e24dd9e9ae",
+    "exponential-quiet-b0-K1-B5-zero": "63a0c978b4db1beb",
+    "exponential-quiet-b0-K1-B5-u": "86e0a8e407aa30ee",
+    "exponential-quiet-b0-K4-B1-zero": "9cc3cfa55627650e",
+    "exponential-quiet-b0-K4-B1-u": "eccd43987203d5c6",
+    "exponential-quiet-b0-K4-B5-zero": "ac6f626334f069a8",
+    "exponential-quiet-b0-K4-B5-u": "d90a5199aefed3e8",
+    "exponential-quiet-b3-K0-B1-zero": "6e0bfda65dde1145",
+    "exponential-quiet-b3-K0-B1-u": "aec8e519653773b8",
+    "exponential-quiet-b3-K0-B5-zero": "68e075ec43c1c2dd",
+    "exponential-quiet-b3-K0-B5-u": "f8a5810871e78fed",
+    "exponential-quiet-b3-K1-B1-zero": "52d7e41946c98896",
+    "exponential-quiet-b3-K1-B1-u": "daf36a7c0f61b119",
+    "exponential-quiet-b3-K1-B5-zero": "be2eca6bb2645c93",
+    "exponential-quiet-b3-K1-B5-u": "b28a4793af4e0186",
+    "exponential-quiet-b3-K4-B1-zero": "2f8ed525f0a4453c",
+    "exponential-quiet-b3-K4-B1-u": "df5416d4fc57e6dc",
+    "exponential-quiet-b3-K4-B5-zero": "a2e1d4219af3a512",
+    "exponential-quiet-b3-K4-B5-u": "4cc09cdc0895bbca",
 }
 
 
