@@ -205,7 +205,7 @@ def _resolve_out(path: Optional[str]) -> Optional[str]:
 
 def _provenance(cfg: ExperimentConfig) -> List[str]:
     alternate = cfg.mode == MODE_ALTERNATE      # from layout 7 on its streams are by block
-    lines = [f"mode = {cfg.mode}", f"name = {cfg.name}", "stream_layout = 8",
+    lines = [f"mode = {cfg.mode}", f"name = {cfg.name}", "stream_layout = 9",
              *[f"stream_block = {STREAM_BLOCK}"] * alternate, f"version = {__version__}"]
     trainer = cfg.run or cfg.joint      # it, its Schedules and env share no field name
     values = {**vars(cfg.env), **vars(trainer.schedules), **vars(trainer)}

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RunConfig, as_vector, ordered_sum
-from .model import descend, stacked_risk
-from .task_env import EnvironmentSpec, form_samples, rows_mean, sample_task_means
+from .core import RunConfig, as_vector, ordered_sum, sq_norm
+from .model import descend
+from .task_env import EnvironmentSpec, sample_task_means
 
 
 @dataclass(frozen=True)
@@ -27,12 +27,14 @@ def adapt_eval(u: np.ndarray, env: EnvironmentSpec, cfg: RunConfig,
                eval_source: str = "va") -> float:
     """Average risk after noiseless tr-split fine-tuning on fresh tasks.
 
-    All n_tasks means, then their datasets' normals, are drawn from rng as
-    whole arrays, and all tasks adapt at once.  A uniform split of i.i.d.
-    rows is distributed as the first m_tr rows for tr and the rest for va, so
-    the tasks come split: the "va" side draws (n_tasks, m, dim) normals, rows
-    :m_tr tr and m_tr: va, the "tr" side only the (n_tasks, m_tr, dim) it
-    fits and scores.  A loss that overflows raises FloatingPointError.
+    The square loss reads a task's k scored rows only through their mean and
+    scatter: (1/k) sum ||w - x_j||^2 = ||w - x_bar||^2 + (1/k) sum ||x_j - x_bar||^2.
+    Of k i.i.d. N(mu, tau I) rows these are mu + sqrt(tau/k) z and, independent
+    of it, tau chi^2(dim (k - 1)), so the draws, all tasks at once, are exact in
+    distribution: the n_tasks means, then (n_tasks, s, dim) normals, the tr and
+    va means' on the "va" side (s = 2) and the tr mean's on the "tr" side (s = 1),
+    then, for k >= 2, n_tasks chi-squares.  A loss that overflows raises
+    FloatingPointError.
 
     ``eval_source`` selects the split the adapted parameter is scored on:
     "va" (held-out) for test loss, "tr" (the data actually fitted) for the
@@ -44,15 +46,18 @@ def adapt_eval(u: np.ndarray, env: EnvironmentSpec, cfg: RunConfig,
         raise ValueError(f"eval_source must be va or tr, got {eval_source!r}")
     if eval_source == "va" and cfg.m_va < 1:
         raise ValueError("va evaluation needs m_va >= 1")
+    k, tau = cfg.m_va if eval_source == "va" else cfg.m_tr, env.task_cov_scale
     mus = sample_task_means(env, n_tasks, rng)
-    z = rng.standard_normal((n_tasks, cfg.m if eval_source == "va" else cfg.m_tr, env.dim))
-    tr = form_samples(mus, z[:, :cfg.m_tr], env)
-    batch = form_samples(mus, z[:, cfg.m_tr:], env) if eval_source == "va" else tr
-    w = descend(as_vector(u, env.dim), [cfg.schedules.beta0] * cfg.test_adapt_steps,
-                rows_mean(tr))
+    z = rng.standard_normal((n_tasks, 2 if eval_source == "va" else 1, env.dim))
+    tr_mean = mus + np.sqrt(tau / cfg.m_tr) * z[:, 0]
+    scored_mean = mus + np.sqrt(tau / k) * z[:, 1] if eval_source == "va" else tr_mean
+    w = descend(as_vector(u, env.dim), [cfg.schedules.beta0] * cfg.test_adapt_steps, tr_mean)
     if not np.all(np.isfinite(w)):
         raise ValueError("vector contains NaN/Inf")
-    loss = float(ordered_sum(stacked_risk(w, batch))) / n_tasks
+    risks = sq_norm(w - scored_mean)
+    if k > 1:       # the scored rows' scatter, over tau
+        risks += tau * rng.chisquare(env.dim * (k - 1), n_tasks) / k
+    loss = float(ordered_sum(risks)) / n_tasks
     if not np.isfinite(loss):
         raise FloatingPointError(f"gap evaluation overflowed: {eval_source} loss is {loss}")
     return loss

@@ -70,7 +70,10 @@ def box_means(z: np.ndarray, env: EnvironmentSpec) -> tuple[np.ndarray, np.ndarr
     whether each lies in the truncation box (...).  It is elementwise, so a
     block of rounds gives each round's values."""
     mus = env.env_mean + np.sqrt(env.env_cov_scale) * z
-    return mus, np.all((mus >= env.trunc_lo) & (mus <= env.trunc_hi), axis=-1)
+    inside = (mus[..., 0] >= env.trunc_lo[0]) & (mus[..., 0] <= env.trunc_hi[0])
+    for j in range(1, env.dim):     # np.all over the short dim axis is slow
+        inside &= (mus[..., j] >= env.trunc_lo[j]) & (mus[..., j] <= env.trunc_hi[j])
+    return mus, inside
 
 
 def sample_task_means(env: EnvironmentSpec, n: int,

@@ -6,12 +6,12 @@ one probe at a time, through the per-vector gradient and risk.  They read
 the engines' stream addresses (layout 7, ``ref_row``): task i's mean, data
 and split, its live noise and its live minibatch keys are row or column i of
 epoch t's rows of one stream per array kind and block, and the loops consume
-them task by task.  A gap evaluation's tasks come already split (layout 8,
-``ref_adapt_eval``).  The engines must reproduce the live paths, U and the
-losses bit for bit, so those comparisons are exact.  The bound increments
-are expectations, which the engine computes in closed form: the loops' union
-probes and meta-level replicas, on streams of their own, are their
-Monte-Carlo oracle.
+them task by task.  A gap evaluation draws each task's split means and
+scatter, not its rows (layout 9, ``ref_adapt_eval``).  The engines must
+reproduce the live paths, U and the losses bit for bit, so those
+comparisons are exact.  The bound increments are expectations, which the
+engine computes in closed form: the loops' union probes and meta-level
+replicas, on streams of their own, are their Monte-Carlo oracle.
 """
 import itertools
 import math
@@ -24,7 +24,8 @@ from metasgld.bounds import assemble_alt_bound, subgaussian_mean_estimation
 from metasgld.core import (P_BATCH, P_MEANS, P_NOISE_U, P_NOISE_W, P_TASK, P_TEST,
                            P_TRAIN_PROBE, STREAM_BLOCK, DECAY_CONSTANT, DECAY_EXPONENTIAL,
                            DECAY_INVERSE_T, ConfigurationError, RunConfig, Schedules,
-                           UndefinedBoundError, derive_stream, noise_std, stopped_at)
+                           UndefinedBoundError, derive_stream, noise_std, ordered_sum,
+                           stopped_at)
 from metasgld import evaluate, joint_sgld, meta_sgld
 from metasgld.evaluate import adapt_eval, observed_gap
 from metasgld.joint_sgld import (JointConfig, JointRecord, joint_bound,
@@ -33,7 +34,7 @@ from metasgld.joint_sgld import (JointConfig, JointRecord, joint_bound,
 from metasgld.meta_sgld import (BoundAccumulators, draw_task_batch,
                                 estimate_eps_u, inner_adapt, outer_step,
                                 run_meta_sgld)
-from metasgld.model import LossModel, stacked_risk
+from metasgld.model import LossModel
 from metasgld.task_env import (EnvironmentSpec, minibatch_mean_var,
                                sample_datasets, sample_minibatch,
                                sample_task_means)
@@ -181,19 +182,26 @@ def ref_outer_step(u, task_batch, cfg, t, acc):
 
 
 def ref_adapt_eval(u, cfg, n_tasks, rng, eval_source, env=ENV):
-    """The mean risk and the per-task risks.  The tasks come split (layout 8):
-    task i's rows are row i of the normals drawn after the means, its first
-    m_tr rows tr and the rest va, and the tr side draws no va rows."""
+    """The mean risk and the per-task risks.  A task is drawn as its
+    sufficient statistics (layout 9): after the means, row i of the normals
+    holds task i's tr-mean noise and, on the va side, its va-mean noise, and
+    when the k scored rows number 2 or more, chi-square i is their scatter
+    over tau (one row has none).  The risk of w on the k rows is its
+    distance to their mean plus their scatter over k."""
+    tau = env.task_cov_scale
+    k = cfg.m_va if eval_source == "va" else cfg.m_tr
     mus = sample_task_means(env, n_tasks, rng)
-    z = rng.standard_normal((n_tasks, cfg.m if eval_source == "va" else cfg.m_tr, env.dim))
+    z = rng.standard_normal((n_tasks, 2 if eval_source == "va" else 1, env.dim))
+    scatter = rng.chisquare(env.dim * (k - 1), n_tasks) if k > 1 else np.zeros(n_tasks)
     total, risks = 0.0, []
-    for mu, rows in zip(mus, z):
-        samples = mu + math.sqrt(env.task_cov_scale) * rows
-        tr, va = samples[:cfg.m_tr], samples[cfg.m_tr:]
+    for mu, rows, chi2 in zip(mus, z, scatter):
+        tr_mean = mu + math.sqrt(tau / cfg.m_tr) * rows[0]
+        scored_mean = mu + math.sqrt(tau / k) * rows[-1]
         w = np.asarray(u, dtype=float).copy()
         for _ in range(cfg.test_adapt_steps):
-            w = w - cfg.schedules.beta0 * ref_grad(w, tr)
-        risks.append(ref_risk(w, va if eval_source == "va" else tr))
+            w = w - cfg.schedules.beta0 * (2.0 * (w - tr_mean))
+        d = w - scored_mean
+        risks.append(float(d @ d) + tau * float(chi2) / k)
         total += risks[-1]
     return total / n_tasks, risks
 
@@ -276,8 +284,8 @@ def test_estimate_eps_u_matches_loop(inner_batch, K, mc_replicas, split):
     assert terms[0] == pytest.approx(want[0], rel=1e-12)
 
 
-# dimension 8 takes stacked_risk's np.sum branch, which no preset runs; in
-# dimension 1 NumPy's mean over a task's rows adds them pairwise, not in order
+# no preset runs in dimension 1 or 8, where the engine's squared distance to
+# a task's scored mean (core.sq_norm) is checked against float(d @ d) too
 ENV8 = EnvironmentSpec(env_mean=np.linspace(-4.0, 3.0, 8), env_cov_scale=5.0,
                        trunc_lo=np.full(8, -12.0), trunc_hi=np.full(8, 4.0),
                        task_cov_scale=0.1, dim=8)
@@ -308,8 +316,8 @@ ADAPT_CASES = (
 def test_adapt_eval_matches_loop(env, eval_source, split, steps, n_tasks, monkeypatch):
     # task by task as well: the sum often rounds away one ulp of a task's risk
     risks = []
-    monkeypatch.setattr(evaluate, "stacked_risk",
-                        lambda w, batch: risks.append(stacked_risk(w, batch)) or risks[-1])
+    monkeypatch.setattr(evaluate, "ordered_sum",
+                        lambda x: risks.append(x.copy()) or ordered_sum(x))
     cfg = make_cfg(split, test_adapt_steps=steps)
     u = np.linspace(-2.5, -4.5, env.dim)
     got = adapt_eval(u, env, cfg, n_tasks, derive_stream(3, [9]), eval_source)

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metasgld.core import RunConfig, Schedules, derive_stream
 from metasgld.evaluate import GapReport, adapt_eval, observed_gap
-from metasgld.model import LossModel
+from metasgld.model import LossModel, descend, stacked_risk
 from metasgld.task_env import EnvironmentSpec, sample_task_means
 
 MODEL = LossModel(dim=2)
@@ -88,18 +90,68 @@ class TestAdaptation:
     @pytest.mark.parametrize("dim", (1, 2))
     def test_reads_the_means_then_only_the_normals_it_scores(self, dim, m_tr, m_va,
                                                              eval_source):
-        # the tasks come split: the va side reads n * m * dim normals after
-        # the means, the tr side only n * m_tr * dim, and neither reads split
-        # keys; a box edge at -2 makes the means take rejection rounds
+        # each task's sufficient statistics: after the means the va side reads
+        # n * 2 * dim normals (its tr and va means), the tr side n * dim (its
+        # tr mean), then n chi-squares when the k scored rows number 2 or
+        # more; a box edge at -2 makes the means take rejection rounds
         e = EnvironmentSpec(env_mean=np.full(dim, -4.0), env_cov_scale=5.0,
                             trunc_lo=np.full(dim, -12.0), trunc_hi=np.full(dim, -2.0),
                             task_cov_scale=0.1, dim=dim)
         n, c = 40, cfg(m_tr=m_tr, m_va=m_va)
+        s, k = (2, m_va) if eval_source == "va" else (1, m_tr)
         rng, fresh = derive_stream(4, [9, dim]), derive_stream(4, [9, dim])
         adapt_eval(np.full(dim, -3.0), e, c, n, rng, eval_source=eval_source)
         sample_task_means(e, n, fresh)
-        fresh.standard_normal(n * (m_tr + m_va if eval_source == "va" else m_tr) * dim)
+        fresh.standard_normal(n * s * dim)
+        if k >= 2:
+            fresh.chisquare(dim * (k - 1), n)
         assert np.array_equal(rng.random(8), fresh.random(8))
+
+
+def env_in(dim):
+    return EnvironmentSpec(env_mean=np.full(dim, -4.0), env_cov_scale=5.0,
+                           trunc_lo=np.full(dim, -12.0), trunc_hi=np.full(dim, 4.0),
+                           task_cov_scale=0.1, dim=dim)
+
+
+def rows_adapt_eval(u, e, c, n_tasks, rng, eval_source):
+    """Layout 8's evaluation, from rows: after the means, (n, m, dim) normals
+    on the va side, rows :m_tr tr and the rest va, and (n, m_tr, dim) on the
+    tr side; the risk is the mean square loss over the scored rows."""
+    mus = sample_task_means(e, n_tasks, rng)
+    z = rng.standard_normal((n_tasks, c.m if eval_source == "va" else c.m_tr, e.dim))
+    x = mus[:, None] + math.sqrt(e.task_cov_scale) * z
+    w = descend(u, [c.schedules.beta0] * c.test_adapt_steps, x[:, :c.m_tr].mean(axis=1))
+    scored = x[:, c.m_tr:] if eval_source == "va" else x[:, :c.m_tr]
+    return float(np.mean(np.sum((w[:, None] - scored) ** 2, axis=-1)))
+
+
+class TestSufficientStatistics:
+    @given(k=st.integers(1, 16), dim=st.sampled_from((1, 2, 8)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_risk_is_distance_to_the_mean_plus_scatter(self, k, dim, seed):
+        # (1/k) sum_j ||w - x_j||^2 = ||w - x_bar||^2 + (1/k) sum_j ||x_j - x_bar||^2
+        rng = derive_stream(seed, [8])
+        x = rng.uniform(-5, 5, dim) + rng.uniform(0.1, 3) * rng.standard_normal((k, dim))
+        w = rng.uniform(-5, 5, dim)
+        x_bar = x.mean(axis=0)
+        want = np.sum((w - x_bar) ** 2) + np.sum((x - x_bar) ** 2) / k
+        assert stacked_risk(w, x) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("eval_source", ("va", "tr"))
+    @pytest.mark.parametrize("m_tr,m_va", ((1, 15), (8, 8), (15, 1)))
+    @pytest.mark.parametrize("dim", (1, 2, 8))
+    def test_mean_is_the_row_based_mean(self, dim, m_tr, m_va, eval_source):
+        # the statistics are drawn exactly in distribution: over 300 streams of
+        # 20 tasks the mean loss equals that of the rows they summarise
+        e, c, streams = env_in(dim), cfg(m_tr=m_tr, m_va=m_va), 300
+        u = np.full(dim, -3.0)
+        got, want = (np.array([f(u, e, c, 20, derive_stream(12, [m_tr, dim, i]), eval_source)
+                               for i in range(streams)])
+                     for f in (adapt_eval, rows_adapt_eval))
+        se = math.sqrt((got.var(ddof=1) + want.var(ddof=1)) / streams)
+        assert abs(got.mean() - want.mean()) < 4 * se
 
 
 class TestObservedGap:

@@ -3,7 +3,7 @@
 Every number a run prints follows from the addresses of its random streams
 and from the order in which each stream is read.  The digests below cover
 the whole file, the ``#`` provenance header included: the header is a pure
-function of the config and names the layout version, ``stream_layout = 8``,
+function of the config and names the layout version, ``stream_layout = 9``,
 the package version and, in alternate mode, ``stream_block = 256``.  Layout 7
 draws an alternate run's arrays by kind, each from one stream per block of
 256 epochs, ``(purpose, (t - 1) // 256)``, C-ordered with the epoch first:
@@ -21,6 +21,13 @@ Layout 8 draws an evaluation's tasks already split: after the means, one
 ``(n, m, dim)`` normals array on the test side, rows ``:m_tr`` tr and
 ``m_tr:`` va, and only ``(n, m_tr, dim)`` on the train side, with no split
 keys; only the ``train_loss``, ``test_loss`` and ``gap`` cells moved.
+Layout 9 draws each evaluation task's sufficient statistics, not its rows:
+after the means, one ``(n, s, dim)`` normals array, ``s = 2`` on the test side
+(the tr-mean and the va-mean noise) and ``s = 1`` on the train side (the
+tr-mean noise), then, when the scored split has ``k >= 2`` rows, ``n``
+chi-squares with ``dim (k - 1)`` degrees of freedom, the scored rows'
+scatter; again only the ``train_loss``, ``test_loss`` and ``gap`` cells
+moved.
 """
 import hashlib
 import itertools
@@ -40,14 +47,14 @@ from metasgld.task_env import EnvironmentSpec
 
 # preset -> SHA-256 of the CSV of a T = 6, eval_cadence = 3 run
 DIGESTS = {
-    "toy_8_8": "a0de80af0ead0ffedd5a1d37adfeb4623a0f3d6e4bc55b2394fb94696ee8a3a2",
-    "toy_1_15": "98cc598c26f635dcd28eebfd4829ab804c8c50a53542bccf104ea2806521b644",
-    "toy_15_1": "9254c4fbee1d22dd31578affe125810f5b74d675c37aebb7b0030d81bb8af541",
-    "joint_demo": "1e47f42311d1d1e0a5e23980b3e0c27d6e7b022482fa7a478bbec8039577211d",
+    "toy_8_8": "a0129745d4adb33bf8a9e52211444a41f37172c4fd74e8c7370e3826c40311be",
+    "toy_1_15": "9ef43fdcf31c6ed4ed27c25b44a9d5dd2629156dcd64afe42b14b1b784bf1fe6",
+    "toy_15_1": "946407796a76ae399bad72d9ceecc78eac42234fad6248837dd99e57f3598283",
+    "joint_demo": "119e53bfff1fc5f3a12dfdf7f14019c495f0df453d2a1715772612d61ab354e4",
 }
 # SHA-256 of the same run of toy_8_8 with inner_batch = 3: the live
-# minibatch keys of layout 7, the gap evaluations of layout 8
-MINIBATCH_DIGEST = "07ea212dca7bf07ca9118d40192f539face193f56a431885ad77102396bbda84"
+# minibatch keys of layout 7, the gap evaluations of layout 9
+MINIBATCH_DIGEST = "e774ef5fe1cdaeb86bdbc5621cd809c82d2bf168b8bf1f78ebd145c4c2cdd9de"
 
 
 def short_run(preset, tmp_path, **run):
@@ -84,7 +91,7 @@ def test_minibatch_rows_match_pinned_layout(tmp_path):
 # each preset in this order, concatenated: whole preset runs, and what a
 # NumPy upgrade that changed its seeding algorithm would move
 PRESET_RUNS = ("toy_8_8", "toy_1_15", "toy_15_1", "joint_demo")
-PRESET_RUNS_DIGEST = "d6276c27471d4039c929de43d034683f5cc5ce75f4d4a4b5add8711a61955000"
+PRESET_RUNS_DIGEST = "7e0b5a6325ec16014935bcacec0c5512dc462d5b90ed7e2efbae1eb53ca56470"
 
 
 def test_preset_runs_match_pinned_digest(tmp_path, monkeypatch):
@@ -100,7 +107,7 @@ def test_preset_runs_match_pinned_digest(tmp_path, monkeypatch):
 @pytest.mark.parametrize("preset", sorted(DIGESTS))
 def test_header_names_the_layout_and_no_numpy_repr(preset, tmp_path):
     header = [line for line in short_run(preset, tmp_path) if line.startswith(b"#")]
-    assert b"# stream_layout = 8\n" in header
+    assert b"# stream_layout = 9\n" in header
     # an alternate run names its stream block length; a joint run has none
     assert (b"# stream_block = 256\n" in header) == (preset != "joint_demo")
     assert f"# version = {__version__}\n".encode() in header
@@ -114,7 +121,7 @@ def test_header_names_the_layout_and_no_numpy_repr(preset, tmp_path):
 # rule, both noise settings and both batch modes over K in {0, 1, 4} and
 # task batches of 1 and 5, from U = 0 and from a set init_u.  Each digest is
 # the SHA-256 (first 16 hex digits) of the repr of a T = 5, eval_cadence = 2
-# run's records and final U, taken with layout 8's streams.
+# run's records and final U, taken with layout 9's streams.
 
 GRID_ENV = EnvironmentSpec(env_mean=np.array([-4.0, -4.0]), env_cov_scale=5.0,
                            trunc_lo=np.array([-12.0, -12.0]),
@@ -145,150 +152,150 @@ def grid_digest(decay_rule, noise, inner_batch, K, task_batch, init_u):
 
 
 GRID_DIGESTS = {
-    "constant-noise-b0-K0-B1-zero": "0d2bf7a8abe7da31",
-    "constant-noise-b0-K0-B1-u": "d4e50c5cf37c403d",
-    "constant-noise-b0-K0-B5-zero": "3ea78b3a8bdba9c3",
-    "constant-noise-b0-K0-B5-u": "8d1846db2241d52d",
-    "constant-noise-b0-K1-B1-zero": "99d6801c51896ce2",
-    "constant-noise-b0-K1-B1-u": "3d8cb773a3de8231",
-    "constant-noise-b0-K1-B5-zero": "f0b6a03e8fd3d629",
-    "constant-noise-b0-K1-B5-u": "1af0631f0a166c15",
-    "constant-noise-b0-K4-B1-zero": "97c9a834a03c8168",
-    "constant-noise-b0-K4-B1-u": "599d6b62f2d2f0dc",
-    "constant-noise-b0-K4-B5-zero": "b9f89febe5b73e13",
-    "constant-noise-b0-K4-B5-u": "70ba6ae5e29ae145",
-    "constant-noise-b3-K0-B1-zero": "0d2bf7a8abe7da31",
-    "constant-noise-b3-K0-B1-u": "d4e50c5cf37c403d",
-    "constant-noise-b3-K0-B5-zero": "3ea78b3a8bdba9c3",
-    "constant-noise-b3-K0-B5-u": "8d1846db2241d52d",
-    "constant-noise-b3-K1-B1-zero": "bb2b1e5f677271c5",
-    "constant-noise-b3-K1-B1-u": "d93f7edda288f654",
-    "constant-noise-b3-K1-B5-zero": "f5c5cef9a03df290",
-    "constant-noise-b3-K1-B5-u": "dce03449af536ce1",
-    "constant-noise-b3-K4-B1-zero": "fc1bb391cab7ee3e",
-    "constant-noise-b3-K4-B1-u": "3bb598e6fa3b2075",
-    "constant-noise-b3-K4-B5-zero": "73e22f075491a94d",
-    "constant-noise-b3-K4-B5-u": "4e5588cdbe9f609a",
-    "constant-quiet-b0-K0-B1-zero": "cc242e6bcdc9b16c",
-    "constant-quiet-b0-K0-B1-u": "e7cda68f4393e49d",
-    "constant-quiet-b0-K0-B5-zero": "d23e0cf74f10b901",
-    "constant-quiet-b0-K0-B5-u": "b3c13d650cfcefcc",
-    "constant-quiet-b0-K1-B1-zero": "cc92264f0580cf9c",
-    "constant-quiet-b0-K1-B1-u": "c034c5fb5f839cea",
-    "constant-quiet-b0-K1-B5-zero": "c8b1fd609955c3e9",
-    "constant-quiet-b0-K1-B5-u": "55f72bd26d986d26",
-    "constant-quiet-b0-K4-B1-zero": "26fcb9081021cdbb",
-    "constant-quiet-b0-K4-B1-u": "06daa8fea4f61067",
-    "constant-quiet-b0-K4-B5-zero": "26f32dbafc1111da",
-    "constant-quiet-b0-K4-B5-u": "fff4071d52e63358",
-    "constant-quiet-b3-K0-B1-zero": "cc242e6bcdc9b16c",
-    "constant-quiet-b3-K0-B1-u": "e7cda68f4393e49d",
-    "constant-quiet-b3-K0-B5-zero": "d23e0cf74f10b901",
-    "constant-quiet-b3-K0-B5-u": "b3c13d650cfcefcc",
-    "constant-quiet-b3-K1-B1-zero": "c4d5d3e17062dc22",
-    "constant-quiet-b3-K1-B1-u": "75be1a164ff72c88",
-    "constant-quiet-b3-K1-B5-zero": "7445b58a2bfa5a8a",
-    "constant-quiet-b3-K1-B5-u": "f33aab6a82c7985f",
-    "constant-quiet-b3-K4-B1-zero": "89f33fb964e7213f",
-    "constant-quiet-b3-K4-B1-u": "bb7f194ebbf7978c",
-    "constant-quiet-b3-K4-B5-zero": "71424a0b8960f1e4",
-    "constant-quiet-b3-K4-B5-u": "a8059eb57667e124",
-    "inverse_t-noise-b0-K0-B1-zero": "e1400042e45b9927",
-    "inverse_t-noise-b0-K0-B1-u": "fe76acc57e09d6b8",
-    "inverse_t-noise-b0-K0-B5-zero": "316495381c09f3e2",
-    "inverse_t-noise-b0-K0-B5-u": "cf6a925587ec97c6",
-    "inverse_t-noise-b0-K1-B1-zero": "6e2912cbd3fef957",
-    "inverse_t-noise-b0-K1-B1-u": "0b1906b4fa1be3e5",
-    "inverse_t-noise-b0-K1-B5-zero": "217ce70509b645e7",
-    "inverse_t-noise-b0-K1-B5-u": "d2e841defbcb175f",
-    "inverse_t-noise-b0-K4-B1-zero": "0da14729b3fe42c1",
-    "inverse_t-noise-b0-K4-B1-u": "bbd52a4f126ebc3c",
-    "inverse_t-noise-b0-K4-B5-zero": "dec3e5709e57b6e8",
-    "inverse_t-noise-b0-K4-B5-u": "b160284730218f44",
-    "inverse_t-noise-b3-K0-B1-zero": "e1400042e45b9927",
-    "inverse_t-noise-b3-K0-B1-u": "fe76acc57e09d6b8",
-    "inverse_t-noise-b3-K0-B5-zero": "316495381c09f3e2",
-    "inverse_t-noise-b3-K0-B5-u": "cf6a925587ec97c6",
-    "inverse_t-noise-b3-K1-B1-zero": "12ccd7dcaaf8e315",
-    "inverse_t-noise-b3-K1-B1-u": "efd84f016c5d397c",
-    "inverse_t-noise-b3-K1-B5-zero": "784e0bb2f65f136c",
-    "inverse_t-noise-b3-K1-B5-u": "a02033bef9ed39ec",
-    "inverse_t-noise-b3-K4-B1-zero": "ae58a8e2fdb1b4fd",
-    "inverse_t-noise-b3-K4-B1-u": "8ec181902be46ff3",
-    "inverse_t-noise-b3-K4-B5-zero": "29a08d12611f0316",
-    "inverse_t-noise-b3-K4-B5-u": "aa36e98aebf650cb",
-    "inverse_t-quiet-b0-K0-B1-zero": "7fed70f5143ca4c1",
-    "inverse_t-quiet-b0-K0-B1-u": "90ad303d4cc990d6",
-    "inverse_t-quiet-b0-K0-B5-zero": "ebd76b3f59d80f54",
-    "inverse_t-quiet-b0-K0-B5-u": "d67eff53872cac22",
-    "inverse_t-quiet-b0-K1-B1-zero": "e7cdbdca3ae36d24",
-    "inverse_t-quiet-b0-K1-B1-u": "ab14d07e2be9fcc3",
-    "inverse_t-quiet-b0-K1-B5-zero": "e6604599878be80d",
-    "inverse_t-quiet-b0-K1-B5-u": "599fd06e1f00a9d7",
-    "inverse_t-quiet-b0-K4-B1-zero": "b59d3c992110575b",
-    "inverse_t-quiet-b0-K4-B1-u": "0915ed6ed6385759",
-    "inverse_t-quiet-b0-K4-B5-zero": "974927c7596c62f3",
-    "inverse_t-quiet-b0-K4-B5-u": "2575cc30dce7f800",
-    "inverse_t-quiet-b3-K0-B1-zero": "7fed70f5143ca4c1",
-    "inverse_t-quiet-b3-K0-B1-u": "90ad303d4cc990d6",
-    "inverse_t-quiet-b3-K0-B5-zero": "ebd76b3f59d80f54",
-    "inverse_t-quiet-b3-K0-B5-u": "d67eff53872cac22",
-    "inverse_t-quiet-b3-K1-B1-zero": "f33dcd08113a93ad",
-    "inverse_t-quiet-b3-K1-B1-u": "49d0af46e1e703d9",
-    "inverse_t-quiet-b3-K1-B5-zero": "c006eb64484dc75c",
-    "inverse_t-quiet-b3-K1-B5-u": "7990fc4d0b08b993",
-    "inverse_t-quiet-b3-K4-B1-zero": "4b7e6967e22a6f43",
-    "inverse_t-quiet-b3-K4-B1-u": "fbf954bca0367f90",
-    "inverse_t-quiet-b3-K4-B5-zero": "1b3d62e5100d982b",
-    "inverse_t-quiet-b3-K4-B5-u": "c72ec5cb8d90b790",
-    "exponential-noise-b0-K0-B1-zero": "6ece982d17720cc6",
-    "exponential-noise-b0-K0-B1-u": "0e27ba6ff1795059",
-    "exponential-noise-b0-K0-B5-zero": "3ff09c8bc73ea13e",
-    "exponential-noise-b0-K0-B5-u": "362e0a3d120b0c8e",
-    "exponential-noise-b0-K1-B1-zero": "4be526eda1ab8354",
-    "exponential-noise-b0-K1-B1-u": "cc48249ffd7c5aa0",
-    "exponential-noise-b0-K1-B5-zero": "ba845d6b850dac41",
-    "exponential-noise-b0-K1-B5-u": "6170815b4f5cf630",
-    "exponential-noise-b0-K4-B1-zero": "f6111aab8025b618",
-    "exponential-noise-b0-K4-B1-u": "bdb849bd26f289f6",
-    "exponential-noise-b0-K4-B5-zero": "35c19965974f0783",
-    "exponential-noise-b0-K4-B5-u": "1971db050d11d2bb",
-    "exponential-noise-b3-K0-B1-zero": "6ece982d17720cc6",
-    "exponential-noise-b3-K0-B1-u": "0e27ba6ff1795059",
-    "exponential-noise-b3-K0-B5-zero": "3ff09c8bc73ea13e",
-    "exponential-noise-b3-K0-B5-u": "362e0a3d120b0c8e",
-    "exponential-noise-b3-K1-B1-zero": "0d860ed2eab1f54a",
-    "exponential-noise-b3-K1-B1-u": "ad6021381d29ca00",
-    "exponential-noise-b3-K1-B5-zero": "7ee710a342243f49",
-    "exponential-noise-b3-K1-B5-u": "c16d4fd51347534c",
-    "exponential-noise-b3-K4-B1-zero": "66192fbcb0f30d4f",
-    "exponential-noise-b3-K4-B1-u": "3a14335000421d0b",
-    "exponential-noise-b3-K4-B5-zero": "2bc0d541d43bfa26",
-    "exponential-noise-b3-K4-B5-u": "727876cb1d47b160",
-    "exponential-quiet-b0-K0-B1-zero": "6e0bfda65dde1145",
-    "exponential-quiet-b0-K0-B1-u": "aec8e519653773b8",
-    "exponential-quiet-b0-K0-B5-zero": "68e075ec43c1c2dd",
-    "exponential-quiet-b0-K0-B5-u": "f8a5810871e78fed",
-    "exponential-quiet-b0-K1-B1-zero": "7958b30d3c4debf8",
-    "exponential-quiet-b0-K1-B1-u": "0c6918e24dd9e9ae",
-    "exponential-quiet-b0-K1-B5-zero": "63a0c978b4db1beb",
-    "exponential-quiet-b0-K1-B5-u": "86e0a8e407aa30ee",
-    "exponential-quiet-b0-K4-B1-zero": "9cc3cfa55627650e",
-    "exponential-quiet-b0-K4-B1-u": "eccd43987203d5c6",
-    "exponential-quiet-b0-K4-B5-zero": "ac6f626334f069a8",
-    "exponential-quiet-b0-K4-B5-u": "d90a5199aefed3e8",
-    "exponential-quiet-b3-K0-B1-zero": "6e0bfda65dde1145",
-    "exponential-quiet-b3-K0-B1-u": "aec8e519653773b8",
-    "exponential-quiet-b3-K0-B5-zero": "68e075ec43c1c2dd",
-    "exponential-quiet-b3-K0-B5-u": "f8a5810871e78fed",
-    "exponential-quiet-b3-K1-B1-zero": "52d7e41946c98896",
-    "exponential-quiet-b3-K1-B1-u": "daf36a7c0f61b119",
-    "exponential-quiet-b3-K1-B5-zero": "be2eca6bb2645c93",
-    "exponential-quiet-b3-K1-B5-u": "b28a4793af4e0186",
-    "exponential-quiet-b3-K4-B1-zero": "2f8ed525f0a4453c",
-    "exponential-quiet-b3-K4-B1-u": "df5416d4fc57e6dc",
-    "exponential-quiet-b3-K4-B5-zero": "a2e1d4219af3a512",
-    "exponential-quiet-b3-K4-B5-u": "4cc09cdc0895bbca",
+    "constant-noise-b0-K0-B1-zero": "4649e36df85f0a7f",
+    "constant-noise-b0-K0-B1-u": "b693d34c85b3f612",
+    "constant-noise-b0-K0-B5-zero": "39f2f605f84ba848",
+    "constant-noise-b0-K0-B5-u": "0d910b45830fb4d3",
+    "constant-noise-b0-K1-B1-zero": "7f4730d799df1ca3",
+    "constant-noise-b0-K1-B1-u": "15ef80696a7dce3a",
+    "constant-noise-b0-K1-B5-zero": "ccf667ede4f6c980",
+    "constant-noise-b0-K1-B5-u": "284aa30841762314",
+    "constant-noise-b0-K4-B1-zero": "229ee58f6b5a9fe5",
+    "constant-noise-b0-K4-B1-u": "cd60c57831c27b0f",
+    "constant-noise-b0-K4-B5-zero": "2704156d117e21d2",
+    "constant-noise-b0-K4-B5-u": "f6bb746a37c7e226",
+    "constant-noise-b3-K0-B1-zero": "4649e36df85f0a7f",
+    "constant-noise-b3-K0-B1-u": "b693d34c85b3f612",
+    "constant-noise-b3-K0-B5-zero": "39f2f605f84ba848",
+    "constant-noise-b3-K0-B5-u": "0d910b45830fb4d3",
+    "constant-noise-b3-K1-B1-zero": "e54d0c474b7b16f3",
+    "constant-noise-b3-K1-B1-u": "72120db330256d6b",
+    "constant-noise-b3-K1-B5-zero": "b08c4bc17c0be668",
+    "constant-noise-b3-K1-B5-u": "faa6bbbd82744b86",
+    "constant-noise-b3-K4-B1-zero": "ae33f6e9629101ed",
+    "constant-noise-b3-K4-B1-u": "d171e0e54b363006",
+    "constant-noise-b3-K4-B5-zero": "fcbb336669e3c03f",
+    "constant-noise-b3-K4-B5-u": "c2c1ab8aec7aceb1",
+    "constant-quiet-b0-K0-B1-zero": "4b173287a6cb4110",
+    "constant-quiet-b0-K0-B1-u": "91eae456e67c272c",
+    "constant-quiet-b0-K0-B5-zero": "bf2aba8c215f8392",
+    "constant-quiet-b0-K0-B5-u": "1e7e1a6332f121ea",
+    "constant-quiet-b0-K1-B1-zero": "e9ee78a896ed0bb7",
+    "constant-quiet-b0-K1-B1-u": "2f8d6b6d2c9d8322",
+    "constant-quiet-b0-K1-B5-zero": "86e5ba9bdad135ad",
+    "constant-quiet-b0-K1-B5-u": "dd408464d21beb23",
+    "constant-quiet-b0-K4-B1-zero": "2df811bb28633839",
+    "constant-quiet-b0-K4-B1-u": "d1bd341600e626c2",
+    "constant-quiet-b0-K4-B5-zero": "dc76fc2f07dd03ca",
+    "constant-quiet-b0-K4-B5-u": "13a452b51b57d11e",
+    "constant-quiet-b3-K0-B1-zero": "4b173287a6cb4110",
+    "constant-quiet-b3-K0-B1-u": "91eae456e67c272c",
+    "constant-quiet-b3-K0-B5-zero": "bf2aba8c215f8392",
+    "constant-quiet-b3-K0-B5-u": "1e7e1a6332f121ea",
+    "constant-quiet-b3-K1-B1-zero": "7466f54f1f86dec2",
+    "constant-quiet-b3-K1-B1-u": "9fff9d6dbc799e91",
+    "constant-quiet-b3-K1-B5-zero": "bd824ca5a1c30f3b",
+    "constant-quiet-b3-K1-B5-u": "94fb81524d35913c",
+    "constant-quiet-b3-K4-B1-zero": "137a40f71a6913bb",
+    "constant-quiet-b3-K4-B1-u": "3d1d2684ecc458e8",
+    "constant-quiet-b3-K4-B5-zero": "d6a949329a824aaf",
+    "constant-quiet-b3-K4-B5-u": "b09b37daa82c6c97",
+    "inverse_t-noise-b0-K0-B1-zero": "4a3b9647e98ce2c3",
+    "inverse_t-noise-b0-K0-B1-u": "31d42da15e604dbd",
+    "inverse_t-noise-b0-K0-B5-zero": "570b182cce1e6ad0",
+    "inverse_t-noise-b0-K0-B5-u": "5bbc1c4c3fabacd8",
+    "inverse_t-noise-b0-K1-B1-zero": "b6231b28f5c244af",
+    "inverse_t-noise-b0-K1-B1-u": "b29e3504341fc3d3",
+    "inverse_t-noise-b0-K1-B5-zero": "83ccb01ff03e29b2",
+    "inverse_t-noise-b0-K1-B5-u": "de5009847f722080",
+    "inverse_t-noise-b0-K4-B1-zero": "ef0d7464debbe802",
+    "inverse_t-noise-b0-K4-B1-u": "ee922e4723f8a960",
+    "inverse_t-noise-b0-K4-B5-zero": "a39b4a279e17c326",
+    "inverse_t-noise-b0-K4-B5-u": "934a26afc9eab6ab",
+    "inverse_t-noise-b3-K0-B1-zero": "4a3b9647e98ce2c3",
+    "inverse_t-noise-b3-K0-B1-u": "31d42da15e604dbd",
+    "inverse_t-noise-b3-K0-B5-zero": "570b182cce1e6ad0",
+    "inverse_t-noise-b3-K0-B5-u": "5bbc1c4c3fabacd8",
+    "inverse_t-noise-b3-K1-B1-zero": "4acc933f64d5ec0c",
+    "inverse_t-noise-b3-K1-B1-u": "6c6bf0dcb49f4d47",
+    "inverse_t-noise-b3-K1-B5-zero": "cba3844cb232d40f",
+    "inverse_t-noise-b3-K1-B5-u": "b99b4bea34e715a4",
+    "inverse_t-noise-b3-K4-B1-zero": "2804f78416f99a69",
+    "inverse_t-noise-b3-K4-B1-u": "a400c1addd7349f1",
+    "inverse_t-noise-b3-K4-B5-zero": "f589b4052b78dd30",
+    "inverse_t-noise-b3-K4-B5-u": "35ec3f11a35252b9",
+    "inverse_t-quiet-b0-K0-B1-zero": "3e69c764ba8f0042",
+    "inverse_t-quiet-b0-K0-B1-u": "8c9c96dc8b5226b9",
+    "inverse_t-quiet-b0-K0-B5-zero": "c6b3b7fa3983c170",
+    "inverse_t-quiet-b0-K0-B5-u": "1f32a44e238052be",
+    "inverse_t-quiet-b0-K1-B1-zero": "a8b1eebc1bbec294",
+    "inverse_t-quiet-b0-K1-B1-u": "3e115aaec2a6bf19",
+    "inverse_t-quiet-b0-K1-B5-zero": "0e3c7705050c7ab8",
+    "inverse_t-quiet-b0-K1-B5-u": "cf57de095a843a4f",
+    "inverse_t-quiet-b0-K4-B1-zero": "d4d90420e6d3e1dd",
+    "inverse_t-quiet-b0-K4-B1-u": "253c990916972088",
+    "inverse_t-quiet-b0-K4-B5-zero": "6f11b634fbeddd5e",
+    "inverse_t-quiet-b0-K4-B5-u": "49d61c503ccdf5fd",
+    "inverse_t-quiet-b3-K0-B1-zero": "3e69c764ba8f0042",
+    "inverse_t-quiet-b3-K0-B1-u": "8c9c96dc8b5226b9",
+    "inverse_t-quiet-b3-K0-B5-zero": "c6b3b7fa3983c170",
+    "inverse_t-quiet-b3-K0-B5-u": "1f32a44e238052be",
+    "inverse_t-quiet-b3-K1-B1-zero": "6ed9fda081aa1d06",
+    "inverse_t-quiet-b3-K1-B1-u": "9a3948cf0d72d9c2",
+    "inverse_t-quiet-b3-K1-B5-zero": "889e23e6c6f290a3",
+    "inverse_t-quiet-b3-K1-B5-u": "7e190c1adfa91046",
+    "inverse_t-quiet-b3-K4-B1-zero": "49dca461aaebfffc",
+    "inverse_t-quiet-b3-K4-B1-u": "67e4192a55196d33",
+    "inverse_t-quiet-b3-K4-B5-zero": "49dc4f0d93945477",
+    "inverse_t-quiet-b3-K4-B5-u": "6b7528fb737b1966",
+    "exponential-noise-b0-K0-B1-zero": "6e0de72d280ef77f",
+    "exponential-noise-b0-K0-B1-u": "6b6c91603eb77347",
+    "exponential-noise-b0-K0-B5-zero": "8b93883d0545122c",
+    "exponential-noise-b0-K0-B5-u": "8e18e9f77789c4bc",
+    "exponential-noise-b0-K1-B1-zero": "811d846349088205",
+    "exponential-noise-b0-K1-B1-u": "21605dec106d9022",
+    "exponential-noise-b0-K1-B5-zero": "3f04084e200acb00",
+    "exponential-noise-b0-K1-B5-u": "de957f54fecaf4e7",
+    "exponential-noise-b0-K4-B1-zero": "ae0e0ecf7b40ecf3",
+    "exponential-noise-b0-K4-B1-u": "7d77f047abc0bd8a",
+    "exponential-noise-b0-K4-B5-zero": "89f5c74d1effbe07",
+    "exponential-noise-b0-K4-B5-u": "6c1d7dd8e27412ab",
+    "exponential-noise-b3-K0-B1-zero": "6e0de72d280ef77f",
+    "exponential-noise-b3-K0-B1-u": "6b6c91603eb77347",
+    "exponential-noise-b3-K0-B5-zero": "8b93883d0545122c",
+    "exponential-noise-b3-K0-B5-u": "8e18e9f77789c4bc",
+    "exponential-noise-b3-K1-B1-zero": "107e8244ae5a2cd6",
+    "exponential-noise-b3-K1-B1-u": "2e31e69e6ec4416e",
+    "exponential-noise-b3-K1-B5-zero": "e9f6ab4b3ecfe51f",
+    "exponential-noise-b3-K1-B5-u": "083e1de42e803a3b",
+    "exponential-noise-b3-K4-B1-zero": "49d080efeae34c17",
+    "exponential-noise-b3-K4-B1-u": "226bdb0a59869570",
+    "exponential-noise-b3-K4-B5-zero": "f03b002183ca5a10",
+    "exponential-noise-b3-K4-B5-u": "9c58307a649f1668",
+    "exponential-quiet-b0-K0-B1-zero": "8cf35dd02a5e4b6c",
+    "exponential-quiet-b0-K0-B1-u": "8fe508fc0a9d4580",
+    "exponential-quiet-b0-K0-B5-zero": "2d54b5ae40949dd5",
+    "exponential-quiet-b0-K0-B5-u": "8bc11df8923eccd1",
+    "exponential-quiet-b0-K1-B1-zero": "53cd08649917560c",
+    "exponential-quiet-b0-K1-B1-u": "7056e536303db554",
+    "exponential-quiet-b0-K1-B5-zero": "83ca0428a09c4dbc",
+    "exponential-quiet-b0-K1-B5-u": "e1720fbfb48693f1",
+    "exponential-quiet-b0-K4-B1-zero": "ad3a526cd0031a7c",
+    "exponential-quiet-b0-K4-B1-u": "99292b59ef01c61f",
+    "exponential-quiet-b0-K4-B5-zero": "c2541b7cab19de0a",
+    "exponential-quiet-b0-K4-B5-u": "972921c5a93c1d1e",
+    "exponential-quiet-b3-K0-B1-zero": "8cf35dd02a5e4b6c",
+    "exponential-quiet-b3-K0-B1-u": "8fe508fc0a9d4580",
+    "exponential-quiet-b3-K0-B5-zero": "2d54b5ae40949dd5",
+    "exponential-quiet-b3-K0-B5-u": "8bc11df8923eccd1",
+    "exponential-quiet-b3-K1-B1-zero": "c2530509005436b6",
+    "exponential-quiet-b3-K1-B1-u": "86d60e2192be5518",
+    "exponential-quiet-b3-K1-B5-zero": "e48a90c64123ab07",
+    "exponential-quiet-b3-K1-B5-u": "156de5195a60af3c",
+    "exponential-quiet-b3-K4-B1-zero": "0f7eda327b7558e0",
+    "exponential-quiet-b3-K4-B1-u": "188bc0fd8895ab93",
+    "exponential-quiet-b3-K4-B5-zero": "7dc4965edd41b2e3",
+    "exponential-quiet-b3-K4-B5-u": "92eed4d033247b99",
 }
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from metasgld.core import ConfigurationError, derive_stream
-from metasgld.task_env import (EnvironmentSpec, TaskSpec, minibatch_mean_var,
+from metasgld.task_env import (EnvironmentSpec, TaskSpec, box_means, minibatch_mean_var,
                                rows_mean, sample_dataset, sample_datasets,
                                sample_minibatch, sample_task_means, take_rows)
 
@@ -109,6 +109,32 @@ class TestSampleTask:
                               task_cov_scale=0.1, dim=2)
         mus = sample_task_means(env, n, derive_stream(5, [int(var * 100), 1]))
         assert mus.shape == (n, 2) and np.all(in_box(mus, env))
+
+    @given(lead=st.lists(st.integers(1, 4), max_size=3), dim=st.integers(1, 9),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_box_means_is_the_former_expression_bit_for_bit(self, lead, dim, seed):
+        # box_means ANDs the coordinates' tests one by one; the former
+        # expression took np.all over the dim axis.  With env_mean 0 and
+        # env_cov_scale 4 a mean is 2 z exactly, so z = edge / 2 puts it on a
+        # box edge; the other values sit one ulp outside an edge or anywhere
+        rng = derive_stream(seed, [7])
+        lo, hi = -rng.uniform(0.5, 3.0, dim), rng.uniform(0.5, 3.0, dim)
+        env = EnvironmentSpec(env_mean=np.zeros(dim), env_cov_scale=4.0, trunc_lo=lo,
+                              trunc_hi=hi, task_cov_scale=0.1, dim=dim)
+        shape = tuple(lead) + (dim,)
+        values = np.stack([np.broadcast_to(v, shape) for v in (
+            lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+            3.0 * rng.standard_normal(shape))])
+        z = np.take_along_axis(values, rng.integers(0, 5, (1,) + shape), axis=0)[0] / 2.0
+        z.reshape(-1, dim)[0] = lo / 2.0        # one mean on the lower corner
+        mus, inside = box_means(z, env)
+        want = env.env_mean + np.sqrt(env.env_cov_scale) * z
+        former = np.all((want >= env.trunc_lo) & (want <= env.trunc_hi), axis=-1)
+        assert mus.shape == want.shape and mus.tobytes() == want.tobytes()
+        assert np.shape(inside) == np.shape(former) and np.asarray(inside).dtype == bool
+        assert np.asarray(inside).tobytes() == np.asarray(former).tobytes()
+        assert np.asarray(inside).reshape(-1)[0]
 
     def test_first_round_hits_kept_and_rejections_filled_in_row_order(self):
         # 100 rows at acceptance ~0.12: one redraw round of 1,024 rows has
