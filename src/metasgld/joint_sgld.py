@@ -4,7 +4,9 @@ bound and its closed form under the eta_t = c/t, sigma_t = sqrt(eta_t) schedule.
 
 A run draws all its noise into its store of phi, takes one step loop (rate,
 gradient, L-hat, MI term, phi, bound), then scores the train risk, RISK_BLOCK
-steps at a time."""
+steps at a time.  The square loss reads a dataset only through its mean and
+scatter: (1/m) sum_j ||w - x_j||^2 = ||w - mean||^2 + the mean's own risk on
+the rows, which a run computes once."""
 from __future__ import annotations
 
 import math
@@ -14,7 +16,7 @@ from typing import List, Optional
 import numpy as np
 
 from .core import (DECAY_INVERSE_T, P_NOISE_U, P_TASK, Schedules, UndefinedBoundError,
-                   check_seed, derive_stream, stopped_at)
+                   check_seed, derive_stream, sq_norm, stopped_at)
 from .model import stacked_risk
 from .task_env import EnvironmentSpec, sample_datasets, sample_task_means
 
@@ -167,7 +169,8 @@ def run_joint_sgld(cfg: JointConfig, env: EnvironmentSpec,
     rng = derive_stream(cfg.seed, (P_TASK, 0))
     data, _, _ = sample_datasets(sample_task_means(env, cfg.n, rng), env,
                                  cfg.m, cfg.m, rng)
-    means = data.mean(axis=1)   # the square loss's gradient reads only these
+    means = data.mean(axis=1)   # the square loss reads only these and the scatter
+    scatter = stacked_risk(means, data)     # (n,): each mean's risk on its own rows
     # one draw of T (n + 1) d normals: step t reads phis[t - 1], then writes phi there
     phis = np.empty((cfg.T, cfg.n + 1, env.dim))
     derive_stream(cfg.seed, (P_NOISE_U, 0)).standard_normal(out=phis)
@@ -192,6 +195,6 @@ def run_joint_sgld(cfg: JointConfig, env: EnvironmentSpec,
                          if closed_form_available else float("nan")))
         except (ValueError, ArithmeticError) as exc:
             raise stopped_at(exc, "step", t) from None
-    train = np.concatenate([np.mean(stacked_risk(block, data), axis=-1) for block in
+    train = np.concatenate([np.mean(sq_norm(block - means) + scatter, axis=-1) for block in
                             np.array_split(phis[:, 1:], range(RISK_BLOCK, cfg.T, RISK_BLOCK))])
     return [JointRecord(*row, risk) for row, risk in zip(rows, train.tolist())]

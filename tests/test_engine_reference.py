@@ -708,6 +708,14 @@ def ref_joint_grad(u, ws, datasets, coupling):
     return np.concatenate([gu] + gws)
 
 
+def ref_mean_risk(w, batch):
+    """ref_risk(w, batch) as ||w - mean||^2 plus the mean's own risk on the
+    rows: the square loss reads a dataset only through those two."""
+    mean = batch.mean(axis=0)
+    d = w - mean
+    return float(d @ d) + ref_risk(mean, batch)
+
+
 def ref_run_joint(cfg, sigma_sg):
     """The joint trainer's loop: u and a list of w_i, one task at a time."""
     rng = derive_stream(cfg.seed, (P_TASK, 0))
@@ -734,7 +742,7 @@ def ref_run_joint(cfg, sigma_sg):
                                   for i in range(1, cfg.n + 1)]
         cf = (joint_closed_form(sigma_sg, l_hat, cfg.n, cfg.m, s.decay_c, t)
               if cfg.sigma0 is None else float("nan"))
-        train = float(np.mean([ref_risk(w, b) for w, b in zip(ws, datasets)]))
+        train = float(np.mean([ref_mean_risk(w, b) for w, b in zip(ws, datasets)]))
         records.append(JointRecord(
             t=t, l_hat=l_hat, mi_step_term=term, mi_sum=mi_sum,
             joint_bound=joint_bound(mi_sum, sigma_sg, cfg.n, cfg.m),
@@ -792,6 +800,41 @@ def test_run_joint_matches_loop_at_block_edges(T, coupling, fixed_l):
     assert len(got) == len(want) == T
     for a, b in zip(got, want):
         assert np.array(astuple(a)).tobytes() == np.array(astuple(b)).tobytes()
+
+
+# the JOINT_GRID configs in dim 2, and one config in dim 1 (stacked_risk's
+# one-coordinate pass) and in dim 8 (its np.sum branch)
+ROW_RISK_CASES = ([(c, s, l, n, 2) for c, s, l, n in JOINT_GRID]
+                  + [(0.7, None, None, 3, 1), (0.7, None, None, 3, 8)])
+
+
+@pytest.mark.parametrize("coupling,sigma0,fixed_l,n,dim", ROW_RISK_CASES,
+                         ids=[f"{c}-{'sqrt_eta' if s is None else 'fixed'}-{l}-{n}-dim{d}"
+                              for c, s, l, n, d in ROW_RISK_CASES])
+def test_joint_train_risk_is_the_row_risk(coupling, sigma0, fixed_l, n, dim, monkeypatch):
+    # train_risk from each dataset's mean and scatter is the mean over tasks
+    # of ref_risk(W_i, D_i), scored on the rows, at every step the run took
+    env = {1: ENV1, 2: ENV, 8: ENV8}[dim]
+    cfg = replace(edge_joint(JOINT_BLOCK + 5, coupling, fixed_l), n=n, sigma0=sigma0)
+    phis, step = [], joint_sgld.joint_sgld_step
+    monkeypatch.setattr(joint_sgld, "joint_sgld_step",
+                        lambda *args: phis.append(step(*args)) or phis[-1])
+    got = [r.train_risk for r in run_joint_sgld(cfg, env, sigma_sg=1.2)]
+    rng = derive_stream(cfg.seed, (P_TASK, 0))
+    data = sample_datasets(sample_task_means(env, n, rng), env, cfg.m, cfg.m, rng)[0]
+    want = [np.mean([ref_risk(w, d) for w, d in zip(phi[1:], data)]) for phi in phis]
+    assert len(got) == len(want) == cfg.T
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_joint_run_scores_the_scatter_once(monkeypatch):
+    # the rows are read once, for each dataset's scatter; the RISK_BLOCK
+    # blocks of stored W_i read only the means
+    calls, risk = [], joint_sgld.stacked_risk
+    monkeypatch.setattr(joint_sgld, "stacked_risk",
+                        lambda *args: calls.append(1) or risk(*args))
+    assert len(run_joint_sgld(edge_joint(500), ENV, sigma_sg=1.2)) == 500
+    assert len(calls) == 1
 
 
 def diverging_joint(t0, case):
