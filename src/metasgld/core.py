@@ -4,9 +4,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
+from numpy.random import Generator, PCG64, SeedSequence
 
 
 class ConfigurationError(ValueError):
@@ -135,7 +136,7 @@ P_SPLIT = 13        # by block: the datasets' split keys
 STREAM_BLOCK = 256  # the epochs of a (purpose, block) stream (layout 7)
 
 
-def derive_stream(master_seed: int, path: Sequence[int]) -> np.random.Generator:
+def derive_stream(master_seed: int, path: Sequence[int]) -> Generator:
     """Deterministic, independent RNG stream addressed by an integer path.
 
     Same (master_seed, path) always yields the same generator state; distinct
@@ -145,7 +146,7 @@ def derive_stream(master_seed: int, path: Sequence[int]) -> np.random.Generator:
     key = tuple(check_seed(x, "stream path entry") for x in path)
     if not key:
         raise ValueError("stream path must be non-empty")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+    return Generator(PCG64(SeedSequence(seed, spawn_key=key)))
 
 
 def block_rows(cfg: RunConfig, dim: int, t: int, n: int, purposes=None) -> Dict[int, np.ndarray]:
@@ -163,68 +164,6 @@ def block_rows(cfg: RunConfig, dim: int, t: int, n: int, purposes=None) -> Dict[
             draw((max(-c, 0),) + shape)         # the rows of its epochs before t
             draw(out=out[p][max(c, 0):c + STREAM_BLOCK])
     return out
-
-
-def epoch_streams(seed: int, purposes: Sequence[int], ts: Sequence[int]
-                  ) -> Iterator[Tuple[int, Dict[int, np.random.Generator]]]:
-    """For each t of ts, t and a new generator per purpose on its (purpose, t)
-    stream; each stays valid after the loop moves on.  ts is a run block's gap
-    evaluations: their seed words are derived in one call per purpose."""
-    words = [stream_states(seed, p, ts).astype(np.uint64) for p in purposes]
-    # SeedSequence's uint64 words pair its uint32 words low word first
-    for t, *rows in zip(ts, *(w[:, 0::2] | w[:, 1::2] << 32 for w in words)):
-        yield t, {p: np.random.Generator(np.random.PCG64(_Words(row)))
-                  for p, row in zip(purposes, rows)}
-
-
-class _Words(np.random.bit_generator.ISeedSequence):
-    """A SeedSequence's generate_state(4, np.uint64), given as its words: what
-    PCG64 asks for when it seeds itself.  PCG64 reads the array's memory, so
-    the words must be 4 contiguous native uint64."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-# SeedSequence's hash multipliers before and after each hash of t's words
-# (the pool of (seed, purpose) took 20: 4 for the seed words, 12 to mix
-# them, 4 for the purpose word) and of generate_state's 8 words
-_HASH_T = np.array([0x43B0D7E5 * 0x931E8875 ** k & 0xFFFFFFFF for k in range(20, 29)],
-                   dtype=np.uint32)
-_HASH_OUT = np.array([0x8B51F9DD * 0x58F38DED ** k & 0xFFFFFFFF for k in range(9)],
-                     dtype=np.uint32)
-
-
-# SeedSequence's hashmix and mix, on uint32 arrays
-def _hash(v, before, after):
-    v = (v ^ before) * after
-    return v ^ v >> 16
-
-
-def _mix(x, y):
-    v = x * 0xCA01F9DD - y * 0x4973F715
-    return v ^ v >> 16
-
-
-def stream_states(seed: int, purpose: int, ts: Sequence[int]) -> np.ndarray:
-    """``SeedSequence(seed, spawn_key=(purpose, t)).generate_state(8)`` for
-    each t of ts, as one (len(ts), 8) uint32 array; purpose is a one-word tag
-    and t in [0, 2**64).
-
-    NumPy hashes the seed and purpose into SeedSequence's pool of 4 words;
-    t's low word, then its high word if nonzero, are hashed onto it here as
-    uint32 array ops over all of ts, then generate_state's 8 words follow."""
-    if not 0 <= purpose < 2 ** 32:
-        raise ValueError(f"purpose must be in [0, 2**32), got {purpose}")
-    t = np.array([check_seed(t, "t") for t in ts], dtype=np.uint64)[:, None]
-    pool = np.random.SeedSequence(check_seed(seed), spawn_key=(purpose,)).pool
-    lo, hi = (t & 0xFFFFFFFF).astype(np.uint32), (t >> 32).astype(np.uint32)
-    pool = _mix(pool, _hash(lo, _HASH_T[:4], _HASH_T[1:5]))
-    pool = np.where(hi != 0, _mix(pool, _hash(hi, _HASH_T[4:8], _HASH_T[5:])), pool)
-    return _hash(np.concatenate([pool, pool], axis=1), _HASH_OUT[:-1], _HASH_OUT[1:])
 
 
 def check_seed(seed: int, name: str = "seed") -> int:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import (ConfigurationError, P_BATCH, P_MEANS, P_NOISE_U, P_NOISE_W,
                    P_SAMPLES, P_SPLIT, P_TASK, P_TEST, P_TRAIN_PROBE, RunConfig,
-                   as_vector, block_rows, derive_stream, epoch_streams, noise_std,
+                   as_vector, block_rows, derive_stream, noise_std,
                    ordered_sum, sq_norm, stopped_at)
 from .model import LossModel, descend, stacked_risk
 from .task_env import (EnvironmentSpec, TaskDataset, box_means, draw_datasets,
@@ -352,11 +352,12 @@ def run_meta_sgld(cfg: RunConfig, env: EnvironmentSpec,
         ab = bounds_mod.assemble_alt_bound(run, sg, cfg.n, cfg.m_va)
         gaps, ts = {}, range(t0, t0 + len(run.eps_u_sum))   # the epochs before a failure
         evals = [t for t in ts if eval_cadence > 0 and (t % eval_cadence == 0 or t == cfg.T)]
-        for t, rngs in epoch_streams(cfg.seed, (P_TEST, P_TRAIN_PROBE), evals):
+        for t in evals:
             try:
-                rep = evaluate_mod.observed_gap(us[t - t0 + 1], env, cfg, n_train_probe, n_test,
-                                                test_stream=rngs[P_TEST],
-                                                train_stream=rngs[P_TRAIN_PROBE])
+                rep = evaluate_mod.observed_gap(
+                    us[t - t0 + 1], env, cfg, n_train_probe, n_test,
+                    test_stream=derive_stream(cfg.seed, (P_TEST, t)),
+                    train_stream=derive_stream(cfg.seed, (P_TRAIN_PROBE, t)))
             except (ValueError, ArithmeticError) as exc:
                 raise stopped_at(exc, "epoch", t) from None
             gaps[t] = (rep.train_loss, rep.test_loss, rep.gap)

@@ -60,12 +60,14 @@ def exact_train_risk(cfg):
     return np.array(risks)
 
 
-CASES = list(itertools.product((0.0, 1.0), (None, 0.5)))
+# sigma0 = 1e-3 is near noise-free: the SE over seeds is then small enough to
+# see an error the size of a dataset's scatter in the train risk
+SIGMA0S = {None: "sqrt_eta", 0.5: "fixed", 1e-3: "near_noise_free"}
+CASES = list(itertools.product((0.0, 1.0), SIGMA0S))
 
 
 @pytest.mark.parametrize("coupling,sigma0", CASES,
-                         ids=[f"{c}-{'sqrt_eta' if s is None else 'fixed'}"
-                              for c, s in CASES])
+                         ids=[f"{c}-{SIGMA0S[s]}" for c, s in CASES])
 def test_train_risk_matches_the_closed_form(coupling, sigma0):
     diffs = []
     for seed in SEEDS:

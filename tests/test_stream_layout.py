@@ -40,8 +40,8 @@ from metasgld import __version__, core, meta_sgld
 from metasgld.cli import (OUTPUT_DIR_ENV_VAR, load_config_file, main, preset_path,
                           run_experiment)
 from metasgld.core import (DECAY_CONSTANT, DECAY_EXPONENTIAL, DECAY_INVERSE_T,
-                           P_MEANS, P_TASK, STREAM_BLOCK, RunConfig, Schedules,
-                           derive_stream)
+                           P_MEANS, P_TASK, P_TEST, P_TRAIN_PROBE, STREAM_BLOCK,
+                           RunConfig, Schedules, derive_stream)
 from metasgld.meta_sgld import run_meta_sgld
 from metasgld.task_env import EnvironmentSpec
 
@@ -334,7 +334,8 @@ def test_run_builds_two_generators_per_purpose_and_one_per_redraw(inner_batch, m
     # each array kind comes from one (purpose, block) stream, so 300 epochs
     # build two generators per purpose (five, six with minibatches); an epoch
     # with a task mean outside the box (175 and 182 at seed 1) draws again
-    # from a (P_TASK, t) stream of its own
+    # from a (P_TASK, t) stream of its own, and each of the 30 gap evaluations
+    # from (P_TEST, t), then (P_TRAIN_PROBE, t)
     cfg = load_config_file(preset_path("toy_8_8"))
     run, env = replace(cfg.run, T=300, inner_batch=inner_batch), cfg.env
     z = np.concatenate([derive_stream(run.seed, (P_MEANS, block)).standard_normal(
@@ -353,5 +354,7 @@ def test_run_builds_two_generators_per_purpose_and_one_per_redraw(inner_batch, m
     monkeypatch.setattr(meta_sgld, "derive_stream", counted)
     run_meta_sgld(run, env, eval_cadence=10)
     purposes = 6 if inner_batch else 5
-    assert len(paths) == 2 * purposes + len(redrawn)
+    assert len(paths) == 2 * purposes + len(redrawn) + 60
     assert [p for p in paths if p[0] == P_TASK] == [(P_TASK, t) for t in redrawn]
+    assert ([p for p in paths if p[0] in (P_TEST, P_TRAIN_PROBE)]
+            == [(p, t) for t in range(10, 301, 10) for p in (P_TEST, P_TRAIN_PROBE)])
